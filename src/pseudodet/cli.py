@@ -130,9 +130,9 @@ def _merged_options(args) -> dict:
 
 def _check_configs(args, options) -> list:
     explicit_cell = options["ring"] is not None or options["dim"] is not None
-    ring = options["ring"] or "rational"
-    dim = options["dim"] or 2
-    size = options["size"] or dim
+    ring = "rational" if options["ring"] is None else options["ring"]
+    dim = 2 if options["dim"] is None else options["dim"]
+    size = dim if options["size"] is None else options["size"]
     common = dict(trials=options["trials"], seed=options["seed"],
                   bound=options["bound"], budget=options["budget"])
     if args.suite == "all":
@@ -177,12 +177,17 @@ def _run_check(args) -> int:
 
 def _run_eval(args) -> int:
     options = _merged_options(args)
-    ring_spec = options["ring"] or "rational"
+    ring_spec = "rational" if options["ring"] is None else options["ring"]
     if ring_spec == "words":
         raise ConfigError("eval needs a matrix ring (rational or mod:<m>)")
-    ring = ring_from_spec(ring_spec)
+    try:
+        ring = ring_from_spec(ring_spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     x = read_matrix_file(args.matrix, ring)
-    dim = options["dim"] or x.n
+    dim = x.n if options["dim"] is None else options["dim"]
+    if dim < 1:
+        raise ConfigError("--dim must be >= 1")
     f = matrix_trace(ring, x.n, dim, pseudocharacter=False)
     if args.what == "fn":
         n = args.n if args.n is not None else dim

@@ -64,6 +64,9 @@ class Matrix:
         return cls._make(ring, n, tuple((z,) * n for _ in range(n)))
 
     def _check_peer(self, other):
+        if (other.__class__ is Matrix and other.ring is self.ring
+                and other.n == self.n):
+            return
         if not isinstance(other, Matrix):
             raise MismatchError(f"expected a matrix, got {other!r}")
         if self.ring.key() != other.ring.key():

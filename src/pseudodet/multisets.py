@@ -18,7 +18,8 @@ Partial bijections from [n] to [m] are enumerated deterministically: by
 matched size k = 0..min(n,m), then domain subsets of [n] in lexicographic
 order, then image subsets of [m] in lexicographic order, then the images as
 permutations in lexicographic order.  The total count is
-sum_k C(n,k)*C(m,k)*k!.
+sum_k C(n,k)*C(m,k)*k!.  A product computes each entry product x_i*y_j once
+and shares it among all the bijections that match i with j.
 """
 
 from __future__ import annotations
@@ -142,16 +143,30 @@ class PartialBijection:
 
 
 @lru_cache(maxsize=None)
+def _plans(n: int, m: int) -> tuple:
+    """Every partial bijection from [n] to [m] as a plain index plan
+    ``(cells, rest_x, rest_y)``, 0-based, in the documented order:
+    ``cells`` holds i * m + j for each matched (i, j), sorted by i, and
+    ``rest_x``/``rest_y`` the unmatched indices of each side."""
+    out = []
+    for k in range(min(n, m) + 1):
+        for dom in combinations(range(n), k):
+            rest_x = tuple(i for i in range(n) if i not in dom)
+            rows = [i * m for i in dom]
+            for img_set in combinations(range(m), k):
+                rest_y = tuple(j for j in range(m) if j not in img_set)
+                for images in permutations(img_set):
+                    cells = tuple(r + j for r, j in zip(rows, images))
+                    out.append((cells, rest_x, rest_y))
+    return tuple(out)
+
+
 def partial_bijections(n: int, m: int) -> tuple:
     """Every partial bijection from [n] to [m], exactly once, in the
     documented deterministic order."""
-    out = []
-    for k in range(min(n, m) + 1):
-        for dom in combinations(range(1, n + 1), k):
-            for img_set in combinations(range(1, m + 1), k):
-                for images in permutations(img_set):
-                    out.append(PartialBijection(n, m, tuple(zip(dom, images))))
-    return tuple(out)
+    return tuple(
+        PartialBijection(n, m, tuple((c // m + 1, c % m + 1) for c in cells))
+        for cells, _, _ in _plans(n, m))
 
 
 def partial_bijection_count(n: int, m: int) -> int:
@@ -193,10 +208,27 @@ def multiset_product(x: Multiset, y: Multiset,
             f"product of cardinalities ({n},{m}) needs {count} intermediate "
             f"multisets, over the budget of {budget}")
     acc: dict = {}
-    for pb in partial_bijections(n, m):
-        ms = product_along(x, y, pb)
-        acc[ms] = acc.get(ms, 0) + 1
-    return FormalSum(acc)
+    _accumulate_product(acc, x.entries, y.entries, 1)
+    return FormalSum({Multiset._make(key): c for key, c in acc.items()})
+
+
+def _accumulate_product(acc: dict, xs: tuple, ys: tuple, coeff: int) -> None:
+    """Add ``coeff`` times the product of the multisets with sorted entries
+    ``xs`` and ``ys`` to ``acc``, keyed by sorted entry tuples.
+
+    Each entry product x_i * y_j is computed once, into cell i * m + j of
+    a flat n x m table, and shared by every partial bijection that matches
+    i with j.
+    """
+    table = [a * b for a in xs for b in ys]
+    get = acc.get
+    for cells, rest_x, rest_y in _plans(len(xs), len(ys)):
+        out = [table[c] for c in cells]
+        out.extend([xs[i] for i in rest_x])
+        out.extend([ys[j] for j in rest_y])
+        out.sort()
+        key = tuple(out)
+        acc[key] = get(key, 0) + coeff
 
 
 class FormalSum:
@@ -310,6 +342,23 @@ class FormalSum:
         return " + ".join(f"{coeff}*{{{','.join(key[1])}}}"
                           for key, coeff in rendered)
 
+    def render_length_exceeds(self, limit: int) -> bool:
+        """Whether ``len(self.render()) > limit``, without building the
+        string: term lengths are summed until the total passes ``limit``.
+        Term order does not change the length, so no sort is needed."""
+        if not self._terms:
+            return len("0") > limit
+        total = -len(" + ")
+        for ms, coeff in self._terms.items():
+            entries = ms.entries
+            # " + " + f"{coeff}*{" + ",".join(entry strings) + "}"
+            total += (len(" + ") + len(str(coeff)) + len("*{}")
+                      + max(len(entries) - 1, 0)
+                      + sum(len(_render_entry(e)) for e in entries))
+            if total > limit:
+                return True
+        return False
+
     def __repr__(self):
         return f"FormalSum({self.render()})"
 
@@ -332,11 +381,8 @@ def formal_product(left: FormalSum, right: FormalSum,
     acc: dict = {}
     for ms1, c1 in left._terms.items():
         for ms2, c2 in right._terms.items():
-            c = c1 * c2
-            for pb in partial_bijections(len(ms1), len(ms2)):
-                ms = product_along(ms1, ms2, pb)
-                acc[ms] = acc.get(ms, 0) + c
-    return FormalSum(acc)
+            _accumulate_product(acc, ms1.entries, ms2.entries, c1 * c2)
+    return FormalSum({Multiset._make(key): c for key, c in acc.items()})
 
 
 def map_formal(hom, s: FormalSum) -> FormalSum:

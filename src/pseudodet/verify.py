@@ -312,10 +312,9 @@ class SuiteReport:
 
 
 def _fmt_sum(s: FormalSum, ok: bool) -> str:
-    rendered = s.render()
-    if ok and len(rendered) > 400:
+    if ok and s.render_length_exceeds(400):
         return f"<formal sum, {s.num_terms()} terms>"
-    return rendered
+    return s.render()
 
 
 def _fmt_scalar(ring: Ring, value) -> str:

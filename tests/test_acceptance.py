@@ -5,6 +5,7 @@ are no tolerances anywhere.  Run with ``pytest tests/test_acceptance.py -v``
 (add ``-s`` to see the per-criterion lines for passing tests too).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -343,8 +344,15 @@ def test_criterion_09_vanishing():
     assert not failures, failures[:5]
 
 
+#: sha256 of the `check all --seed 42` report body, durations stripped
+#: (ROADMAP.md, Baseline).  Any change of a report byte changes it.
+SEED_42_DIGEST = \
+    "3ffc0b6efba5e3e2a5c2aa037073d4f6adef553da0deb6d0d61e5aa52fb7802e"
+
+
 def test_criterion_10_reproducibility(tmp_path):
-    """Two `check all --seed 42` runs give byte-identical report bodies."""
+    """Two `check all --seed 42` runs give byte-identical report bodies,
+    and the body is the recorded seed-42 report."""
     paths = [tmp_path / "first.json", tmp_path / "second.json"]
     for path in paths:
         result = subprocess.run(
@@ -368,7 +376,10 @@ def test_criterion_10_reproducibility(tmp_path):
                           separators=(",", ":")).encode()
 
     first, second = stripped_bytes(paths[0]), stripped_bytes(paths[1])
-    ok = first == second
+    digest = hashlib.sha256(first).hexdigest()
+    ok = first == second and digest == SEED_42_DIGEST
     _line(10, "seeded-reproducibility", ok,
-          f"{len(first)} identical bytes (durations excluded)")
-    assert ok
+          f"{len(first)} identical bytes (durations excluded), "
+          f"sha256 {digest[:8]}")
+    assert first == second
+    assert digest == SEED_42_DIGEST

@@ -32,6 +32,13 @@ def stripped_json(path):
     return json.dumps(strip(doc), sort_keys=True)
 
 
+def assert_one_error_line(captured, needle):
+    """stderr is a single ``error:`` line mentioning ``needle``."""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ") and needle in lines[0]
+
+
 class TestEval:
     def test_det_example(self, matrix_file, capsys):
         assert main(["eval", "det", "--matrix", matrix_file, "--dim", "2"]) == 0
@@ -77,6 +84,17 @@ class TestEval:
         assert doc == {"command": "eval", "what": "det", "ring": "rational",
                        "dim": 2, "matrix": "[[1,2],[3,4]]", "result": "-2"}
 
+    def test_zero_dim_is_exit_two(self, matrix_file, capsys):
+        rc = main(["eval", "det", "--matrix", matrix_file, "--dim", "0"])
+        assert rc == 2
+        assert_one_error_line(capsys.readouterr(), "dim")
+
+    @pytest.mark.parametrize("spec", ["mod:1", "foo", "mod:x", ""])
+    def test_bad_ring_is_exit_two(self, matrix_file, spec, capsys):
+        rc = main(["eval", "det", "--ring", spec, "--matrix", matrix_file])
+        assert rc == 2
+        assert_one_error_line(capsys.readouterr(), "")
+
     def test_det_not_invertible(self, tmp_path, capsys):
         path = tmp_path / "m3.txt"
         path.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
@@ -115,6 +133,18 @@ class TestCheck:
         rc = main(["check", "degree-d", "--dim", "3", "--ring", "mod:6"])
         assert rc == 2
         assert "not invertible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "degree-d", "--dim", "0"],
+        ["check", "assoc", "--size", "0"],
+        ["check", "all", "--dim", "0", "--ring", "rational"],
+    ])
+    def test_zero_dim_or_size_is_exit_two(self, argv, capsys):
+        """0 is rejected, not replaced by the default of 2."""
+        assert main(argv + ["--trials", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "must be >= 1")
+        assert "PASS" not in captured.out
 
     def test_usage_error_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -315,3 +315,99 @@ class TestRendering:
     def test_entries_render_in_canonical_order(self):
         ms = Multiset([word("x2*y1"), word("x1")])
         assert ms.render() == "{x1,x2*y1}"
+
+
+def reference_product(x, y, coeff=1):
+    """``coeff`` times the sum of ``product_along`` over
+    ``partial_bijections``: the product as defined, one bijection at a
+    time, with no shared entry products."""
+    acc = {}
+    for pb in partial_bijections(len(x), len(y)):
+        ms = product_along(x, y, pb)
+        acc[ms] = acc.get(ms, 0) + coeff
+    return FormalSum(acc)
+
+
+def reference_formal_product(s, t):
+    acc = FormalSum.zero()
+    for ms1, c1 in s.terms():
+        for ms2, c2 in t.terms():
+            acc = acc + reference_product(ms1, ms2, c1 * c2)
+    return acc
+
+
+class CountingWord(Word):
+    """A word that counts the products taken with it on the left."""
+
+    __slots__ = ()
+    products = 0
+
+    def __mul__(self, other):
+        CountingWord.products += 1
+        return Word.__mul__(self, other)
+
+
+def counting_letters(prefix, n):
+    return Multiset(CountingWord([f"{prefix}{i}"]) for i in range(1, n + 1))
+
+
+class TestProductMatchesDefinition:
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("m", range(4))
+    def test_free_letters(self, n, m):
+        x, y = letters("x", n), letters("y", m)
+        assert multiset_product(x, y) == reference_product(x, y)
+        s = FormalSum.of(x, 2) + FormalSum.of(letters("a", 1), -1)
+        t = FormalSum.of(y, 3) + FormalSum.of(Multiset.empty(), 1)
+        assert formal_product(s, t) == reference_formal_product(s, t)
+
+    @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
+    def test_seeded_matrices(self, ring):
+        for trial in range(20):
+            rng = substream(71, trial)
+
+            def draw():
+                return Multiset(random_matrix(rng, ring, 2, 2)
+                                for _ in range(rng.randint(0, 3)))
+
+            x, y = draw(), draw()
+            assert multiset_product(x, y) == reference_product(x, y)
+            s = FormalSum.of(draw(), rng.randint(1, 3)) \
+                + FormalSum.of(draw(), -rng.randint(1, 3))
+            t = FormalSum.of(draw(), rng.randint(1, 3)) \
+                + FormalSum.of(draw(), -rng.randint(1, 3))
+            assert formal_product(s, t) == reference_formal_product(s, t)
+
+
+class TestEntryProductWork:
+    def test_three_by_three_takes_nine_products(self):
+        x, y = counting_letters("x", 3), counting_letters("y", 3)
+        CountingWord.products = 0
+        got = multiset_product(x, y)
+        assert CountingWord.products == 9
+        assert got == reference_product(x, y)
+
+    def test_formal_product_takes_n_times_m_per_term_pair(self):
+        s = FormalSum.of(counting_letters("a", 2), 2) \
+            + FormalSum.of(counting_letters("c", 1), -1)
+        t = FormalSum.of(counting_letters("b", 3), 1) \
+            + FormalSum.of(counting_letters("d", 2), 3)
+        CountingWord.products = 0
+        formal_product(s, t)
+        assert CountingWord.products == 2 * 3 + 2 * 2 + 1 * 3 + 1 * 2
+
+
+class TestRenderLengthExceeds:
+    @pytest.mark.parametrize("s", [
+        FormalSum.zero(),
+        FormalSum.of(letters("x", 2), -12),
+        FormalSum.of(Multiset.empty(), 3),
+        FormalSum.of(Multiset.empty(), -1) + FormalSum.of(letters("y", 3), 7)
+        + FormalSum.of(Multiset([word("x1*y2*z3")]), -250),
+        FormalSum.of(Multiset([Matrix(QQ, [[1, -2], [3, 4]]),
+                               Matrix(QQ, [[0, 1], [1, 0]])]), 5),
+    ], ids=["zero", "negative", "empty-multiset", "mixed", "matrices"])
+    def test_matches_rendered_length(self, s):
+        length = len(s.render())
+        for limit in (-1, 0, length - 1, length, length + 1, 10**6):
+            assert s.render_length_exceeds(limit) == (length > limit)
