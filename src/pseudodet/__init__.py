@@ -20,7 +20,7 @@ from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, PartialBijection,
                         formal_product, map_formal, multiset_product,
                         partial_bijection_count, partial_bijections,
                         product_along)
-from .pseudochar import (CentralFunction, CharPoly, RPolynomial, char_poly,
+from .pseudochar import (CentralFunction, CharPoly, char_poly,
                          char_poly_interpolated, check_pseudocharacter,
                          cycle_sum_form, degree_product_check, determinant,
                          form_on_sum, identity_padding_check, matrix_trace,

@@ -117,11 +117,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _merged_options(args) -> dict:
-    options = {"ring": None, "dim": None, "size": None, "trials": 50,
-               "seed": 0, "bound": 5, "budget": 10**7}
-    if args.config:
-        options.update(load_config_file(args.config))
-    for key in ("ring", "dim", "size", "trials", "seed", "bound", "budget"):
+    """The values the user set: the config file's, overridden by flags."""
+    options = load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
             options[key] = value
@@ -129,25 +127,29 @@ def _merged_options(args) -> dict:
 
 
 def _check_configs(args, options) -> list:
-    explicit_cell = options["ring"] is not None or options["dim"] is not None
-    ring = "rational" if options["ring"] is None else options["ring"]
-    dim = 2 if options["dim"] is None else options["dim"]
-    size = dim if options["size"] is None else options["size"]
-    common = dict(trials=options["trials"], seed=options["seed"],
-                  bound=options["bound"], budget=options["budget"])
+    """The configs to run.  The ring defaults to rational and dim to 2
+    (size to dim); trials, seed, bound and budget are passed on only when
+    the user set them, so their defaults live in ``SuiteConfig`` alone."""
+    shared = dict(options)
+    ring, dim, size = (shared.pop(key, None) for key in ("ring", "dim", "size"))
+    explicit_cell = ring is not None or dim is not None
+    ring = "rational" if ring is None else ring
+    dim = 2 if dim is None else dim
     if args.suite == "all":
         if not explicit_cell:
-            return default_all_configs(**common)
+            return default_all_configs(**shared)
         if ring == "words":
-            return [SuiteConfig("assoc", ring="words", **common)]
+            return [SuiteConfig("assoc", ring="words", **shared)]
         return default_all_configs(dims=(dim,), rings=(ring,),
-                                   include_words=False, **common)
-    return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim, **common)]
+                                   include_words=False, **shared)
+    return [SuiteConfig(args.suite, ring=ring,
+                        size=dim if size is None else size, dim=dim, **shared)]
 
 
 def _run_check(args) -> int:
-    options = _merged_options(args)
-    configs = _check_configs(args, options)
+    configs = _check_configs(args, _merged_options(args))
+    for cfg in configs:  # all of them, before any suite prints a result
+        cfg.validate()
     reports = []
     start = time.perf_counter()
     for cfg in configs:
@@ -161,23 +163,20 @@ def _run_check(args) -> int:
           f"in {total:.2f}s")
 
     if args.json_path:
-        document = {
+        _write_json(args.json_path, {
             "command": "check",
             "selection": args.suite,
-            "seed": options["seed"],
+            "seed": configs[0].seed,
             "pass": all_pass,
             "suites": [r.to_dict() for r in reports],
             "total_duration_seconds": total,
-        }
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return 0 if all_pass else 1
 
 
 def _run_eval(args) -> int:
     options = _merged_options(args)
-    ring_spec = "rational" if options["ring"] is None else options["ring"]
+    ring_spec = options.get("ring", "rational")
     if ring_spec == "words":
         raise ConfigError("eval needs a matrix ring (rational or mod:<m>)")
     try:
@@ -185,7 +184,7 @@ def _run_eval(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     x = read_matrix_file(args.matrix, ring)
-    dim = x.n if options["dim"] is None else options["dim"]
+    dim = options.get("dim", x.n)
     if dim < 1:
         raise ConfigError("--dim must be >= 1")
     f = matrix_trace(ring, x.n, dim, pseudocharacter=False)
@@ -200,13 +199,16 @@ def _run_eval(args) -> int:
         rendered = char_poly(f, x).render()
     print(rendered)
     if args.json_path:
-        document = {"command": "eval", "what": args.what,
-                    "ring": ring_spec, "dim": dim,
-                    "matrix": x.render(), "result": rendered}
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, {"command": "eval", "what": args.what,
+                                     "ring": ring_spec, "dim": dim,
+                                     "matrix": x.render(), "result": rendered})
     return 0
+
+
+def _write_json(path: str, document: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:

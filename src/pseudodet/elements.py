@@ -18,38 +18,20 @@ threads.
 from __future__ import annotations
 
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
-from .rings import Ring
+from .rings import FrozenValue, Ring
 
 
-class Matrix:
+class Matrix(FrozenValue):
     """Immutable square matrix over a scalar ring."""
 
-    __slots__ = ("ring", "n", "rows", "_hash")
+    __slots__ = _fields = ("ring", "n", "rows")
 
-    def __init__(self, ring: Ring, rows):
+    def __new__(cls, ring: Ring, rows):
         rows = tuple(tuple(ring.cell(v) for v in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, v):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, v)
-            return
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def _make(cls, ring, n, rows):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "_hash", None)
-        return obj
+        return cls._make(ring, n, rows)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
@@ -100,7 +82,7 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         ring = self.ring
-        c = ring.scalar_to_cell(scalar)
+        c = ring.cell(scalar)
         rows = tuple(tuple(ring.cell_scale(c, a) for a in row)
                      for row in self.rows)
         return Matrix._make(ring, self.n, rows)
@@ -126,12 +108,10 @@ class Matrix:
         self._check_peer(other)
         return self.rows < other.rows
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring.key(), self.rows))
-            self._hash = h
-        return h
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.ring.key(), self.rows
 
     def render(self) -> str:
         rc = self.ring.render_cell
@@ -142,34 +122,24 @@ class Matrix:
         return f"Matrix({self.ring.describe()}, {self.render()})"
 
 
-class Word:
+class Word(FrozenValue):
     """A nonempty word in a free semigroup; letters are string identifiers.
 
     The free semigroup has no unit: the empty word is not a valid element.
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = _fields = ("letters",)
 
-    def __init__(self, letters):
+    def __new__(cls, letters):
         letters = tuple(letters)
         if not letters or not all(isinstance(l, str) and l for l in letters):
             raise ValueError("a word is a nonempty sequence of letter ids")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, v):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, v)
-            return
-        raise AttributeError("Word is immutable")
+        return cls._make(letters)
 
     def __mul__(self, other):
         if not isinstance(other, Word):
             raise MismatchError(f"expected a word, got {other!r}")
-        obj = object.__new__(Word)
-        object.__setattr__(obj, "letters", self.letters + other.letters)
-        object.__setattr__(obj, "_hash", None)
-        return obj
+        return Word._make(self.letters + other.letters)
 
     def one(self):
         raise UnitlessError("the free semigroup has no unit element")
@@ -190,12 +160,10 @@ class Word:
             return len(a) < len(b)
         return a < b
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(("word", self.letters))
-            self._hash = h
-        return h
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return "word", self.letters
 
     def render(self) -> str:
         return "*".join(self.letters)
@@ -209,7 +177,7 @@ def word(text: str) -> Word:
     return Word(text.split("*"))
 
 
-class GroupTable:
+class GroupTable(FrozenValue):
     """A finite group given by an explicit multiplication table.
 
     File format: first line ``order n``, then n lines of n whitespace
@@ -218,9 +186,9 @@ class GroupTable:
     validated on construction.
     """
 
-    __slots__ = ("order", "table")
+    __slots__ = _fields = ("order", "table")
 
-    def __init__(self, table):
+    def __new__(cls, table):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
@@ -239,11 +207,7 @@ class GroupTable:
                     if table[tij][k] != table[i][table[j][k]]:
                         raise GroupTableError(
                             f"associativity fails at ({i},{j},{k})")
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("GroupTable is immutable")
+        return cls._make(n, table)
 
     @classmethod
     def parse(cls, text: str) -> "GroupTable":
@@ -282,14 +246,16 @@ class GroupTable:
     def __eq__(self, other):
         return isinstance(other, GroupTable) and self.table == other.table
 
-    def __hash__(self):
-        return hash(self.table)
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.table
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(FrozenValue):
     """Element of the group algebra of a finite group over a scalar ring.
 
     Stored as a dense coefficient vector indexed by group element; the
@@ -297,32 +263,14 @@ class GroupAlgebraElement:
     small groups (order <= 24) only.
     """
 
-    __slots__ = ("group", "ring", "coeffs", "_hash")
+    __slots__ = _fields = ("group", "ring", "coeffs")
 
-    def __init__(self, group: GroupTable, ring: Ring, coeffs):
+    def __new__(cls, group: GroupTable, ring: Ring, coeffs):
         coeffs = tuple(ring.cell(v) for v in coeffs)
         if len(coeffs) != group.order:
             raise ValueError(
                 f"expected {group.order} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, v):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, v)
-            return
-        raise AttributeError("GroupAlgebraElement is immutable")
-
-    @classmethod
-    def _make(cls, group, ring, coeffs):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "group", group)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "coeffs", coeffs)
-        object.__setattr__(obj, "_hash", None)
-        return obj
+        return cls._make(group, ring, coeffs)
 
     @classmethod
     def basis(cls, group, ring, index: int) -> "GroupAlgebraElement":
@@ -377,7 +325,7 @@ class GroupAlgebraElement:
 
     def scale(self, scalar) -> "GroupAlgebraElement":
         ring = self.ring
-        c = ring.scalar_to_cell(scalar)
+        c = ring.cell(scalar)
         return GroupAlgebraElement._make(
             self.group, ring, tuple(ring.cell_scale(c, a) for a in self.coeffs))
 
@@ -390,20 +338,16 @@ class GroupAlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        return (self.group == other.group
-                and self.ring.key() == other.ring.key()
-                and self.coeffs == other.coeffs)
+        return self._key() == other._key()
 
     def __lt__(self, other):
         self._check_peer(other)
         return self.coeffs < other.coeffs
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring.key(), self.group.table, self.coeffs))
-            self._hash = h
-        return h
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.ring.key(), self.group.table, self.coeffs
 
     def render(self) -> str:
         rc = self.ring.render_cell

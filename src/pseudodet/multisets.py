@@ -31,13 +31,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
+from .rings import FrozenValue
 
 #: Default ceiling on the number of intermediate multisets a single formal
 #: product may create; the count grows superexponentially in cardinalities.
 DEFAULT_BUDGET = 10**7
 
 
-class Multiset:
+class Multiset(FrozenValue):
     """A canonical finite multiset of semigroup elements.
 
     Entries are kept sorted ascending under the backend's total order, so
@@ -45,25 +46,10 @@ class Multiset:
     empty multiset is valid (and is the unit of the multiset ring).
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries):
-        entries = sorted(entries)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, v):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, v)
-            return
-        raise AttributeError("Multiset is immutable")
-
-    @classmethod
-    def _make(cls, sorted_entries: tuple) -> "Multiset":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", sorted_entries)
-        object.__setattr__(obj, "_hash", None)
-        return obj
+    def __new__(cls, entries):
+        return cls._make(tuple(sorted(entries)))
 
     @classmethod
     def of(cls, *entries) -> "Multiset":
@@ -87,12 +73,10 @@ class Multiset:
             return len(a) < len(b)
         return a < b
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.entries)
-            self._hash = h
-        return h
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.entries
 
     def render(self) -> str:
         return "{" + ",".join(_render_entry(e) for e in self.entries) + "}"
@@ -296,10 +280,7 @@ class FormalSum:
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        acc = dict(self._terms)
-        for ms, coeff in other._terms.items():
-            acc[ms] = acc.get(ms, 0) - coeff
-        return FormalSum(acc)
+        return self + (-other)
 
     def __neg__(self):
         return FormalSum({ms: -c for ms, c in self._terms.items()})

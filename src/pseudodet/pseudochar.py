@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .elements import GroupAlgebraElement, GroupTable, Matrix
+from .elements import GroupTable
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
 from .multisets import FormalSum, Multiset, insort_merged, multiset_product
 from .rings import Ring
@@ -393,52 +393,6 @@ def identity_padding_check(f: CentralFunction, x, n: int):
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
-class RPolynomial:
-    """A polynomial in one central variable t with algebra-element
-    coefficients, e.g. t*1 - x.  Kept in trimmed form: the leading stored
-    coefficient is nonzero unless the polynomial is zero (no coefficients).
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = list(coefficients)
-        while coeffs and _is_zero_element(coeffs[-1]):
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    @classmethod
-    def t_minus(cls, x) -> "RPolynomial":
-        """The pencil t - x (coefficients [-x, 1])."""
-        return cls([-x, x.one()])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, t):
-        """Horner evaluation at a scalar value of t; returns an element."""
-        if not self.coefficients:
-            raise ValueError("cannot evaluate the zero pencil "
-                             "(no coefficient fixes the backend)")
-        acc = self.coefficients[-1]
-        for coeff in reversed(self.coefficients[:-1]):
-            acc = acc.scale(t) + coeff
-        return acc
-
-    def __repr__(self):
-        return f"RPolynomial({[c for c in self.coefficients]!r})"
-
-
-def _is_zero_element(x) -> bool:
-    if isinstance(x, Matrix):
-        return x == Matrix.zero(x.ring, x.n)
-    if isinstance(x, GroupAlgebraElement):
-        zero = x.ring.cell(0)
-        return all(c == zero for c in x.coeffs)
-    return False
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """Scalar coefficients c_0..c_d of det(t - x), lowest degree first."""
@@ -462,10 +416,7 @@ class CharPoly:
     def __eq__(self, other):
         if not isinstance(other, CharPoly):
             return NotImplemented
-        if len(self.coefficients) != len(other.coefficients):
-            return False
-        return all(a == b for a, b in
-                   zip(self.coefficients, other.coefficients))
+        return self.coefficients == other.coefficients
 
     def render(self) -> str:
         parts = []
@@ -512,8 +463,8 @@ def char_poly_interpolated(f: CentralFunction, x, points=None) -> CharPoly:
     points = list(points)
     if len(points) != d + 1:
         raise ValueError(f"need exactly {d + 1} interpolation points")
-    pencil = RPolynomial.t_minus(x)
-    values = [determinant(f, pencil.evaluate(t)) for t in points]
+    one, neg = x.one(), -x
+    values = [determinant(f, one.scale(t) + neg) for t in points]
 
     zero, one = ring.zero(), ring.one()
     coeffs = [zero] * (d + 1)

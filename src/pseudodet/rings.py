@@ -35,23 +35,71 @@ def _as_rational(value):
     return value
 
 
-class Residue:
+class FrozenValue:
+    """Base class of the package's immutable values.
+
+    A subclass names its attributes in ``_fields``, which is also its
+    ``__slots__``.  ``_make`` sets them in that order without validation;
+    public constructors validate, then call it.  Any later assignment
+    raises.  ``__hash__`` hashes ``_key()`` once and caches it in the
+    ``_hash`` slot.  A subclass that defines ``__eq__`` must re-bind
+    ``__hash__ = FrozenValue.__hash__``: defining ``__eq__`` alone sets
+    ``__hash__`` to None.
+    """
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # (position, slot setter) pairs: the setters write past __setattr__,
+        # and indexing by position is cheaper than a zip in every _make.
+        cls._setters = tuple(enumerate(getattr(cls, name).__set__
+                                       for name in cls._fields))
+
+    @classmethod
+    def _make(cls, *values):
+        obj = object.__new__(cls)
+        _set_hash(obj, None)
+        for i, setter in cls._setters:
+            setter(obj, values[i])
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        raise NotImplementedError
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            _set_hash(self, h)
+        return h
+
+
+_set_hash = FrozenValue._hash.__set__
+
+
+class Residue(FrozenValue):
     """An element of Z/mZ, stored as its canonical representative in [0, m).
 
     Arithmetic with plain integers coerces them into the same modulus;
     arithmetic between residues requires equal moduli.
     """
 
-    __slots__ = ("value", "modulus")
+    __slots__ = _fields = ("value", "modulus")
 
-    def __init__(self, value: int, modulus: int):
+    def __new__(cls, value: int, modulus: int):
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("Residue is immutable")
+        # Every modular scalar operation builds a residue: writing the
+        # slots here, not through a second call to _make, saves a third.
+        obj = object.__new__(cls)
+        _set_hash(obj, None)
+        _set_value(obj, value % modulus)
+        _set_modulus(obj, modulus)
+        return obj
 
     def _coerce(self, other) -> "Residue":
         if isinstance(other, Residue):
@@ -120,11 +168,16 @@ class Residue:
             return NotImplemented
         return self.value < o.value
 
-    def __hash__(self):
-        return hash((self.modulus, self.value))
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.modulus, self.value
 
     def __repr__(self):
         return f"{self.value} mod {self.modulus}"
+
+
+_set_value, _set_modulus = Residue.value.__set__, Residue.modulus.__set__
 
 
 def _monomial_mul(a, b):
@@ -134,7 +187,7 @@ def _monomial_mul(a, b):
     return tuple(sorted(exps.items()))
 
 
-class Poly:
+class Poly(FrozenValue):
     """Sparse commutative polynomial with rational coefficients.
 
     Terms map a monomial (a sorted tuple of ``(variable, exponent)`` pairs
@@ -143,17 +196,10 @@ class Poly:
     strict total order (the order on sorted term lists).
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, v):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, v)
-            return
-        raise AttributeError("Poly is immutable")
+    def __new__(cls, terms):
+        return cls._make(tuple(terms))
 
     @classmethod
     def _from_dict(cls, d) -> "Poly":
@@ -163,18 +209,18 @@ class Poly:
             if coeff != 0:
                 items.append((mono, coeff))
         items.sort(key=lambda t: t[0])
-        return cls(items)
+        return cls._make(tuple(items))
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls((((((name, 1),)), 1),))
+        return cls._make((((((name, 1),)), 1),))
 
     @classmethod
     def constant(cls, value) -> "Poly":
         value = _as_rational(value)
         if value == 0:
-            return cls(())
-        return cls((((), value),))
+            return cls._make(())
+        return cls._make((((), value),))
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -198,7 +244,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple((m, -c) for m, c in self.terms))
+        return Poly._make(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -237,12 +283,10 @@ class Poly:
             return NotImplemented
         return self.terms < o.terms
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.terms)
-            self._hash = h
-        return h
+    __hash__ = FrozenValue.__hash__
+
+    def _key(self):
+        return self.terms
 
     def __repr__(self):
         return self.render()
@@ -299,9 +343,6 @@ class Ring:
 
     def cell_to_scalar(self, cell):
         return cell
-
-    def scalar_to_cell(self, scalar):
-        return self.cell(scalar)
 
     def dot(self, row, col):
         return sum(a * b for a, b in zip(row, col))
@@ -456,13 +497,13 @@ class PolyRing(Ring):
         return Poly.constant(value)
 
     def dot(self, row, col):
-        acc = Poly(())
+        acc = Poly._make(())
         for a, b in zip(row, col):
             acc = acc + a * b
         return acc
 
     def cell_sum(self, cells):
-        acc = Poly(())
+        acc = Poly._make(())
         for c in cells:
             acc = acc + c
         return acc

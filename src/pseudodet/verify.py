@@ -20,9 +20,10 @@ from itertools import permutations
 
 from .elements import LetterHom, Matrix, Word
 from .errors import CapExceededError, ConfigError, NotInvertibleError
-from .multisets import (FormalSum, Multiset, formal_product, map_formal,
-                        multiset_product)
-from .pseudochar import (CentralFunction, char_poly, char_poly_interpolated,
+from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, formal_product,
+                        map_formal, multiset_product)
+from .pseudochar import (CentralFunction, CharPoly, char_poly,
+                         char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -169,7 +170,7 @@ class SuiteConfig:
     trials: int = 50
     seed: int = 0
     bound: int = 5                  # entries drawn from [-bound, bound]
-    budget: int = 10**7             # formal-product term budget
+    budget: int = DEFAULT_BUDGET    # formal-product term budget
     rec_cap: int = 8
     oracle_cap: int = 7
     word_card: int = 3              # exhaustive word-multiset cardinality cap
@@ -187,12 +188,9 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}; "
                               f"choose from {', '.join(SUITE_NAMES)}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.bound < 1:
-            raise ConfigError("bound must be >= 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
+        for name in ("trials", "bound", "budget"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.size < 1 or self.dimension < 1:
             raise ConfigError("size and dim must be >= 1")
         if self.ring == "words":
@@ -220,16 +218,18 @@ class SuiteConfig:
             raise ConfigError(
                 "charpoly compares against det(t-x) of the matrix itself, "
                 "so dim must equal size")
+        # determinants take forms of dim arguments, the vanishing axiom of
+        # dim + 1
+        d = self.dimension
+        args = {"det-mult": d, "charpoly": d,
+                "pseudochar-axioms": d + 1}.get(self.suite, 0)
+        if args > self.rec_cap:
+            raise ConfigError(
+                f"{self.suite} evaluates forms of {args} arguments; dim {d} "
+                f"exceeds the recursion cap of {self.rec_cap}")
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite, "ring": self.ring, "size": self.size,
-            "dim": self.dimension, "trials": self.trials, "seed": self.seed,
-            "bound": self.bound, "budget": self.budget,
-            "rec_cap": self.rec_cap, "oracle_cap": self.oracle_cap,
-            "word_card": self.word_card, "pair_sum": self.pair_sum,
-            "taylor_max_n": self.taylor_max_n,
-        }
+        return {**vars(self), "dim": self.dimension}
 
 
 @dataclass(frozen=True)
@@ -247,12 +247,8 @@ class CheckRecord:
         return (not self.ok) if self.negative_control else self.ok
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "trial": self.trial,
-            "inputs": list(self.inputs), "lhs": self.lhs, "rhs": self.rhs,
-            "ok": self.ok, "negative_control": self.negative_control,
-            "behaved": self.behaved,
-        }
+        return {**vars(self), "inputs": list(self.inputs),
+                "behaved": self.behaved}
 
 
 @dataclass(frozen=True)
@@ -317,73 +313,91 @@ def _fmt_sum(s: FormalSum, ok: bool) -> str:
     return s.render()
 
 
-def _fmt_scalar(ring: Ring, value) -> str:
-    return ring.render(value)
+def _sum_record(name: str, trial: int, inputs: tuple, lhs: FormalSum,
+                rhs: FormalSum, negative_control=False,
+                rhs_note="") -> CheckRecord:
+    """A record whose two sides are formal sums."""
+    ok = lhs == rhs
+    return CheckRecord(name, trial, inputs, _fmt_sum(lhs, ok),
+                       _fmt_sum(rhs, ok) + rhs_note, ok, negative_control)
+
+
+def _scalar_record(ring: Ring, name: str, trial: int, inputs: tuple,
+                   lhs, rhs, ok=None, negative_control=False) -> CheckRecord:
+    """A record whose two sides are scalars of ``ring``; ``ok`` defaults
+    to ``lhs == rhs``."""
+    return CheckRecord(name, trial, inputs, ring.render(lhs), ring.render(rhs),
+                       lhs == rhs if ok is None else ok, negative_control)
 
 
 # ---------------------------------------------------------------------------
 # suite bodies
 
-def _letters(prefix: str, count: int):
-    return [f"{prefix}{i + 1}" for i in range(count)]
+def _trials(cfg: SuiteConfig):
+    """(trial index, its own generator) for each trial of ``cfg``."""
+    for trial in range(cfg.trials):
+        yield trial, substream(cfg.seed, trial)
 
 
-def _random_multiset(rng, ring, size, bound, card) -> Multiset:
-    return Multiset(random_matrix(rng, ring, size, bound)
-                    for _ in range(card))
+def _trace(cfg: SuiteConfig, pseudocharacter: bool = True):
+    """The trace on ``cfg``'s matrices, declared with ``cfg``'s dimension."""
+    return matrix_trace(cfg.ring_obj(), cfg.size, cfg.dimension,
+                        pseudocharacter=pseudocharacter, rec_cap=cfg.rec_cap,
+                        oracle_cap=cfg.oracle_cap)
+
+
+def _draw(rng, cfg: SuiteConfig, ring: Ring, count: int) -> tuple:
+    return tuple(random_matrix(rng, ring, cfg.size, cfg.bound)
+                 for _ in range(count))
+
+
+def _renders(*values) -> tuple:
+    return tuple(v.render() for v in values)
+
+
+# fixed inputs of the negative controls
+_X = Matrix(QQ, [[1, 2], [3, 4]])
+_Y = Matrix(QQ, [[0, 1], [1, 0]])
+#: the 2x2 trace declared with dimension 1
+_WRONG_DIM = matrix_trace(QQ, 2, 1)
+#: a non-central function on 2x2 matrices
+_CORNER = CentralFunction(lambda mat: mat.entry(0, 1), 2, QQ,
+                          domain="M2(rational)", name="corner")
+
+
+def _assoc_sides(x, y, z, budget=DEFAULT_BUDGET):
+    """(x X y) X z and x X (y X z)."""
+    return (formal_product(multiset_product(x, y, budget), FormalSum.of(z),
+                           budget),
+            formal_product(FormalSum.of(x), multiset_product(y, z, budget),
+                           budget))
 
 
 def _suite_assoc(cfg: SuiteConfig) -> list:
-    records = []
     if cfg.ring == "words":
-        for n in range(cfg.word_card + 1):
-            for m in range(cfg.word_card + 1):
-                for k in range(cfg.word_card + 1):
-                    x = Multiset(Word([l]) for l in _letters("x", n))
-                    y = Multiset(Word([l]) for l in _letters("y", m))
-                    z = Multiset(Word([l]) for l in _letters("z", k))
-                    lhs = formal_product(
-                        multiset_product(x, y, cfg.budget),
-                        FormalSum.of(z), cfg.budget)
-                    rhs = formal_product(
-                        FormalSum.of(x),
-                        multiset_product(y, z, cfg.budget), cfg.budget)
-                    ok = lhs == rhs
-                    records.append(CheckRecord(
-                        f"assoc-words({n},{m},{k})", 0,
-                        (x.render(), y.render(), z.render()),
-                        _fmt_sum(lhs, ok), _fmt_sum(rhs, ok), ok))
+        span = range(cfg.word_card + 1)
+        cases = [(f"assoc-words({n},{m},{k})", 0,
+                  [Multiset(Word([f"{p}{i + 1}"]) for i in range(card))
+                   for p, card in zip("xyz", (n, m, k))])
+                 for n in span for m in span for k in span]
     else:
         ring = cfg.ring_obj()
-        for trial in range(cfg.trials):
-            rng = substream(cfg.seed, trial)
+        cases = []
+        for trial, rng in _trials(cfg):
             cards = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            x = _random_multiset(rng, ring, cfg.size, cfg.bound, cards[0])
-            y = _random_multiset(rng, ring, cfg.size, cfg.bound, cards[1])
-            z = _random_multiset(rng, ring, cfg.size, cfg.bound, cards[2])
-            lhs = formal_product(multiset_product(x, y, cfg.budget),
-                                 FormalSum.of(z), cfg.budget)
-            rhs = formal_product(FormalSum.of(x),
-                                 multiset_product(y, z, cfg.budget), cfg.budget)
-            ok = lhs == rhs
-            records.append(CheckRecord(
-                f"assoc-matrix{cards}", trial,
-                (x.render(), y.render(), z.render()),
-                _fmt_sum(lhs, ok), _fmt_sum(rhs, ok), ok))
+            cases.append((f"assoc-matrix{cards}", trial,
+                          [Multiset(_draw(rng, cfg, ring, c)) for c in cards]))
+    records = [_sum_record(name, trial, _renders(*xyz),
+                           *_assoc_sides(*xyz, cfg.budget))
+               for name, trial, xyz in cases]
 
     # negative control: a corrupted right-hand side must be detected
-    x = Multiset([Word(["a"]), Word(["b"])])
-    y = Multiset([Word(["c"])])
-    z = Multiset([Word(["d"])])
-    lhs = formal_product(multiset_product(x, y), FormalSum.of(z))
-    rhs = (formal_product(FormalSum.of(x), multiset_product(y, z))
-           + FormalSum.unit())
-    ok = lhs == rhs
-    records.append(CheckRecord(
-        "assoc-corrupted-control", 0,
-        (x.render(), y.render(), z.render()),
-        _fmt_sum(lhs, ok), _fmt_sum(rhs, ok) + " (one spurious term added)",
-        ok, negative_control=True))
+    xyz = (Multiset([Word(["a"]), Word(["b"])]), Multiset([Word(["c"])]),
+           Multiset([Word(["d"])]))
+    lhs, rhs = _assoc_sides(*xyz)
+    records.append(_sum_record(
+        "assoc-corrupted-control", 0, _renders(*xyz), lhs,
+        rhs + FormalSum.unit(), True, " (one spurious term added)"))
     return records
 
 
@@ -405,233 +419,157 @@ def _random_word_sum(rng, max_terms=3, max_card=2, coeff_bound=3) -> FormalSum:
 def _suite_functoriality(cfg: SuiteConfig) -> list:
     ring = cfg.ring_obj()
     records = []
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
+    for trial, rng in _trials(cfg):
         s = _random_word_sum(rng)
         t = _random_word_sum(rng)
-        hom = LetterHom({letter: random_matrix(rng, ring, cfg.size, cfg.bound)
-                         for letter in _HOM_ALPHABET})
-        lhs = map_formal(hom, formal_product(s, t, cfg.budget))
-        rhs = formal_product(map_formal(hom, s), map_formal(hom, t),
-                             cfg.budget)
-        ok = lhs == rhs
-        records.append(CheckRecord(
-            "functoriality", trial, (s.render(), t.render()),
-            _fmt_sum(lhs, ok), _fmt_sum(rhs, ok), ok))
+        hom = LetterHom(dict(zip(_HOM_ALPHABET,
+                                 _draw(rng, cfg, ring, len(_HOM_ALPHABET)))))
+        records.append(_sum_record(
+            "functoriality", trial, _renders(s, t),
+            map_formal(hom, formal_product(s, t, cfg.budget)),
+            formal_product(map_formal(hom, s), map_formal(hom, t),
+                           cfg.budget)))
 
     # negative control: mapping the two factors through different
     # homomorphisms must break the identity
-    a = Matrix(QQ, [[1, 1], [0, 1]])
-    b = Matrix(QQ, [[1, 0], [1, 1]])
-    hom1 = LetterHom({"a": a})
-    hom2 = LetterHom({"a": b})
+    hom1 = LetterHom({"a": Matrix(QQ, [[1, 1], [0, 1]])})
+    hom2 = LetterHom({"a": Matrix(QQ, [[1, 0], [1, 1]])})
     s = FormalSum.of(Multiset([Word(["a"])]))
-    lhs = map_formal(hom1, formal_product(s, s))
-    rhs = formal_product(map_formal(hom1, s), map_formal(hom2, s))
-    ok = lhs == rhs
-    records.append(CheckRecord(
-        "functoriality-mixed-hom-control", 0, (s.render(),),
-        _fmt_sum(lhs, ok), _fmt_sum(rhs, ok), ok, negative_control=True))
+    records.append(_sum_record(
+        "functoriality-mixed-hom-control", 0, _renders(s),
+        map_formal(hom1, formal_product(s, s)),
+        formal_product(map_formal(hom1, s), map_formal(hom2, s)), True))
     return records
 
 
-def _pairs_up_to(total: int) -> list:
-    return [(n, s - n) for s in range(total + 1) for n in range(s + 1)]
-
-
 def _suite_product_formula(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    f = matrix_trace(ring, cfg.size, cfg.dimension, pseudocharacter=False,
-                     rec_cap=cfg.rec_cap, oracle_cap=cfg.oracle_cap)
-    pairs = _pairs_up_to(cfg.pair_sum)
+    f = _trace(cfg, pseudocharacter=False)
+    ring = f.ring
+    pairs = [(n, s - n) for s in range(cfg.pair_sum + 1) for n in range(s + 1)]
     records = []
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
+    for trial, rng in _trials(cfg):
         n, m = pairs[trial % len(pairs)]
-        x = _random_multiset(rng, ring, cfg.size, cfg.bound, n)
-        y = _random_multiset(rng, ring, cfg.size, cfg.bound, m)
-        lhs, rhs, ok = product_formula_check(f, x, y, budget=cfg.budget)
-        records.append(CheckRecord(
-            f"product-formula({n},{m})", trial, (x.render(), y.render()),
-            _fmt_scalar(ring, lhs), _fmt_scalar(ring, rhs), ok))
+        x = Multiset(_draw(rng, cfg, ring, n))
+        y = Multiset(_draw(rng, cfg, ring, m))
+        records.append(_scalar_record(
+            ring, f"product-formula({n},{m})", trial, _renders(x, y),
+            *product_formula_check(f, x, y, budget=cfg.budget)))
 
     # negative control: a non-central function must break the formula
-    g = CentralFunction(lambda mat: mat.entry(0, 1), 2, QQ,
-                        domain="M2(rational)", name="corner")
     x = Multiset([Matrix(QQ, [[-1, 1], [1, 1]]),
                   Matrix(QQ, [[0, 3], [-1, 0]])])
     y = Multiset([Matrix(QQ, [[-3, 1], [-2, -3]])])
-    lhs, rhs, ok = product_formula_check(g, x, y)
-    records.append(CheckRecord(
-        "product-formula-noncentral-control", 0, (x.render(), y.render()),
-        _fmt_scalar(QQ, lhs), _fmt_scalar(QQ, rhs), ok,
-        negative_control=True))
+    records.append(_scalar_record(
+        QQ, "product-formula-noncentral-control", 0, _renders(x, y),
+        *product_formula_check(_CORNER, x, y), negative_control=True))
     return records
 
 
 def _suite_degree_d(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    d = cfg.dimension
-    f = matrix_trace(ring, cfg.size, d, rec_cap=cfg.rec_cap,
-                     oracle_cap=cfg.oracle_cap)
+    f = _trace(cfg)
     records = []
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
-        xs = tuple(random_matrix(rng, ring, cfg.size, cfg.bound)
-                   for _ in range(d))
-        ys = tuple(random_matrix(rng, ring, cfg.size, cfg.bound)
-                   for _ in range(d))
-        lhs, rhs, ok = degree_product_check(f, xs, ys)
-        records.append(CheckRecord(
-            "degree-d", trial,
-            tuple(x.render() for x in xs) + tuple(y.render() for y in ys),
-            _fmt_scalar(ring, lhs), _fmt_scalar(ring, rhs), ok))
+    for trial, rng in _trials(cfg):
+        xs = _draw(rng, cfg, f.ring, f.dim)
+        ys = _draw(rng, cfg, f.ring, f.dim)
+        records.append(_scalar_record(
+            f.ring, "degree-d", trial, _renders(*xs, *ys),
+            *degree_product_check(f, xs, ys)))
 
     # negative control: trace on M2 declared with dimension 1
-    g = matrix_trace(QQ, 2, 1)
-    x = Matrix(QQ, [[1, 2], [3, 4]])
-    y = Matrix(QQ, [[0, 1], [1, 0]])
-    lhs, rhs, ok = degree_product_check(g, (x,), (y,))
-    records.append(CheckRecord(
-        "degree-d-wrong-dim-control", 0, (x.render(), y.render()),
-        _fmt_scalar(QQ, lhs), _fmt_scalar(QQ, rhs), ok,
+    records.append(_scalar_record(
+        QQ, "degree-d-wrong-dim-control", 0, _renders(_X, _Y),
+        *degree_product_check(_WRONG_DIM, (_X,), (_Y,)),
         negative_control=True))
     return records
 
 
 def _suite_det_mult(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    f = matrix_trace(ring, cfg.size, cfg.dimension, rec_cap=cfg.rec_cap,
-                     oracle_cap=cfg.oracle_cap)
-    records = []
+    f = _trace(cfg)
+    ring = f.ring
     identity = Matrix.identity(ring, cfg.size)
-    det_one = determinant(f, identity)
-    ok = det_one == ring.one()
-    records.append(CheckRecord(
-        "det-of-unit", 0, (identity.render(),),
-        _fmt_scalar(ring, det_one), _fmt_scalar(ring, ring.one()), ok))
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
-        x = random_matrix(rng, ring, cfg.size, cfg.bound)
-        y = random_matrix(rng, ring, cfg.size, cfg.bound)
-        dx = determinant(f, x)
-        oracle = leibniz_det(x)
-        ok = dx == oracle
-        records.append(CheckRecord(
-            "det-vs-leibniz", trial, (x.render(),),
-            _fmt_scalar(ring, dx), _fmt_scalar(ring, oracle), ok))
-        lhs, rhs, ok = multiplicativity_check(f, x, y)
-        records.append(CheckRecord(
-            "det-multiplicative", trial, (x.render(), y.render()),
-            _fmt_scalar(ring, lhs), _fmt_scalar(ring, rhs), ok))
+    records = [_scalar_record(ring, "det-of-unit", 0, _renders(identity),
+                              determinant(f, identity), ring.one())]
+    for trial, rng in _trials(cfg):
+        x, y = _draw(rng, cfg, ring, 2)
+        records.append(_scalar_record(ring, "det-vs-leibniz", trial,
+                                      _renders(x), determinant(f, x),
+                                      leibniz_det(x)))
+        records.append(_scalar_record(ring, "det-multiplicative", trial,
+                                      _renders(x, y),
+                                      *multiplicativity_check(f, x, y)))
 
     # negative control: trace on M2 declared with dimension 1
-    g = matrix_trace(QQ, 2, 1)
-    x = Matrix(QQ, [[1, 2], [3, 4]])
-    y = Matrix(QQ, [[0, 1], [1, 0]])
-    lhs, rhs, ok = multiplicativity_check(g, x, y)
-    records.append(CheckRecord(
-        "det-mult-wrong-dim-control", 0, (x.render(), y.render()),
-        _fmt_scalar(QQ, lhs), _fmt_scalar(QQ, rhs), ok,
-        negative_control=True))
+    records.append(_scalar_record(
+        QQ, "det-mult-wrong-dim-control", 0, _renders(_X, _Y),
+        *multiplicativity_check(_WRONG_DIM, _X, _Y), negative_control=True))
     return records
 
 
 def _suite_charpoly(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    f = matrix_trace(ring, cfg.size, cfg.dimension, rec_cap=cfg.rec_cap,
-                     oracle_cap=cfg.oracle_cap)
+    f = _trace(cfg)
+    ring = f.ring
     records = []
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
-        x = random_matrix(rng, ring, cfg.size, cfg.bound)
+    for trial, rng in _trials(cfg):
+        x, = _draw(rng, cfg, ring, 1)
         cp = char_poly(f, x)
         oracle = char_poly_leibniz(x)
-        ok = (len(cp.coefficients) == len(oracle)
-              and all(a == b for a, b in zip(cp.coefficients, oracle)))
         records.append(CheckRecord(
-            "charpoly-vs-leibniz", trial, (x.render(),),
-            cp.render(),
+            "charpoly-vs-leibniz", trial, _renders(x), cp.render(),
             " , ".join(ring.render(c) for c in oracle) + " (low to high)",
-            ok))
+            cp == CharPoly(ring, oracle)))
         got = cp.trace()
         expected = f(x)
-        ok = cp.is_monic() and got == expected
-        records.append(CheckRecord(
-            "charpoly-trace-roundtrip", trial, (x.render(),),
-            _fmt_scalar(ring, got), _fmt_scalar(ring, expected), ok))
+        records.append(_scalar_record(
+            ring, "charpoly-trace-roundtrip", trial, _renders(x), got,
+            expected, cp.is_monic() and got == expected))
         interp = char_poly_interpolated(f, x)
-        ok = cp == interp
         records.append(CheckRecord(
-            "charpoly-vs-interpolation", trial, (x.render(),),
-            cp.render(), interp.render(), ok))
+            "charpoly-vs-interpolation", trial, _renders(x),
+            cp.render(), interp.render(), cp == interp))
 
     # negative control: wrong declared dimension gives the wrong degree
-    g = matrix_trace(QQ, 2, 1)
-    x = Matrix(QQ, [[1, 2], [3, 4]])
-    cp = char_poly(g, x)
-    oracle = char_poly_leibniz(x)
-    ok = (len(cp.coefficients) == len(oracle)
-          and all(a == b for a, b in zip(cp.coefficients, oracle)))
+    cp = char_poly(_WRONG_DIM, _X)
+    oracle = char_poly_leibniz(_X)
     records.append(CheckRecord(
-        "charpoly-wrong-dim-control", 0, (x.render(),),
-        cp.render(), " , ".join(QQ.render(c) for c in oracle), ok,
-        negative_control=True))
+        "charpoly-wrong-dim-control", 0, _renders(_X), cp.render(),
+        " , ".join(QQ.render(c) for c in oracle),
+        cp == CharPoly(QQ, oracle), negative_control=True))
     return records
 
 
 def _suite_taylor_equiv(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    f = matrix_trace(ring, cfg.size, cfg.dimension, pseudocharacter=False,
-                     rec_cap=cfg.rec_cap, oracle_cap=cfg.oracle_cap)
+    f = _trace(cfg, pseudocharacter=False)
     records = []
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
+    for trial, rng in _trials(cfg):
         n = trial % cfg.taylor_max_n + 1
-        args = tuple(random_matrix(rng, ring, cfg.size, cfg.bound)
-                     for _ in range(n))
-        lhs = recursive_form(f, args)
-        rhs = cycle_sum_form(f, args)
-        ok = lhs == rhs
-        records.append(CheckRecord(
-            f"taylor-equiv(n={n})", trial, tuple(a.render() for a in args),
-            _fmt_scalar(ring, lhs), _fmt_scalar(ring, rhs), ok))
+        args = _draw(rng, cfg, f.ring, n)
+        records.append(_scalar_record(
+            f.ring, f"taylor-equiv(n={n})", trial, _renders(*args),
+            recursive_form(f, args), cycle_sum_form(f, args)))
 
     # negative control: a non-central function separates the two
     # definitions once cycle rotations matter (n = 4)
-    g = CentralFunction(lambda mat: mat.entry(0, 1), 2, QQ,
-                        domain="M2(rational)", name="corner")
-    args = (Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[0, 1], [1, 0]]),
-            Matrix(QQ, [[2, 1], [0, 1]]), Matrix(QQ, [[1, 0], [5, 2]]))
-    lhs = recursive_form(g, args)
-    rhs = cycle_sum_form(g, args)
-    ok = lhs == rhs
-    records.append(CheckRecord(
-        "taylor-equiv-noncentral-control", 0,
-        tuple(a.render() for a in args),
-        _fmt_scalar(QQ, lhs), _fmt_scalar(QQ, rhs), ok,
+    args = (_X, _Y, Matrix(QQ, [[2, 1], [0, 1]]), Matrix(QQ, [[1, 0], [5, 2]]))
+    records.append(_scalar_record(
+        QQ, "taylor-equiv-noncentral-control", 0, _renders(*args),
+        recursive_form(_CORNER, args), cycle_sum_form(_CORNER, args),
         negative_control=True))
     return records
 
 
 def _suite_pseudochar_axioms(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    f = matrix_trace(ring, cfg.size, cfg.dimension, rec_cap=cfg.rec_cap,
-                     oracle_cap=cfg.oracle_cap)
-    rng = substream(cfg.seed, 0)
-    count = min(cfg.trials, 12)  # axiom checks scan all pairs of samples
-    samples = [random_matrix(rng, ring, cfg.size, cfg.bound)
-               for _ in range(count)]
-    report = check_pseudocharacter(f, samples)
-    sample_renders = tuple(s.render() for s in samples)
-    records = [CheckRecord(f"axiom-{e.name}", 0, sample_renders,
-                           e.detail, "expected to hold", e.ok)
-               for e in report.entries]
+    f = _trace(cfg)
+    # one generator, and at most 12 samples: the axiom checks scan all
+    # pairs of samples
+    samples = _draw(substream(cfg.seed, 0), cfg, f.ring, min(cfg.trials, 12))
+    inputs = _renders(*samples)
+    records = [CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
+                           "expected to hold", e.ok)
+               for e in check_pseudocharacter(f, samples).entries]
 
     # negative control: declared dimension 3 for the 2x2 trace
-    g = matrix_trace(QQ, 2, 3, pseudocharacter=False)
-    bad = check_pseudocharacter(
-        g, [Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[0, 1], [1, 0]])])
+    bad = check_pseudocharacter(matrix_trace(QQ, 2, 3, pseudocharacter=False),
+                                [_X, _Y])
     records.append(CheckRecord(
         "axioms-wrong-dim-control", 0, ("trace on M2 declared dim 3",),
         bad.render().replace("\n", "; "), "expected to fail",
@@ -664,23 +602,15 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration)
 
 
-def default_all_configs(seed: int = 0, trials: int = 50, bound: int = 5,
-                        budget: int = 10**7, dims=(1, 2, 3),
+def default_all_configs(*, dims=(1, 2, 3),
                         rings=("rational", "mod:7", "mod:101"),
-                        include_words: bool = True) -> list:
+                        include_words: bool = True, **shared) -> list:
     """The default verification matrix: every matrix suite on each
-    (dimension, ring) cell, plus the exhaustive word associativity suite."""
-    configs = []
-    if include_words:
-        configs.append(SuiteConfig("assoc", ring="words", seed=seed,
-                                   trials=trials, bound=bound, budget=budget))
-    matrix_suites = ("assoc", "functoriality", "product-formula", "degree-d",
-                     "det-mult", "charpoly", "taylor-equiv",
-                     "pseudochar-axioms")
-    for ring in rings:
-        for dim in dims:
-            for suite in matrix_suites:
-                configs.append(SuiteConfig(
-                    suite, ring=ring, size=dim, dim=dim, seed=seed,
-                    trials=trials, bound=bound, budget=budget))
+    (dimension, ring) cell, plus the exhaustive word associativity suite.
+    ``shared`` holds the fields every config gets (seed, trials, bound,
+    budget); the rest keep their ``SuiteConfig`` defaults."""
+    configs = [SuiteConfig("assoc", ring="words", **shared)] \
+        if include_words else []
+    configs += [SuiteConfig(suite, ring=ring, size=dim, dim=dim, **shared)
+                for ring in rings for dim in dims for suite in SUITE_NAMES]
     return configs

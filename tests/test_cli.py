@@ -7,6 +7,7 @@ import pytest
 from pseudodet.cli import load_config_file, main, read_matrix_file
 from pseudodet.errors import ConfigError
 from pseudodet.rings import ModRing, QQ
+from pseudodet.verify import SuiteConfig
 
 
 @pytest.fixture
@@ -145,6 +146,29 @@ class TestCheck:
         captured = capsys.readouterr()
         assert_one_error_line(captured, "must be >= 1")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "all", "--dim", "9", "--ring", "rational"],
+        ["check", "det-mult", "--dim", "9", "--size", "2"],
+        ["check", "pseudochar-axioms", "--dim", "8", "--size", "1"],
+    ])
+    def test_cap_errors_stop_before_any_suite(self, argv, tmp_path, capsys):
+        """Every config is validated, caps included, before a suite runs:
+        no PASS line is printed and no half-run report is written."""
+        out = tmp_path / "report.json"
+        assert main(argv + ["--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "cap")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_defaults_come_from_suite_config(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "det-mult", "--quiet", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["seed"] == 0
+        assert doc["suites"][0]["config"] == \
+            SuiteConfig("det-mult", dim=2).echo()
 
     def test_usage_error_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import pytest
 from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        FormalSum, GroupAlgebraElement, GroupTable, Matrix,
                        ModRing, Multiset, NotInvertibleError, Poly, QPOLY, QQ,
-                       RPolynomial, UnitlessError, Word, char_poly,
+                       UnitlessError, Word, char_poly,
                        char_poly_interpolated, check_pseudocharacter,
                        cycle_sum_form, degree_product_check, determinant,
                        form_on_sum, identity_padding_check, matrix_trace,
@@ -500,25 +500,6 @@ class TestCharPoly:
         f = matrix_trace(QQ, 2)
         cp = char_poly(f, Matrix.identity(QQ, 2))
         assert cp != CharPoly(QQ, (1, 1))  # different degree
-
-
-class TestRPolynomial:
-    def test_pencil_evaluation(self):
-        x = Matrix(QQ, [[1, 2], [3, 4]])
-        pencil = RPolynomial.t_minus(x)
-        assert pencil.degree == 1
-        at2 = pencil.evaluate(2)
-        assert at2 == Matrix(QQ, [[1, -2], [-3, -2]])
-
-    def test_trimming(self):
-        zero = Matrix.zero(QQ, 2)
-        p = RPolynomial([Matrix.identity(QQ, 2), zero, zero])
-        assert p.degree == 0
-        assert RPolynomial([zero]).coefficients == ()
-
-    def test_zero_pencil_cannot_evaluate(self):
-        with pytest.raises(ValueError):
-            RPolynomial([]).evaluate(1)
 
 
 class TestPseudocharacterReport:

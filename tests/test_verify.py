@@ -1,5 +1,7 @@
 """PRNG determinism, oracles, suite runs, and report structure."""
 
+from dataclasses import replace
+
 import pytest
 
 from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
@@ -230,6 +232,16 @@ class TestConfigValidation:
     def test_leibniz_size_cap(self):
         with pytest.raises(ConfigError):
             SuiteConfig("det-mult", ring="rational", size=7, dim=7).validate()
+
+    @pytest.mark.parametrize("suite,size,dim,args", [
+        ("det-mult", 2, 9, 9), ("charpoly", 3, 3, 3),
+        ("pseudochar-axioms", 1, 8, 9)])
+    def test_recursion_cap(self, suite, size, dim, args):
+        """det takes forms of dim arguments, the vanishing axiom dim + 1."""
+        cfg = SuiteConfig(suite, size=size, dim=dim, rec_cap=args - 1)
+        with pytest.raises(ConfigError, match=f"recursion cap of {args - 1}"):
+            cfg.validate()
+        replace(cfg, rec_cap=args).validate()
 
 
 def test_default_all_configs_matrix():
