@@ -131,10 +131,13 @@ def _check_configs(args, options) -> list:
     (size to dim); trials, seed, bound and budget are passed on only when
     the user set them, so their defaults live in ``SuiteConfig`` alone."""
     shared = dict(options)
-    ring, dim, size = (shared.pop(key, None) for key in ("ring", "dim", "size"))
+    ring = shared.pop("ring", None)
+    dim = shared.pop("dim", None)
+    size = shared.pop("size", None)
     explicit_cell = ring is not None or dim is not None
     ring = "rational" if ring is None else ring
     dim = 2 if dim is None else dim
+    size = dim if size is None else size
     if args.suite == "all":
         if not explicit_cell:
             return default_all_configs(**shared)
@@ -142,12 +145,12 @@ def _check_configs(args, options) -> list:
             return [SuiteConfig("assoc", ring="words", **shared)]
         return default_all_configs(dims=(dim,), rings=(ring,),
                                    include_words=False, **shared)
-    return [SuiteConfig(args.suite, ring=ring,
-                        size=dim if size is None else size, dim=dim, **shared)]
+    return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim, **shared)]
 
 
 def _run_check(args) -> int:
-    configs = _check_configs(args, _merged_options(args))
+    options = _merged_options(args)
+    configs = _check_configs(args, options)
     for cfg in configs:  # all of them, before any suite prints a result
         cfg.validate()
     reports = []
@@ -163,14 +166,15 @@ def _run_check(args) -> int:
           f"in {total:.2f}s")
 
     if args.json_path:
-        _write_json(args.json_path, {
+        document = {
             "command": "check",
             "selection": args.suite,
             "seed": configs[0].seed,
             "pass": all_pass,
             "suites": [r.to_dict() for r in reports],
             "total_duration_seconds": total,
-        })
+        }
+        _write_json(args.json_path, document)
     return 0 if all_pass else 1
 
 
@@ -199,9 +203,10 @@ def _run_eval(args) -> int:
         rendered = char_poly(f, x).render()
     print(rendered)
     if args.json_path:
-        _write_json(args.json_path, {"command": "eval", "what": args.what,
-                                     "ring": ring_spec, "dim": dim,
-                                     "matrix": x.render(), "result": rendered})
+        document = {"command": "eval", "what": args.what,
+                    "ring": ring_spec, "dim": dim,
+                    "matrix": x.render(), "result": rendered}
+        _write_json(args.json_path, document)
     return 0
 
 

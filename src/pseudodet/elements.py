@@ -374,13 +374,11 @@ class LetterHom:
         images = list(mapping.values())
         first = images[0]
         for img in images[1:]:
-            if isinstance(first, Matrix):
+            if isinstance(first, (Matrix, GroupAlgebraElement)):
                 first._check_peer(img)
             elif isinstance(first, Word):
                 if not isinstance(img, Word):
                     raise MismatchError("mixed image backends")
-            elif isinstance(first, GroupAlgebraElement):
-                first._check_peer(img)
             else:
                 raise MismatchError(f"unsupported image {first!r}")
         self.mapping = mapping

@@ -52,10 +52,6 @@ class Multiset(FrozenValue):
         return cls._make(tuple(sorted(entries)))
 
     @classmethod
-    def of(cls, *entries) -> "Multiset":
-        return cls(entries)
-
-    @classmethod
     def empty(cls) -> "Multiset":
         return _EMPTY
 

@@ -463,8 +463,9 @@ def char_poly_interpolated(f: CentralFunction, x, points=None) -> CharPoly:
     points = list(points)
     if len(points) != d + 1:
         raise ValueError(f"need exactly {d + 1} interpolation points")
-    one, neg = x.one(), -x
-    values = [determinant(f, one.scale(t) + neg) for t in points]
+    identity = x.one()
+    neg = -x
+    values = [determinant(f, identity.scale(t) + neg) for t in points]
 
     zero, one = ring.zero(), ring.one()
     coeffs = [zero] * (d + 1)

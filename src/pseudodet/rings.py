@@ -153,14 +153,10 @@ class Residue(FrozenValue):
         return Residue(pow(self.value, -1, self.modulus), self.modulus)
 
     def __eq__(self, other):
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise MismatchError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.modulus
-        return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.value == o.value
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -177,7 +173,8 @@ class Residue(FrozenValue):
         return f"{self.value} mod {self.modulus}"
 
 
-_set_value, _set_modulus = Residue.value.__set__, Residue.modulus.__set__
+_set_value = Residue.value.__set__
+_set_modulus = Residue.modulus.__set__
 
 
 def _monomial_mul(a, b):
@@ -428,8 +425,6 @@ class ModRing(Ring):
     def div(self, a, b):
         if not isinstance(b, Residue):
             b = self.from_int(b)
-        if not isinstance(a, Residue):
-            a = self.from_int(a)
         return a * b.inverse()
 
     def cell(self, value):
@@ -500,12 +495,6 @@ class PolyRing(Ring):
         acc = Poly._make(())
         for a, b in zip(row, col):
             acc = acc + a * b
-        return acc
-
-    def cell_sum(self, cells):
-        acc = Poly._make(())
-        for c in cells:
-            acc = acc + c
         return acc
 
     def render(self, scalar) -> str:

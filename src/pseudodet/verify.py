@@ -118,7 +118,12 @@ def leibniz_det(matrix: Matrix):
     return ring.cell_to_scalar(ring.reduce(acc))
 
 
-def _char_poly_leibniz_rational(matrix: Matrix) -> tuple:
+def char_poly_leibniz(matrix: Matrix) -> tuple:
+    """Coefficients c_0..c_n of det(t*I - x) computed via the Leibniz sum
+    over polynomial scalars.  The modular backend's cells are integers in
+    [0, m): the sum is expanded over the rationals and its coefficients
+    reduced (reduction mod m is a ring homomorphism, so determinants commute
+    with it)."""
     t = Poly.variable("t")
     n = matrix.n
     cells = [[t - matrix.rows[i][j] if i == j else Poly.constant(0) - matrix.rows[i][j]
@@ -132,20 +137,10 @@ def _char_poly_leibniz_rational(matrix: Matrix) -> tuple:
             coeffs[mono[0][1]] = coeff
         else:
             raise AssertionError(f"unexpected monomial {mono} in char poly")
-    return tuple(coeffs)
-
-
-def char_poly_leibniz(matrix: Matrix) -> tuple:
-    """Coefficients c_0..c_n of det(t*I - x) computed via the Leibniz sum
-    over polynomial scalars; the modular backend lifts entries to integers,
-    expands over the rationals, and reduces the coefficients (reduction mod
-    m is a ring homomorphism, so determinants commute with it)."""
     ring = matrix.ring
     if isinstance(ring, ModRing):
-        lifted = Matrix(QQ, [list(row) for row in matrix.rows])
-        return tuple(ring.from_int(int(c))
-                     for c in _char_poly_leibniz_rational(lifted))
-    return _char_poly_leibniz_rational(matrix)
+        return tuple(ring.from_int(int(c)) for c in coeffs)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +213,17 @@ class SuiteConfig:
             raise ConfigError(
                 "charpoly compares against det(t-x) of the matrix itself, "
                 "so dim must equal size")
-        # determinants take forms of dim arguments, the vanishing axiom of
-        # dim + 1
+        # the most arguments a form takes in each suite: determinants take
+        # dim, the vanishing axiom dim + 1, the product formula's terms up
+        # to pair_sum entries, taylor-equiv up to taylor_max_n
         d = self.dimension
-        args = {"det-mult": d, "charpoly": d,
-                "pseudochar-axioms": d + 1}.get(self.suite, 0)
+        args = {"det-mult": d, "charpoly": d, "pseudochar-axioms": d + 1,
+                "product-formula": self.pair_sum,
+                "taylor-equiv": self.taylor_max_n}.get(self.suite, 0)
         if args > self.rec_cap:
             raise ConfigError(
-                f"{self.suite} evaluates forms of {args} arguments; dim {d} "
-                f"exceeds the recursion cap of {self.rec_cap}")
+                f"{self.suite} evaluates forms of up to {args} arguments, "
+                f"more than the recursion cap of {self.rec_cap}")
 
     def echo(self) -> dict:
         return {**vars(self), "dim": self.dimension}
@@ -365,6 +362,11 @@ _CORNER = CentralFunction(lambda mat: mat.entry(0, 1), 2, QQ,
                           domain="M2(rational)", name="corner")
 
 
+def _letters(prefix: str, count: int) -> Multiset:
+    """The multiset of the one-letter words prefix1, .., prefix<count>."""
+    return Multiset(Word([f"{prefix}{i + 1}"]) for i in range(count))
+
+
 def _assoc_sides(x, y, z, budget=DEFAULT_BUDGET):
     """(x X y) X z and x X (y X z)."""
     return (formal_product(multiset_product(x, y, budget), FormalSum.of(z),
@@ -377,8 +379,7 @@ def _suite_assoc(cfg: SuiteConfig) -> list:
     if cfg.ring == "words":
         span = range(cfg.word_card + 1)
         cases = [(f"assoc-words({n},{m},{k})", 0,
-                  [Multiset(Word([f"{p}{i + 1}"]) for i in range(card))
-                   for p, card in zip("xyz", (n, m, k))])
+                  (_letters("x", n), _letters("y", m), _letters("z", k)))
                  for n in span for m in span for k in span]
     else:
         ring = cfg.ring_obj()
@@ -392,11 +393,12 @@ def _suite_assoc(cfg: SuiteConfig) -> list:
                for name, trial, xyz in cases]
 
     # negative control: a corrupted right-hand side must be detected
-    xyz = (Multiset([Word(["a"]), Word(["b"])]), Multiset([Word(["c"])]),
-           Multiset([Word(["d"])]))
-    lhs, rhs = _assoc_sides(*xyz)
+    x = Multiset([Word(["a"]), Word(["b"])])
+    y = Multiset([Word(["c"])])
+    z = Multiset([Word(["d"])])
+    lhs, rhs = _assoc_sides(x, y, z)
     records.append(_sum_record(
-        "assoc-corrupted-control", 0, _renders(*xyz), lhs,
+        "assoc-corrupted-control", 0, _renders(x, y, z), lhs,
         rhs + FormalSum.unit(), True, " (one spurious term added)"))
     return records
 
@@ -422,8 +424,8 @@ def _suite_functoriality(cfg: SuiteConfig) -> list:
     for trial, rng in _trials(cfg):
         s = _random_word_sum(rng)
         t = _random_word_sum(rng)
-        hom = LetterHom(dict(zip(_HOM_ALPHABET,
-                                 _draw(rng, cfg, ring, len(_HOM_ALPHABET)))))
+        hom = LetterHom({letter: random_matrix(rng, ring, cfg.size, cfg.bound)
+                         for letter in _HOM_ALPHABET})
         records.append(_sum_record(
             "functoriality", trial, _renders(s, t),
             map_formal(hom, formal_product(s, t, cfg.budget)),
@@ -432,8 +434,10 @@ def _suite_functoriality(cfg: SuiteConfig) -> list:
 
     # negative control: mapping the two factors through different
     # homomorphisms must break the identity
-    hom1 = LetterHom({"a": Matrix(QQ, [[1, 1], [0, 1]])})
-    hom2 = LetterHom({"a": Matrix(QQ, [[1, 0], [1, 1]])})
+    a = Matrix(QQ, [[1, 1], [0, 1]])
+    b = Matrix(QQ, [[1, 0], [1, 1]])
+    hom1 = LetterHom({"a": a})
+    hom2 = LetterHom({"a": b})
     s = FormalSum.of(Multiset([Word(["a"])]))
     records.append(_sum_record(
         "functoriality-mixed-hom-control", 0, _renders(s),
@@ -490,7 +494,8 @@ def _suite_det_mult(cfg: SuiteConfig) -> list:
     records = [_scalar_record(ring, "det-of-unit", 0, _renders(identity),
                               determinant(f, identity), ring.one())]
     for trial, rng in _trials(cfg):
-        x, y = _draw(rng, cfg, ring, 2)
+        x = random_matrix(rng, ring, cfg.size, cfg.bound)
+        y = random_matrix(rng, ring, cfg.size, cfg.bound)
         records.append(_scalar_record(ring, "det-vs-leibniz", trial,
                                       _renders(x), determinant(f, x),
                                       leibniz_det(x)))
@@ -510,7 +515,7 @@ def _suite_charpoly(cfg: SuiteConfig) -> list:
     ring = f.ring
     records = []
     for trial, rng in _trials(cfg):
-        x, = _draw(rng, cfg, ring, 1)
+        x = random_matrix(rng, ring, cfg.size, cfg.bound)
         cp = char_poly(f, x)
         oracle = char_poly_leibniz(x)
         records.append(CheckRecord(
@@ -559,17 +564,18 @@ def _suite_taylor_equiv(cfg: SuiteConfig) -> list:
 
 def _suite_pseudochar_axioms(cfg: SuiteConfig) -> list:
     f = _trace(cfg)
-    # one generator, and at most 12 samples: the axiom checks scan all
-    # pairs of samples
-    samples = _draw(substream(cfg.seed, 0), cfg, f.ring, min(cfg.trials, 12))
+    rng = substream(cfg.seed, 0)
+    count = min(cfg.trials, 12)  # axiom checks scan all pairs of samples
+    samples = _draw(rng, cfg, f.ring, count)
+    report = check_pseudocharacter(f, samples)
     inputs = _renders(*samples)
     records = [CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
                            "expected to hold", e.ok)
-               for e in check_pseudocharacter(f, samples).entries]
+               for e in report.entries]
 
     # negative control: declared dimension 3 for the 2x2 trace
-    bad = check_pseudocharacter(matrix_trace(QQ, 2, 3, pseudocharacter=False),
-                                [_X, _Y])
+    g = matrix_trace(QQ, 2, 3, pseudocharacter=False)
+    bad = check_pseudocharacter(g, [_X, _Y])
     records.append(CheckRecord(
         "axioms-wrong-dim-control", 0, ("trace on M2 declared dim 3",),
         bad.render().replace("\n", "; "), "expected to fail",
@@ -602,15 +608,21 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration)
 
 
-def default_all_configs(*, dims=(1, 2, 3),
+def default_all_configs(*, seed: int = SuiteConfig.seed,
+                        trials: int = SuiteConfig.trials,
+                        bound: int = SuiteConfig.bound,
+                        budget: int = SuiteConfig.budget, dims=(1, 2, 3),
                         rings=("rational", "mod:7", "mod:101"),
-                        include_words: bool = True, **shared) -> list:
+                        include_words: bool = True) -> list:
     """The default verification matrix: every matrix suite on each
-    (dimension, ring) cell, plus the exhaustive word associativity suite.
-    ``shared`` holds the fields every config gets (seed, trials, bound,
-    budget); the rest keep their ``SuiteConfig`` defaults."""
-    configs = [SuiteConfig("assoc", ring="words", **shared)] \
-        if include_words else []
-    configs += [SuiteConfig(suite, ring=ring, size=dim, dim=dim, **shared)
-                for ring in rings for dim in dims for suite in SUITE_NAMES]
+    (dimension, ring) cell, plus the exhaustive word associativity suite."""
+    shared = dict(seed=seed, trials=trials, bound=bound, budget=budget)
+    configs = []
+    if include_words:
+        configs.append(SuiteConfig("assoc", ring="words", **shared))
+    for ring in rings:
+        for dim in dims:
+            for suite in SUITE_NAMES:
+                configs.append(SuiteConfig(suite, ring=ring, size=dim,
+                                           dim=dim, **shared))
     return configs

@@ -233,12 +233,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SuiteConfig("det-mult", ring="rational", size=7, dim=7).validate()
 
-    @pytest.mark.parametrize("suite,size,dim,args", [
-        ("det-mult", 2, 9, 9), ("charpoly", 3, 3, 3),
-        ("pseudochar-axioms", 1, 8, 9)])
-    def test_recursion_cap(self, suite, size, dim, args):
-        """det takes forms of dim arguments, the vanishing axiom dim + 1."""
-        cfg = SuiteConfig(suite, size=size, dim=dim, rec_cap=args - 1)
+    @pytest.mark.parametrize("suite,size,dim,args,extra", [
+        ("det-mult", 2, 9, 9, {}), ("charpoly", 3, 3, 3, {}),
+        ("pseudochar-axioms", 1, 8, 9, {}),
+        ("product-formula", 2, 2, 6, {"pair_sum": 6}),
+        ("taylor-equiv", 2, 2, 5, {"taylor_max_n": 5})])
+    def test_recursion_cap(self, suite, size, dim, args, extra):
+        """det takes forms of dim arguments, the vanishing axiom dim + 1,
+        the product formula up to pair_sum, taylor-equiv up to
+        taylor_max_n."""
+        cfg = SuiteConfig(suite, size=size, dim=dim, rec_cap=args - 1,
+                          **extra)
         with pytest.raises(ConfigError, match=f"recursion cap of {args - 1}"):
             cfg.validate()
         replace(cfg, rec_cap=args).validate()
