@@ -129,7 +129,9 @@ def _merged_options(args) -> dict:
 def _check_configs(args, options) -> list:
     """The configs to run.  The ring defaults to rational and dim to 2
     (size to dim); trials, seed, bound and budget are passed on only when
-    the user set them, so their defaults live in ``SuiteConfig`` alone."""
+    the user set them, so their defaults live in ``SuiteConfig`` alone.
+    ``check all`` runs every matrix cell at size = dim, so a given size
+    must equal each cell's dim."""
     shared = dict(options)
     ring = shared.pop("ring", None)
     dim = shared.pop("dim", None)
@@ -137,15 +139,23 @@ def _check_configs(args, options) -> list:
     explicit_cell = ring is not None or dim is not None
     ring = "rational" if ring is None else ring
     dim = 2 if dim is None else dim
-    size = dim if size is None else size
-    if args.suite == "all":
-        if not explicit_cell:
-            return default_all_configs(**shared)
-        if ring == "words":
-            return [SuiteConfig("assoc", ring="words", **shared)]
-        return default_all_configs(dims=(dim,), rings=(ring,),
-                                   include_words=False, **shared)
-    return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim, **shared)]
+    if args.suite != "all":
+        size = dim if size is None else size
+        return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim,
+                            **shared)]
+    if not explicit_cell:
+        configs = default_all_configs(**shared)
+    elif ring == "words":
+        configs = [SuiteConfig("assoc", ring="words", **shared)]
+    else:
+        configs = default_all_configs(dims=(dim,), rings=(ring,),
+                                      include_words=False, **shared)
+    if size is not None and any(cfg.ring == "words" or cfg.size != size
+                                for cfg in configs):
+        raise ConfigError(
+            f"check all runs every matrix cell at size = dim and words at "
+            f"no size; --size {size} does not fit every cell")
+    return configs
 
 
 def _run_check(args) -> int:

@@ -19,7 +19,9 @@ matched size k = 0..min(n,m), then domain subsets of [n] in lexicographic
 order, then image subsets of [m] in lexicographic order, then the images as
 permutations in lexicographic order.  The total count is
 sum_k C(n,k)*C(m,k)*k!.  A product computes each entry product x_i*y_j once
-and shares it among all the bijections that match i with j.
+and shares it among all the bijections that match i with j.  It sorts the
+distinct entries once and works on their ranks, so all entries of one
+product, over every term of both factors, must come from one backend.
 """
 
 from __future__ import annotations
@@ -124,29 +126,34 @@ class PartialBijection:
 
 @lru_cache(maxsize=None)
 def _plans(n: int, m: int) -> tuple:
-    """Every partial bijection from [n] to [m] as a plain index plan
-    ``(cells, rest_x, rest_y)``, 0-based, in the documented order:
-    ``cells`` holds i * m + j for each matched (i, j), sorted by i, and
-    ``rest_x``/``rest_y`` the unmatched indices of each side."""
+    """Every partial bijection from [n] to [m] as a flat index plan, 0-based,
+    in the documented order.  A plan indexes the list ``table + xs + ys``,
+    where ``table`` is the flat n x m table of entry products: it holds
+    i * m + j for each matched (i, j), sorted by i, then n * m + i for each
+    unmatched i and n * m + n + j for each unmatched j."""
     out = []
+    nm = n * m
     for k in range(min(n, m) + 1):
         for dom in combinations(range(n), k):
-            rest_x = tuple(i for i in range(n) if i not in dom)
+            rest_x = tuple(nm + i for i in range(n) if i not in dom)
             rows = [i * m for i in dom]
             for img_set in combinations(range(m), k):
-                rest_y = tuple(j for j in range(m) if j not in img_set)
+                rest_y = tuple(nm + n + j for j in range(m)
+                               if j not in img_set)
                 for images in permutations(img_set):
                     cells = tuple(r + j for r, j in zip(rows, images))
-                    out.append((cells, rest_x, rest_y))
+                    out.append(cells + rest_x + rest_y)
     return tuple(out)
 
 
 def partial_bijections(n: int, m: int) -> tuple:
     """Every partial bijection from [n] to [m], exactly once, in the
     documented deterministic order."""
+    nm = n * m
     return tuple(
-        PartialBijection(n, m, tuple((c // m + 1, c % m + 1) for c in cells))
-        for cells, _, _ in _plans(n, m))
+        PartialBijection(n, m, tuple((c // m + 1, c % m + 1)
+                                     for c in plan if c < nm))
+        for plan in _plans(n, m))
 
 
 def partial_bijection_count(n: int, m: int) -> int:
@@ -187,28 +194,37 @@ def multiset_product(x: Multiset, y: Multiset,
         raise BudgetExceededError(
             f"product of cardinalities ({n},{m}) needs {count} intermediate "
             f"multisets, over the budget of {budget}")
-    acc: dict = {}
-    _accumulate_product(acc, x.entries, y.entries, 1)
-    return FormalSum({Multiset._make(key): c for key, c in acc.items()})
+    return _product([(x.entries, y.entries, 1)])
 
 
-def _accumulate_product(acc: dict, xs: tuple, ys: tuple, coeff: int) -> None:
-    """Add ``coeff`` times the product of the multisets with sorted entries
-    ``xs`` and ``ys`` to ``acc``, keyed by sorted entry tuples.
+def _product(pairs) -> "FormalSum":
+    """The sum of ``coeff`` times the product of the multisets with sorted
+    entries ``xs`` and ``ys``, over the ``(xs, ys, coeff)`` term pairs.
 
     Each entry product x_i * y_j is computed once, into cell i * m + j of
     a flat n x m table, and shared by every partial bijection that matches
-    i with j.
+    i with j.  Every distinct entry (inputs and entry products of all the
+    pairs) is sorted once and replaced by its rank, so each bijection sorts
+    and hashes a short tuple of ints; ranks preserve the element order, so
+    the entries of each resulting multiset come out sorted.  Entries must
+    therefore all come from one backend (comparable under ``<``): mixing,
+    say, words and matrices raises ``MismatchError``.
     """
-    table = [a * b for a in xs for b in ys]
+    flat = [[a * b for a in xs for b in ys] + list(xs) + list(ys)
+            for xs, ys, _ in pairs]
+    rank = dict.fromkeys(e for vals in flat for e in vals)
+    elems = sorted(rank)
+    for r, e in enumerate(elems):
+        rank[e] = r
+    acc: dict = {}
     get = acc.get
-    for cells, rest_x, rest_y in _plans(len(xs), len(ys)):
-        out = [table[c] for c in cells]
-        out.extend([xs[i] for i in rest_x])
-        out.extend([ys[j] for j in rest_y])
-        out.sort()
-        key = tuple(out)
-        acc[key] = get(key, 0) + coeff
+    for vals, (xs, ys, coeff) in zip(flat, pairs):
+        ranked = [rank[e] for e in vals].__getitem__
+        for plan in _plans(len(xs), len(ys)):
+            key = tuple(sorted(map(ranked, plan)))
+            acc[key] = get(key, 0) + coeff
+    return FormalSum({Multiset._make(tuple(map(elems.__getitem__, key))): c
+                      for key, c in acc.items()})
 
 
 class FormalSum:
@@ -342,7 +358,8 @@ class FormalSum:
 
 def formal_product(left: FormalSum, right: FormalSum,
                    budget: int = DEFAULT_BUDGET) -> FormalSum:
-    """Bilinear extension of the multiset product.
+    """Bilinear extension of the multiset product.  The entries of every
+    term of both factors must come from one backend.
 
     Refuses to start when the predicted number of intermediate multisets
     (summed over all term pairs) exceeds ``budget``.
@@ -355,11 +372,9 @@ def formal_product(left: FormalSum, right: FormalSum,
                 raise BudgetExceededError(
                     f"formal product predicts more than {budget} "
                     f"intermediate multisets")
-    acc: dict = {}
-    for ms1, c1 in left._terms.items():
-        for ms2, c2 in right._terms.items():
-            _accumulate_product(acc, ms1.entries, ms2.entries, c1 * c2)
-    return FormalSum({Multiset._make(key): c for key, c in acc.items()})
+    return _product([(ms1.entries, ms2.entries, c1 * c2)
+                     for ms1, c1 in left._terms.items()
+                     for ms2, c2 in right._terms.items()])
 
 
 def map_formal(hom, s: FormalSum) -> FormalSum:

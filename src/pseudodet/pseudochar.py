@@ -93,16 +93,25 @@ def regular_trace(group: GroupTable, ring: Ring, **kwargs) -> CentralFunction:
 
 
 class _FormEvaluator:
-    """Shared per-evaluation state: a memo keyed on canonical multisets and a
-    cache of pairwise element products.  Fresh per top-level call, so
-    concurrent evaluations never share mutable state."""
+    """Shared per-evaluation state: a memo keyed on canonical multisets, a
+    cache of f per element (valid because ``evaluate`` is pure) and a cache
+    of pairwise element products.  Fresh per top-level call, so concurrent
+    evaluations never share mutable state."""
 
-    __slots__ = ("f", "memo", "products")
+    __slots__ = ("f", "memo", "f_values", "products")
 
     def __init__(self, f: CentralFunction):
         self.f = f
         self.memo = {}
+        self.f_values = {}
         self.products = {}
+
+    def f_of(self, x):
+        """f(x), computed once per distinct element."""
+        value = self.f_values.get(x)
+        if value is None:
+            value = self.f_values[x] = self.f(x)
+        return value
 
     def value(self, key: tuple):
         """form_n of the sorted argument tuple ``key`` (n = len(key) >= 1)."""
@@ -110,14 +119,13 @@ class _FormEvaluator:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        f = self.f
         n = len(key)
         if n == 1:
-            result = f(key[0])
+            result = self.f_of(key[0])
         else:
             last = key[-1]
             head = key[:-1]
-            result = f(last) * self.value(head)
+            result = self.f_of(last) * self.value(head)
             products = self.products
             for i in range(n - 1):
                 e = head[i]

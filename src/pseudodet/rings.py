@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import MismatchError, NotInvertibleError
 
@@ -40,9 +41,9 @@ class FrozenValue:
 
     A subclass names its attributes in ``_fields``, which is also its
     ``__slots__``.  ``_make`` sets them in that order without validation;
-    public constructors validate, then call it.  Any later assignment
-    raises.  ``__hash__`` hashes ``_key()`` once and caches it in the
-    ``_hash`` slot.  A subclass that defines ``__eq__`` must re-bind
+    public constructors validate, then call it.  Any later assignment or
+    deletion raises.  ``__hash__`` hashes ``_key()`` once and caches it in
+    the ``_hash`` slot.  A subclass that defines ``__eq__`` must re-bind
     ``__hash__ = FrozenValue.__hash__``: defining ``__eq__`` alone sets
     ``__hash__`` to None.
     """
@@ -65,6 +66,9 @@ class FrozenValue:
         return obj
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _key(self):
@@ -184,6 +188,20 @@ def _monomial_mul(a, b):
     return tuple(sorted(exps.items()))
 
 
+def _canonical(acc) -> "Poly":
+    """The Poly of a dict of monomials to coefficients that are already
+    rationals (``int`` or ``Fraction``), as ``+`` and ``*`` produce them:
+    zero coefficients dropped, integral fractions lowered to ``int``."""
+    items = []
+    for mono, coeff in acc.items():
+        if coeff:
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            items.append((mono, coeff))
+    items.sort()
+    return Poly._make(tuple(items))
+
+
 class Poly(FrozenValue):
     """Sparse commutative polynomial with rational coefficients.
 
@@ -200,6 +218,8 @@ class Poly(FrozenValue):
 
     @classmethod
     def _from_dict(cls, d) -> "Poly":
+        """The Poly of a dict of monomials to coefficients of any type;
+        each coefficient is checked to be rational."""
         items = []
         for mono, coeff in d.items():
             coeff = _as_rational(coeff)
@@ -236,7 +256,7 @@ class Poly(FrozenValue):
         acc = dict(self.terms)
         for mono, coeff in o.terms:
             acc[mono] = acc.get(mono, 0) + coeff
-        return Poly._from_dict(acc)
+        return _canonical(acc)
 
     __radd__ = __add__
 
@@ -262,9 +282,14 @@ class Poly(FrozenValue):
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in o.terms:
-                mono = _monomial_mul(m1, m2)
+                if not m1:
+                    mono = m2
+                elif not m2:
+                    mono = m1
+                else:
+                    mono = _monomial_mul(m1, m2)
                 acc[mono] = acc.get(mono, 0) + c1 * c2
-        return Poly._from_dict(acc)
+        return _canonical(acc)
 
     __rmul__ = __mul__
 
@@ -342,7 +367,7 @@ class Ring:
         return cell
 
     def dot(self, row, col):
-        return sum(a * b for a, b in zip(row, col))
+        return sum(map(mul, row, col))
 
     def cell_sum(self, cells):
         return sum(cells)
@@ -449,7 +474,7 @@ class ModRing(Ring):
         return Residue(cell, self.modulus)
 
     def dot(self, row, col):
-        return sum(a * b for a, b in zip(row, col)) % self.modulus
+        return sum(map(mul, row, col)) % self.modulus
 
     def cell_sum(self, cells):
         return sum(cells) % self.modulus

@@ -148,6 +148,24 @@ class TestCheck:
         assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("argv", [
+        ["check", "all", "--size", "3", "--dim", "2", "--ring", "mod:7"],
+        ["check", "all", "--size", "2"],
+        ["check", "all", "--size", "2", "--ring", "words"],
+    ])
+    def test_check_all_refuses_a_size_it_would_not_use(self, argv, capsys):
+        """check all runs each matrix cell at size = dim and words at no
+        size, so any other --size is an error, not silently ignored."""
+        assert main(argv + ["--trials", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "--size")
+        assert captured.out == ""
+
+    def test_check_all_accepts_size_equal_to_dim(self, capsys):
+        assert main(["check", "all", "--size", "1", "--dim", "1", "--ring",
+                     "mod:7", "--trials", "1", "--quiet"]) == 0
+        assert "8 suite(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
         ["check", "all", "--dim", "9", "--ring", "rational"],
         ["check", "det-mult", "--dim", "9", "--size", "2"],
         ["check", "pseudochar-axioms", "--dim", "8", "--size", "1"],

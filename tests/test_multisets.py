@@ -5,7 +5,8 @@ from itertools import chain, combinations, permutations
 import pytest
 
 from pseudodet import (BudgetExceededError, FormalSum, LetterHom, Matrix,
-                       ModRing, Multiset, PartialBijection, QQ, Word,
+                       MismatchError, ModRing, Multiset, PartialBijection, QQ,
+                       Word,
                        formal_product, map_formal, multiset_product,
                        partial_bijection_count, partial_bijections,
                        product_along, word)
@@ -395,6 +396,75 @@ class TestEntryProductWork:
         CountingWord.products = 0
         formal_product(s, t)
         assert CountingWord.products == 2 * 3 + 2 * 2 + 1 * 3 + 1 * 2
+
+
+    def test_entries_are_sorted_once_per_product(self, monkeypatch):
+        """Entries are ordered by one sort per product, not one per
+        bijection: fewer comparisons than the 209 bijections of (4,4)."""
+        x, y = letters("x", 4), letters("y", 4)
+        calls = []
+        less = Word.__lt__
+
+        def counting_lt(a, b):
+            calls.append(1)
+            return less(a, b)
+
+        monkeypatch.setattr(Word, "__lt__", counting_lt)
+        got = multiset_product(x, y)
+        assert 0 < len(calls) < partial_bijection_count(4, 4)
+        monkeypatch.undo()
+        assert got == reference_product(x, y)
+
+
+class TestEqualEntriesShareARank:
+    """Distinct objects that are equal entries (or equal entry products)
+    must land on one rank, so their multisets merge as in the definition."""
+
+    @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
+    def test_identity_and_zero_matrices(self, ring):
+        one, zero = Matrix.identity(ring, 2), Matrix.zero(ring, 2)
+        x = Multiset([one, zero, Matrix.identity(ring, 2)])
+        y = Multiset([Matrix.zero(ring, 2), one * one])
+        assert multiset_product(x, y) == reference_product(x, y)
+
+    @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
+    def test_repeated_entries_and_colliding_products(self, ring):
+        a = Matrix(ring, [[0, 1], [1, 0]])       # a * a is the identity
+        b = Matrix(ring, [[1, 1], [0, 1]])
+        x = Multiset([a, Matrix(ring, [[0, 1], [1, 0]]), b])
+        y = Multiset([a, a, Matrix.identity(ring, 2)])
+        got = multiset_product(x, y)
+        assert got == reference_product(x, y)
+        assert all(list(ms.entries) == sorted(ms.entries)
+                   for ms in got.multisets())
+
+    def test_repeated_letters(self):
+        x = Multiset([word("a"), word("a"), word("a*a")])
+        y = Multiset([word("a"), word("a*a")])
+        assert multiset_product(x, y) == reference_product(x, y)
+
+    def test_terms_sharing_entries(self):
+        one, zero = Matrix.identity(QQ, 2), Matrix.zero(QQ, 2)
+        a = Matrix(QQ, [[0, 1], [1, 0]])
+        s = (FormalSum.of(Multiset([one, a]), 2)
+             + FormalSum.of(Multiset([a]), -1)
+             + FormalSum.of(Multiset([one, one, zero]), 1))
+        t = (FormalSum.of(Multiset([a, zero]), 1)
+             + FormalSum.of(Multiset([a * a]), 3)
+             + FormalSum.of(Multiset.empty(), -2))
+        assert formal_product(s, t) == reference_formal_product(s, t)
+        w = FormalSum.of(Multiset([word("a"), word("b")]), 1) \
+            + FormalSum.of(Multiset([word("a")]), -1)
+        assert formal_product(w, w) == reference_formal_product(w, w)
+
+    def test_one_backend_per_product(self):
+        """Entries of different backends have no common order."""
+        mixed = FormalSum.of(Multiset([word("a")])) \
+            + FormalSum.of(Multiset([Matrix.identity(QQ, 2)]))
+        with pytest.raises(MismatchError):
+            formal_product(mixed, FormalSum.unit())
+        with pytest.raises(MismatchError):
+            formal_product(FormalSum.unit(), mixed)
 
 
 class TestRenderLengthExceeds:

@@ -1,5 +1,6 @@
 """Recursive forms, the cycle-sum oracle, determinants, char polys."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -275,6 +276,75 @@ class TestProductFormula:
         y = Multiset([Matrix(QQ, [[-3, 1], [-2, -3]])])
         _, _, ok = product_formula_check(g, x, y)
         assert not ok
+
+
+def counting_trace(ring, dim):
+    """The trace as a central function that records every argument."""
+    seen = []
+
+    def evaluate(m):
+        seen.append(m)
+        return m.trace()
+
+    return CentralFunction(evaluate, dim, ring, name="counted-trace"), seen
+
+
+def assert_once_per_distinct(seen):
+    assert seen and len(seen) == len(set(seen))
+
+
+def plain_form_on_sum(f, s):
+    total = f.ring.zero()
+    for ms, coeff in s.terms():
+        value = (recursive_form(f, ms.entries, memoized=False) if len(ms)
+                 else f.ring.one())
+        total = total + coeff * value
+    return total
+
+
+RINGS = pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
+
+
+class TestFMemo:
+    """Each evaluation computes f at most once per distinct element, and
+    the memo changes no value: every result equals the literal recursion."""
+
+    @RINGS
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_recursive_form(self, ring, n):
+        f, seen = counting_trace(ring, 2)
+        args = rand_mats(610 + n, n, ring=ring, bound=2)
+        args[-1] = args[0]
+        got = recursive_form(f, args)
+        assert_once_per_distinct(seen)
+        assert got == recursive_form(f, args, memoized=False)
+
+    @RINGS
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2), (1, 4)])
+    def test_product_formula_check(self, ring, n, m):
+        f, seen = counting_trace(ring, 2)
+        mats = rand_mats(630 + 5 * n + m, n + m, ring=ring, bound=2)
+        x, y = Multiset(mats[:n]), Multiset(mats[n:])
+        lhs, rhs, ok = product_formula_check(f, x, y)
+        assert ok
+        assert_once_per_distinct(seen)
+        assert lhs == plain_form_on_sum(f, multiset_product(x, y))
+        assert rhs == (recursive_form(f, x.entries, memoized=False)
+                       * recursive_form(f, y.entries, memoized=False))
+
+    @RINGS
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_char_poly(self, ring, d):
+        f, seen = counting_trace(ring, d)
+        x = rand_mats(650 + d, 1, ring=ring, bound=2)[0]
+        got = char_poly(f, x)
+        assert_once_per_distinct(seen)
+        inv = ring.inverse_of_factorial(d)
+        args = [(-x,) * (d - k) + (x.one(),) * k for k in range(d + 1)]
+        assert got.coefficients == tuple(
+            inv * (math.comb(d, k)
+                   * recursive_form(f, args[k], memoized=False))
+            for k in range(d + 1))
 
 
 class TestDegreeProduct:

@@ -163,3 +163,50 @@ def test_ring_descriptions():
     assert ModRing(7).describe() == "mod 7"
     assert QPOLY.describe() == "poly"
     assert ModRing(7).render(Residue(3, 7)) == "3 mod 7"
+
+
+# --- canonical form of Poly results -----------------------------------------
+
+monomials = st.lists(
+    st.tuples(st.sampled_from("uvw"), st.integers(1, 3)),
+    max_size=3, unique_by=lambda ve: ve[0]).map(lambda m: tuple(sorted(m)))
+canonical_polys = st.dictionaries(monomials, rationals, max_size=4).map(
+    Poly._from_dict)
+
+
+def accumulate(op, a, b):
+    """The dict of monomials to coefficients that ``op`` yields, before
+    canonicalization, built without any Poly arithmetic."""
+    if op == "*":
+        acc = {}
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                exps = dict(m1)
+                for var, e in m2:
+                    exps[var] = exps.get(var, 0) + e
+                mono = tuple(sorted(exps.items()))
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        return acc
+    acc = dict(a.terms)
+    sign = 1 if op == "+" else -1
+    for mono, coeff in b.terms:
+        acc[mono] = acc.get(mono, 0) + sign * coeff
+    return acc
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@given(canonical_polys, canonical_polys)
+def test_poly_results_are_canonical(op, a, b):
+    """Sorted terms, no zero coefficient, no integral Fraction, and the
+    same value and coefficient types as the validating constructor."""
+    got = {"+": a + b, "-": a - b, "*": a * b}[op]
+    monos = [mono for mono, _ in got.terms]
+    assert monos == sorted(set(monos))
+    for _, coeff in got.terms:
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction
+                                      and coeff.denominator != 1)
+    expected = Poly._from_dict(accumulate(op, a, b))
+    assert got == expected
+    assert [(m, type(c)) for m, c in got.terms] == \
+        [(m, type(c)) for m, c in expected.terms]

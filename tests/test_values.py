@@ -1,5 +1,6 @@
-"""Immutable values: every value class refuses attribute assignment, keeps
-its cached hash, and hashes equal values built by different paths equally."""
+"""Immutable values: every value class refuses attribute assignment and
+deletion, keeps its cached hash, and hashes equal values built by different
+paths equally."""
 
 import pytest
 
@@ -31,6 +32,17 @@ def test_assignment_is_refused(name, value, attr):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(value, target, None)
     assert getattr(value, attr) == before
+
+
+@pytest.mark.parametrize("name,value,attr", samples(),
+                         ids=[s[0] for s in samples()])
+def test_deletion_is_refused(name, value, attr):
+    before, text = getattr(value, attr), repr(value)
+    for target in (attr, "_hash", "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, target)
+    assert getattr(value, attr) == before
+    assert repr(value) == text
 
 
 @pytest.mark.parametrize("name,value,attr", samples(),
