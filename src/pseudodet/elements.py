@@ -60,10 +60,29 @@ class Matrix(FrozenValue):
     def __mul__(self, other):
         self._check_peer(other)
         ring = self.ring
-        cols = tuple(zip(*other.rows))
-        rows = tuple(tuple(ring.dot(row, col) for col in cols)
-                     for row in self.rows)
-        return Matrix._make(ring, self.n, rows)
+        n = self.n
+        # Sizes 2 and 3 are unrolled: ring.reduce of the written-out sum
+        # gives the cell that ring.dot gives, in value and in type.
+        red = ring.reduce
+        if n == 2:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            rows = ((red(a * e + b * g), red(a * f + b * h)),
+                    (red(c * e + d * g), red(c * f + d * h)))
+        elif n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            (p, q, r), (s, t, u), (v, w, x) = other.rows
+            rows = ((red(a * p + b * s + c * v), red(a * q + b * t + c * w),
+                     red(a * r + b * u + c * x)),
+                    (red(d * p + e * s + f * v), red(d * q + e * t + f * w),
+                     red(d * r + e * u + f * x)),
+                    (red(g * p + h * s + i * v), red(g * q + h * t + i * w),
+                     red(g * r + h * u + i * x)))
+        else:
+            cols = tuple(zip(*other.rows))
+            rows = tuple(tuple(ring.dot(row, col) for col in cols)
+                         for row in self.rows)
+        return Matrix._make(ring, n, rows)
 
     def __add__(self, other):
         self._check_peer(other)
@@ -101,6 +120,8 @@ class Matrix(FrozenValue):
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if other.ring is self.ring:
+            return self.rows == other.rows
         return (self.n == other.n and self.ring.key() == other.ring.key()
                 and self.rows == other.rows)
 

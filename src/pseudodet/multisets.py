@@ -26,7 +26,6 @@ product, over every term of both factors, must come from one backend.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -223,8 +222,9 @@ def _product(pairs) -> "FormalSum":
         for plan in _plans(len(xs), len(ys)):
             key = tuple(sorted(map(ranked, plan)))
             acc[key] = get(key, 0) + coeff
-    return FormalSum({Multiset._make(tuple(map(elems.__getitem__, key))): c
-                      for key, c in acc.items()})
+    return FormalSum._trusted(
+        (Multiset._make(tuple(map(elems.__getitem__, key))), c)
+        for key, c in acc.items())
 
 
 class FormalSum:
@@ -248,6 +248,15 @@ class FormalSum:
             if coeff != 0:
                 clean[ms] = coeff
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, pairs) -> "FormalSum":
+        """The sum of ``(multiset, coeff)`` pairs with distinct canonical
+        multisets and int coefficients, as the product builds them: only
+        zero coefficients (terms that cancelled) are dropped."""
+        obj = object.__new__(cls)
+        obj._terms = {ms: coeff for ms, coeff in pairs if coeff}
+        return obj
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -380,12 +389,3 @@ def formal_product(left: FormalSum, right: FormalSum,
 def map_formal(hom, s: FormalSum) -> FormalSum:
     """Push a formal sum through a semigroup homomorphism entrywise."""
     return s.map_elements(hom)
-
-
-def insort_merged(sorted_entries: tuple, drop_index: int, merged) -> tuple:
-    """Remove the entry at ``drop_index`` and insert ``merged``, keeping the
-    tuple sorted.  Helper for recursion over multisets."""
-    out = list(sorted_entries)
-    del out[drop_index]
-    bisect.insort(out, merged)
-    return tuple(out)

@@ -22,12 +22,13 @@ characteristic polynomial whose t^(d-1) coefficient recovers -f(x).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from itertools import permutations
 
-from .elements import GroupTable
+from .elements import GroupTable, Matrix
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
-from .multisets import FormalSum, Multiset, insort_merged, multiset_product
+from .multisets import FormalSum, Multiset, multiset_product
 from .rings import Ring
 
 #: Largest argument count the recursion accepts by default (8! leaf terms).
@@ -93,47 +94,71 @@ def regular_trace(group: GroupTable, ring: Ring, **kwargs) -> CentralFunction:
 
 
 class _FormEvaluator:
-    """Shared per-evaluation state: a memo keyed on canonical multisets, a
-    cache of f per element (valid because ``evaluate`` is pure) and a cache
-    of pairwise element products.  Fresh per top-level call, so concurrent
-    evaluations never share mutable state."""
+    """Shared per-evaluation state.  Each distinct element is interned once
+    to an int id: ``ids`` maps element to id, ``elems`` id to element, and
+    ``f_values`` holds f by id (valid because ``evaluate`` is pure).  The
+    memo is keyed on tuples of ids listed in the element order, so a key
+    stands for the same canonical multiset as the sorted element tuple, and
+    the pairwise products are keyed on id pairs.  Fresh per top-level call,
+    so concurrent evaluations never share mutable state."""
 
-    __slots__ = ("f", "memo", "f_values", "products")
+    __slots__ = ("f", "memo", "ids", "elems", "order", "f_values", "products")
 
     def __init__(self, f: CentralFunction):
         self.f = f
         self.memo = {}
-        self.f_values = {}
+        self.ids = {}
+        self.elems = []
+        # sort key by id: a matrix's rows order matrices of one ring and
+        # size exactly as Matrix.__lt__ does, without its peer check
+        self.order = []
+        self.f_values = []
         self.products = {}
 
-    def f_of(self, x):
-        """f(x), computed once per distinct element."""
-        value = self.f_values.get(x)
-        if value is None:
-            value = self.f_values[x] = self.f(x)
-        return value
+    def intern(self, x) -> int:
+        """The id of element ``x``, assigned on first sight."""
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.elems)
+            self.elems.append(x)
+            self.order.append(x.rows if type(x) is Matrix else x)
+            self.f_values.append(None)
+        return i
+
+    def form(self, entries):
+        """form_n of an argument tuple already in element order."""
+        return self.value(tuple(map(self.intern, entries)))
 
     def value(self, key: tuple):
-        """form_n of the sorted argument tuple ``key`` (n = len(key) >= 1)."""
+        """form_n of the multiset with memo key ``key`` (n = len(key) >= 1)."""
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
             return cached
+        f_values = self.f_values
+        last = key[-1]
+        f_last = f_values[last]
+        if f_last is None:
+            f_last = f_values[last] = self.f(self.elems[last])
         n = len(key)
         if n == 1:
-            result = self.f_of(key[0])
+            result = f_last
         else:
-            last = key[-1]
             head = key[:-1]
-            result = self.f_of(last) * self.value(head)
-            products = self.products
+            result = f_last * self.value(head)
+            products, elems = self.products, self.elems
+            order = self.order.__getitem__
+            x_last = elems[last]
             for i in range(n - 1):
                 e = head[i]
                 merged = products.get((e, last))
                 if merged is None:
-                    merged = e * last
-                    products[(e, last)] = merged
-                result = result - self.value(insort_merged(head, i, merged))
+                    merged = products[(e, last)] = self.intern(
+                        elems[e] * x_last)
+                rest = list(head)
+                del rest[i]
+                insort(rest, merged, key=order)
+                result = result - self.value(tuple(rest))
         memo[key] = result
         return result
 
@@ -169,7 +194,7 @@ def recursive_form(f: CentralFunction, args, *, memoized: bool = True):
             f"{n} arguments exceed the recursion cap of {f.rec_cap}")
     if not memoized:
         return _recursive_form_plain(f, seq)
-    return _FormEvaluator(f).value(tuple(sorted(seq)))
+    return _FormEvaluator(f).form(sorted(seq))
 
 
 def form_on_sum(f: CentralFunction, s: FormalSum, *,
@@ -192,7 +217,7 @@ def form_on_sum(f: CentralFunction, s: FormalSum, *,
             raise CapExceededError(
                 f"multiset of cardinality {card} exceeds the recursion cap "
                 f"of {f.rec_cap}")
-        total = total + coeff * ev.value(ms.entries)
+        total = total + coeff * ev.form(ms.entries)
     return total
 
 
@@ -362,11 +387,11 @@ def degree_product_check(f: CentralFunction, xs, ys):
         raise CapExceededError(
             f"dimension {d} exceeds the permutation cap of {f.oracle_cap}")
     ev = _FormEvaluator(f)
-    lhs = ev.value(tuple(sorted(xs))) * ev.value(tuple(sorted(ys)))
+    lhs = ev.form(sorted(xs)) * ev.form(sorted(ys))
     rhs = f.ring.zero()
     for perm in permutations(range(d)):
         mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
-        rhs = rhs + ev.value(tuple(sorted(mixed)))
+        rhs = rhs + ev.form(sorted(mixed))
     return lhs, rhs, lhs == rhs
 
 
@@ -452,7 +477,7 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     coeffs = []
     for k in range(d + 1):
         args = (neg,) * (d - k) + (one,) * k
-        value = ev.value(tuple(sorted(args)))
+        value = ev.form(sorted(args))
         coeffs.append(inv * (math.comb(d, k) * value))
     return CharPoly(ring, tuple(coeffs))
 

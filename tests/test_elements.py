@@ -1,10 +1,12 @@
 """Element backends: products, total orders, homomorphisms, group tables."""
 
+from fractions import Fraction
+
 import pytest
 
 from pseudodet import (GroupAlgebraElement, GroupTable, GroupTableError,
-                       LetterHom, Matrix, MismatchError, ModRing, QQ,
-                       UnitlessError, UnknownLetterError, Word, word)
+                       LetterHom, Matrix, MismatchError, ModRing, Poly, QPOLY,
+                       QQ, UnitlessError, UnknownLetterError, Word, word)
 from pseudodet.verify import random_matrix, random_word, substream
 
 from conftest import s3_table
@@ -35,6 +37,77 @@ class TestElementMul:
     def test_cross_backend_mismatch(self):
         with pytest.raises(MismatchError):
             word("a") * Matrix(QQ, [[1]])  # type: ignore[operator]
+
+
+def _dot_product(a, b):
+    """a * b cell by cell through ``Ring.dot``, the generic path."""
+    cols = tuple(zip(*b.rows))
+    return tuple(tuple(a.ring.dot(row, col) for col in cols) for row in a.rows)
+
+
+def _product_pairs():
+    """(id, a, b) pairs of 2x2 and 3x3 matrices for every unrolled case."""
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    x, y, z = (Poly.variable(v) for v in "xyz")
+    cases = []
+    for n in (2, 3):
+        for t in range(6):
+            rng = substream(850 + n, t)
+            a, b = (random_matrix(rng, QQ, n, 5) for _ in range(2))
+            # Fraction cells, some of them integral after scaling
+            cases.append((f"QQ-frac-{n}-{t}", a.scale(half), b.scale(third)))
+            cases.append((f"QQ-mixed-{n}-{t}", a, b.scale(half)))
+            for m in (7, 101):
+                ring = ModRing(m)
+                # entries near m make every cell's sum wrap
+                big = [[m - 1 - (i + j) % 3 for j in range(n)]
+                       for i in range(n)]
+                cases.append((f"mod{m}-{n}-{t}",
+                              random_matrix(rng, ring, n, m),
+                              Matrix(ring, big)))
+        generic = [[Poly.variable(f"a{i}{j}") for j in range(n)]
+                   for i in range(n)]
+        cancel = [[y if (i + j) % 2 else -x for j in range(n)]
+                  for i in range(n)]
+        mixed = [[x * y + half if i == j else z - i for j in range(n)]
+                 for i in range(n)]
+        cases.append((f"QPOLY-{n}", Matrix(QPOLY, generic),
+                      Matrix(QPOLY, cancel)))
+        cases.append((f"QPOLY-mixed-{n}", Matrix(QPOLY, mixed),
+                      Matrix(QPOLY, generic)))
+    return [pytest.param(a, b, id=name) for name, a, b in cases]
+
+
+class TestUnrolledProducts:
+    """2x2 and 3x3 products are unrolled; each cell must equal the
+    ``Ring.dot`` cell in value and in type."""
+
+    @pytest.mark.parametrize("a,b", _product_pairs())
+    def test_cells_match_ring_dot(self, a, b):
+        got = (a * b).rows
+        expected = _dot_product(a, b)
+        assert got == expected
+        assert [type(c) for row in got for c in row] == \
+            [type(c) for row in expected for c in row]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_integral_fraction_sum_stays_a_fraction(self, n):
+        # n cells of 1/n sum to Fraction(1, 1) through Ring.dot, not to 1
+        ones = Matrix(QQ, [[1] * n] * n)
+        cell = (ones.scale(Fraction(1, n)) * ones).rows[0][0]
+        assert type(cell) is Fraction and cell == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mismatch_still_raises(self, n):
+        eye = Matrix.identity(QQ, n)
+        with pytest.raises(MismatchError):
+            eye * Matrix.identity(ModRing(7), n)
+        with pytest.raises(MismatchError):
+            Matrix.identity(ModRing(7), n) * Matrix.identity(ModRing(101), n)
+        with pytest.raises(MismatchError):
+            eye * Matrix.identity(QQ, 5 - n)
+        with pytest.raises(MismatchError):
+            eye * word("a")  # type: ignore[operator]
 
 
 class TestApplyHom:

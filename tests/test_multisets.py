@@ -228,6 +228,20 @@ class TestFormalSum:
         assert s.is_zero() and s.num_terms() == 0
         assert s.render() == "0"
 
+    def test_cancelled_product_terms_are_dropped(self):
+        # a and b differ only in the column that c's zero row kills
+        a = Matrix(QQ, [[1, 2], [3, 4]])
+        b = Matrix(QQ, [[1, 7], [3, 9]])
+        c = Matrix(QQ, [[1, 0], [0, 0]])
+        assert a * c == b * c
+        got = formal_product(
+            FormalSum({Multiset([a]): 1, Multiset([b]): -1}),
+            FormalSum.of(Multiset([c])))
+        assert got.num_terms() == 2
+        assert got == FormalSum({Multiset([a, c]): 1, Multiset([b, c]): -1})
+        assert got.render() == ("1*{[[1,0],[0,0]],[[1,2],[3,4]]} + "
+                                "-1*{[[1,0],[0,0]],[[1,7],[3,9]]}")
+
     def test_scale_and_neg(self):
         s = FormalSum.of(letters("x", 1), 2)
         assert 3 * s == FormalSum.of(letters("x", 1), 6)

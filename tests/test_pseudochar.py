@@ -16,7 +16,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        trace_roundtrip_check, word)
-from pseudodet.verify import leibniz_det, random_matrix, substream
+from pseudodet.verify import _CORNER, leibniz_det, random_matrix, substream
 
 
 # --- hand-coded oracles -----------------------------------------------------
@@ -345,6 +345,38 @@ class TestFMemo:
             inv * (math.comb(d, k)
                    * recursive_form(f, args[k], memoized=False))
             for k in range(d + 1))
+
+
+class TestMemoKeysInElementOrder:
+    """The memo lists each key's arguments in the element order.  For a
+    non-central f the memoized values depend on that order, so these pin
+    the values of the non-central ``verify._CORNER`` (the (0, 1) entry of a
+    2x2 matrix): any other key order moves them."""
+
+    def test_product_formula_control(self):
+        x = Multiset([Matrix(QQ, [[-1, 1], [1, 1]]),
+                      Matrix(QQ, [[0, 3], [-1, 0]])])
+        y = Multiset([Matrix(QQ, [[-3, 1], [-2, -3]])])
+        assert product_formula_check(_CORNER, x, y) == (23, 6, False)
+
+    def test_taylor_control(self):
+        args = (Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[0, 1], [1, 0]]),
+                Matrix(QQ, [[2, 1], [0, 1]]), Matrix(QQ, [[1, 0], [5, 2]]))
+        assert recursive_form(_CORNER, args) == -36
+
+    @pytest.mark.parametrize("seed,n,m,lhs,rhs,form", [
+        (0, 2, 2, 176, -128, -128),
+        (1, 3, 1, 246, 44, -303),
+        (2, 1, 3, -290, 0, 1060),
+        (3, 3, 2, 18600, 6400, 52720),
+        (4, 2, 3, -1506, -1320, -460),
+    ])
+    def test_seeded_draws(self, seed, n, m, lhs, rhs, form):
+        rng = substream(7, seed)
+        mats = [random_matrix(rng, QQ, 2, 5) for _ in range(n + m)]
+        x, y = Multiset(mats[:n]), Multiset(mats[n:])
+        assert product_formula_check(_CORNER, x, y) == (lhs, rhs, False)
+        assert recursive_form(_CORNER, mats) == form
 
 
 class TestDegreeProduct:
