@@ -17,7 +17,7 @@ from .errors import (BudgetExceededError, CapExceededError, ConfigError,
                      GroupTableError, MismatchError, NotInvertibleError,
                      PseudodetError, UnitlessError, UnknownLetterError)
 from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, PartialBijection,
-                        formal_product, map_formal, multiset_product,
+                        formal_product, multiset_product,
                         partial_bijection_count, partial_bijections,
                         product_along)
 from .pseudochar import (CentralFunction, CharPoly, char_poly,
@@ -25,7 +25,7 @@ from .pseudochar import (CentralFunction, CharPoly, char_poly,
                          cycle_sum_form, degree_product_check, determinant,
                          form_on_sum, identity_padding_check, matrix_trace,
                          multiplicativity_check, product_formula_check,
-                         recursive_form, regular_trace, trace_roundtrip_check)
+                         recursive_form, regular_trace)
 from .rings import ModRing, Poly, PolyRing, QPOLY, QQ, RationalRing, Residue, \
     Ring, ring_from_spec
 from .verify import (SplitMix64, SuiteConfig, SuiteReport, char_poly_leibniz,

@@ -20,17 +20,18 @@ from .elements import Matrix
 from .errors import ConfigError, PseudodetError
 from .pseudochar import char_poly, determinant, matrix_trace, recursive_form
 from .rings import ring_from_spec
-from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
+from .verify import (SUITE_NAMES, SuiteConfig, cell_configs,
+                     default_all_configs, run_suite)
 
 _CONFIG_KEYS = {"ring": str, "dim": int, "size": int, "trials": int,
                 "seed": int, "bound": int, "budget": int}
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, keys=_CONFIG_KEYS) -> dict:
     """Key-value config file: one ``key = value`` per line, ``#`` comments.
 
-    Recognized keys mirror the CLI flags: ring, dim, size, trials, seed,
-    bound, budget.  Flags given on the command line take precedence.
+    Recognized keys are ``keys``, which mirror the command's flags; flags
+    given on the command line take precedence.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -42,8 +43,9 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                  f"(expected one of {', '.join(keys)})")
             try:
                 values[key] = _CONFIG_KEYS[key](value)
             except ValueError:
@@ -84,6 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     _add_common_flags(check)
+    for flag, text in (
+            ("--size", "matrix size (default: the dimension)"),
+            ("--trials", "number of randomized trials (default 50)"),
+            ("--seed", "base PRNG seed (default 0)"),
+            ("--bound", "matrix entries drawn from [-bound, bound] (default 5)"),
+            ("--budget", "formal-product term budget (default 10^7)")):
+        check.add_argument(flag, type=int, default=None, help=text)
+    check.add_argument("--quiet", action="store_true",
+                       help="only print the summary lines")
 
     ev = sub.add_parser("eval", help="evaluate forms on a matrix from a file")
     ev.add_argument("what", choices=("fn", "det", "charpoly"))
@@ -99,27 +110,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="declared dimension (default 2; for eval, the size)")
     p.add_argument("--ring", default=None,
                    help="rational | mod:<m> | words (default rational)")
-    p.add_argument("--size", type=int, default=None,
-                   help="matrix size (default: the dimension)")
-    p.add_argument("--trials", type=int, default=None,
-                   help="number of randomized trials (default 50)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base PRNG seed (default 0)")
-    p.add_argument("--bound", type=int, default=None,
-                   help="matrix entries drawn from [-bound, bound] (default 5)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="formal-product term budget (default 10^7)")
     p.add_argument("--config", default=None, help="key-value config file")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write a JSON report to this path")
-    p.add_argument("--quiet", action="store_true",
-                   help="only print the summary lines")
 
 
-def _merged_options(args) -> dict:
-    """The values the user set: the config file's, overridden by flags."""
-    options = load_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
+def _merged_options(args, keys) -> dict:
+    """The values the user set for ``keys``: the file's, then the flags'."""
+    options = load_config_file(args.config, keys) if args.config else {}
+    for key in keys:
         value = getattr(args, key)
         if value is not None:
             options[key] = value
@@ -130,12 +129,18 @@ def _check_configs(args, options) -> list:
     """The configs to run.  The ring defaults to rational and dim to 2
     (size to dim); trials, seed, bound and budget are passed on only when
     the user set them, so their defaults live in ``SuiteConfig`` alone.
-    ``check all`` runs every matrix cell at size = dim, so a given size
-    must equal each cell's dim."""
+    The word suite has no dim or size, and ``check all`` runs every matrix
+    cell at size = dim, so a given size must equal each cell's dim."""
     shared = dict(options)
     ring = shared.pop("ring", None)
     dim = shared.pop("dim", None)
     size = shared.pop("size", None)
+    if ring == "words":
+        if dim is not None or size is not None:
+            raise ConfigError("ring 'words' runs the exhaustive word suite, "
+                              "which takes no --dim or --size")
+        suite = "assoc" if args.suite == "all" else args.suite
+        return [SuiteConfig(suite, ring="words", **shared)]
     explicit_cell = ring is not None or dim is not None
     ring = "rational" if ring is None else ring
     dim = 2 if dim is None else dim
@@ -143,13 +148,10 @@ def _check_configs(args, options) -> list:
         size = dim if size is None else size
         return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim,
                             **shared)]
-    if not explicit_cell:
-        configs = default_all_configs(**shared)
-    elif ring == "words":
-        configs = [SuiteConfig("assoc", ring="words", **shared)]
+    if explicit_cell:
+        configs = cell_configs(ring, dim, **shared)
     else:
-        configs = default_all_configs(dims=(dim,), rings=(ring,),
-                                      include_words=False, **shared)
+        configs = default_all_configs(**shared)
     if size is not None and any(cfg.ring == "words" or cfg.size != size
                                 for cfg in configs):
         raise ConfigError(
@@ -159,7 +161,7 @@ def _check_configs(args, options) -> list:
 
 
 def _run_check(args) -> int:
-    options = _merged_options(args)
+    options = _merged_options(args, _CONFIG_KEYS)
     configs = _check_configs(args, options)
     for cfg in configs:  # all of them, before any suite prints a result
         cfg.validate()
@@ -189,7 +191,7 @@ def _run_check(args) -> int:
 
 
 def _run_eval(args) -> int:
-    options = _merged_options(args)
+    options = _merged_options(args, ("ring", "dim"))
     ring_spec = options.get("ring", "rational")
     if ring_spec == "words":
         raise ConfigError("eval needs a matrix ring (rational or mod:<m>)")

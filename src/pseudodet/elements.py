@@ -87,13 +87,13 @@ class Matrix(FrozenValue):
     def __add__(self, other):
         self._check_peer(other)
         ring = self.ring
-        rows = tuple(tuple(ring.cell_sum((a, b)) for a, b in zip(ra, rb))
+        rows = tuple(tuple(ring.reduce(a + b) for a, b in zip(ra, rb))
                      for ra, rb in zip(self.rows, other.rows))
         return Matrix._make(ring, self.n, rows)
 
     def __neg__(self):
         ring = self.ring
-        rows = tuple(tuple(ring.cell_neg(a) for a in row) for row in self.rows)
+        rows = tuple(tuple(ring.reduce(-a) for a in row) for row in self.rows)
         return Matrix._make(ring, self.n, rows)
 
     def __sub__(self, other):
@@ -102,7 +102,7 @@ class Matrix(FrozenValue):
     def scale(self, scalar) -> "Matrix":
         ring = self.ring
         c = ring.cell(scalar)
-        rows = tuple(tuple(ring.cell_scale(c, a) for a in row)
+        rows = tuple(tuple(ring.reduce(c * a) for a in row)
                      for row in self.rows)
         return Matrix._make(ring, self.n, rows)
 
@@ -111,8 +111,8 @@ class Matrix(FrozenValue):
 
     def trace(self):
         ring = self.ring
-        return ring.cell_to_scalar(
-            ring.cell_sum(tuple(self.rows[i][i] for i in range(self.n))))
+        return ring.cell_to_scalar(ring.reduce(
+            sum(map(tuple.__getitem__, self.rows, range(self.n)))))
 
     def entry(self, i: int, j: int):
         return self.ring.cell_to_scalar(self.rows[i][j])
@@ -315,7 +315,7 @@ class GroupAlgebraElement(FrozenValue):
     def __mul__(self, other):
         self._check_peer(other)
         ring, table = self.ring, self.group.table
-        out = [0] * self.group.order
+        out = [ring.cell(0)] * self.group.order
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -324,22 +324,20 @@ class GroupAlgebraElement(FrozenValue):
                 if b == 0:
                     continue
                 out[row[j]] += a * b
-        # re-wrap: the integer 0 seeds above must become proper cells
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.cell(ring.reduce(v)) for v in out))
+            self.group, ring, tuple(ring.reduce(v) for v in out))
 
     def __add__(self, other):
         self._check_peer(other)
-        ring = self.ring
+        red = self.ring.reduce
         return GroupAlgebraElement._make(
-            self.group, ring,
-            tuple(ring.cell_sum((a, b))
-                  for a, b in zip(self.coeffs, other.coeffs)))
+            self.group, self.ring,
+            tuple(red(a + b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         ring = self.ring
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.cell_neg(a) for a in self.coeffs))
+            self.group, ring, tuple(ring.reduce(-a) for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -348,7 +346,7 @@ class GroupAlgebraElement(FrozenValue):
         ring = self.ring
         c = ring.cell(scalar)
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.cell_scale(c, a) for a in self.coeffs))
+            self.group, ring, tuple(ring.reduce(c * a) for a in self.coeffs))
 
     def one(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement.unit(self.group, self.ring)

@@ -90,6 +90,11 @@ def _render_entry(e) -> str:
     return render() if render is not None else str(e)
 
 
+def _render_term(entry_strs, coeff) -> str:
+    """One term of a rendered formal sum: ``coeff*{e1,e2,..}``."""
+    return f"{coeff}*{{{','.join(entry_strs)}}}"
+
+
 @dataclass(frozen=True)
 class PartialBijection:
     """A triple (I, J, alpha): I in [1..n], J in [1..m], alpha: I -> J.
@@ -341,22 +346,20 @@ class FormalSum:
             entry_strs = tuple(_render_entry(e) for e in ms.entries)
             rendered.append(((len(ms), entry_strs), coeff))
         rendered.sort(key=lambda t: t[0])
-        return " + ".join(f"{coeff}*{{{','.join(key[1])}}}"
+        return " + ".join(_render_term(key[1], coeff)
                           for key, coeff in rendered)
 
     def render_length_exceeds(self, limit: int) -> bool:
         """Whether ``len(self.render()) > limit``, without building the
-        string: term lengths are summed until the total passes ``limit``.
-        Term order does not change the length, so no sort is needed."""
+        whole string: term lengths are summed until the total passes
+        ``limit``.  Term order does not change the length, so no sort is
+        needed."""
         if not self._terms:
             return len("0") > limit
         total = -len(" + ")
         for ms, coeff in self._terms.items():
-            entries = ms.entries
-            # " + " + f"{coeff}*{" + ",".join(entry strings) + "}"
-            total += (len(" + ") + len(str(coeff)) + len("*{}")
-                      + max(len(entries) - 1, 0)
-                      + sum(len(_render_entry(e)) for e in entries))
+            total += len(" + ") + len(
+                _render_term(map(_render_entry, ms.entries), coeff))
             if total > limit:
                 return True
         return False
@@ -385,7 +388,3 @@ def formal_product(left: FormalSum, right: FormalSum,
                      for ms1, c1 in left._terms.items()
                      for ms2, c2 in right._terms.items()])
 
-
-def map_formal(hom, s: FormalSum) -> FormalSum:
-    """Push a formal sum through a semigroup homomorphism entrywise."""
-    return s.map_elements(hom)

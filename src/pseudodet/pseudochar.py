@@ -43,11 +43,12 @@ class CentralFunction:
     ``evaluate`` must be pure.  When ``pseudocharacter=True`` the constructor
     eagerly checks that (dim!)^-1 exists in the scalar ring, which is part of
     the definition of a dimension-d pseudocharacter (and fails, for example,
-    for dimension 3 over Z/6Z).
+    for dimension 3 over Z/6Z).  ``rec_cap`` caps the argument count of
+    forms, ``oracle_cap`` that of permutation sums.
     """
 
-    __slots__ = ("_evaluate", "dim", "ring", "domain", "name",
-                 "is_pseudocharacter", "rec_cap", "oracle_cap")
+    __slots__ = ("_evaluate", "dim", "ring", "domain", "name", "rec_cap",
+                 "oracle_cap")
 
     def __init__(self, evaluate, dim: int, ring: Ring, *, domain: str = "R",
                  name: str = "f", pseudocharacter: bool = False,
@@ -62,7 +63,6 @@ class CentralFunction:
         self.ring = ring
         self.domain = domain
         self.name = name
-        self.is_pseudocharacter = pseudocharacter
         self.rec_cap = rec_cap
         self.oracle_cap = oracle_cap
 
@@ -127,6 +127,7 @@ class _FormEvaluator:
 
     def form(self, entries):
         """form_n of an argument tuple already in element order."""
+        _check_rec_cap(self.f, len(entries))
         return self.value(tuple(map(self.intern, entries)))
 
     def value(self, key: tuple):
@@ -163,6 +164,12 @@ class _FormEvaluator:
         return result
 
 
+def _check_rec_cap(f: CentralFunction, n: int) -> None:
+    if n > f.rec_cap:
+        raise CapExceededError(
+            f"{n} arguments exceed the recursion cap of {f.rec_cap}")
+
+
 def _recursive_form_plain(f: CentralFunction, seq: tuple):
     if len(seq) == 1:
         return f(seq[0])
@@ -189,10 +196,8 @@ def recursive_form(f: CentralFunction, args, *, memoized: bool = True):
     if n == 0:
         raise ValueError("form of zero arguments: use form_on_sum on the "
                          "empty multiset, whose value is 1")
-    if n > f.rec_cap:
-        raise CapExceededError(
-            f"{n} arguments exceed the recursion cap of {f.rec_cap}")
     if not memoized:
+        _check_rec_cap(f, n)
         return _recursive_form_plain(f, seq)
     return _FormEvaluator(f).form(sorted(seq))
 
@@ -209,14 +214,9 @@ def form_on_sum(f: CentralFunction, s: FormalSum, *,
     total = ring.zero()
     one = ring.one()
     for ms, coeff in s.terms():
-        card = len(ms)
-        if card == 0:
+        if len(ms) == 0:
             total = total + coeff * one
             continue
-        if card > f.rec_cap:
-            raise CapExceededError(
-                f"multiset of cardinality {card} exceeds the recursion cap "
-                f"of {f.rec_cap}")
         total = total + coeff * ev.form(ms.entries)
     return total
 
@@ -520,20 +520,3 @@ def char_poly_interpolated(f: CentralFunction, x, points=None) -> CharPoly:
             coeffs[deg] = coeffs[deg] + scale * c
     return CharPoly(ring, tuple(coeffs))
 
-
-def trace_roundtrip_check(f: CentralFunction, samples) -> CheckReport:
-    """For each sample x, the characteristic polynomial must be monic and
-    its trace coefficient must recover f(x) exactly."""
-    ring = f.ring
-    entries = []
-    for idx, x in enumerate(samples):
-        cp = char_poly(f, x)
-        expected = f(x)
-        got = cp.trace()
-        ok = cp.is_monic() and got == expected
-        entries.append(CheckEntry(
-            f"roundtrip[{idx}]",
-            f"x={x.render()}: monic={cp.is_monic()}, "
-            f"-c[d-1]={ring.render(got)}, f(x)={ring.render(expected)}",
-            ok))
-    return CheckReport(tuple(entries))

@@ -369,17 +369,8 @@ class Ring:
     def dot(self, row, col):
         return sum(map(mul, row, col))
 
-    def cell_sum(self, cells):
-        return sum(cells)
-
-    def cell_neg(self, cell):
-        return -cell
-
-    def cell_scale(self, factor_cell, cell):
-        return factor_cell * cell
-
     def reduce(self, value):
-        """Canonicalize an integer combination of cells (hot loops only)."""
+        """The canonical cell of a sum, difference or product of cells."""
         return value
 
     def render(self, scalar) -> str:
@@ -475,15 +466,6 @@ class ModRing(Ring):
 
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.modulus
-
-    def cell_sum(self, cells):
-        return sum(cells) % self.modulus
-
-    def cell_neg(self, cell):
-        return -cell % self.modulus
-
-    def cell_scale(self, factor_cell, cell):
-        return factor_cell * cell % self.modulus
 
     def reduce(self, value):
         return value % self.modulus

@@ -21,9 +21,9 @@ from itertools import permutations
 from .elements import LetterHom, Matrix, Word
 from .errors import CapExceededError, ConfigError, NotInvertibleError
 from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, formal_product,
-                        map_formal, multiset_product)
-from .pseudochar import (CentralFunction, CharPoly, char_poly,
-                         char_poly_interpolated,
+                        multiset_product)
+from .pseudochar import (DEFAULT_ORACLE_CAP, DEFAULT_REC_CAP, CentralFunction,
+                         CharPoly, char_poly, char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -153,6 +153,11 @@ SUITE_NAMES = ("assoc", "functoriality", "product-formula", "degree-d",
 #: invertible dim! in the scalar ring).
 _PSEUDO_SUITES = {"degree-d", "det-mult", "charpoly", "pseudochar-axioms"}
 
+#: Fixed suite parameters, echoed in every report's config.
+WORD_CARD = 3       # exhaustive word-multiset cardinality cap
+PAIR_SUM = 4        # product-formula: max |x| + |y|
+TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -166,11 +171,6 @@ class SuiteConfig:
     seed: int = 0
     bound: int = 5                  # entries drawn from [-bound, bound]
     budget: int = DEFAULT_BUDGET    # formal-product term budget
-    rec_cap: int = 8
-    oracle_cap: int = 7
-    word_card: int = 3              # exhaustive word-multiset cardinality cap
-    pair_sum: int = 4               # product-formula: max |x| + |y|
-    taylor_max_n: int = 4           # taylor-equiv: max argument count
 
     @property
     def dimension(self) -> int:
@@ -203,30 +203,29 @@ class SuiteConfig:
                 ring.inverse_of_factorial(self.dimension)
             except NotInvertibleError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.suite == "degree-d" and self.dimension > self.oracle_cap:
+        if self.suite == "degree-d" and self.dimension > DEFAULT_ORACLE_CAP:
             raise ConfigError(
                 f"degree-d needs dim! permutations; dim {self.dimension} "
-                f"exceeds the cap of {self.oracle_cap}")
+                f"exceeds the cap of {DEFAULT_ORACLE_CAP}")
         if self.suite in ("det-mult", "charpoly") and self.size > 6:
             raise ConfigError("the Leibniz oracle is capped at size 6")
         if self.suite == "charpoly" and self.dimension != self.size:
             raise ConfigError(
                 "charpoly compares against det(t-x) of the matrix itself, "
                 "so dim must equal size")
-        # the most arguments a form takes in each suite: determinants take
-        # dim, the vanishing axiom dim + 1, the product formula's terms up
-        # to pair_sum entries, taylor-equiv up to taylor_max_n
-        d = self.dimension
-        args = {"det-mult": d, "charpoly": d, "pseudochar-axioms": d + 1,
-                "product-formula": self.pair_sum,
-                "taylor-equiv": self.taylor_max_n}.get(self.suite, 0)
-        if args > self.rec_cap:
+        # only two suites can reach the cap: det (dim), vanishing (dim + 1)
+        args = {"det-mult": self.dimension,
+                "pseudochar-axioms": self.dimension + 1}.get(self.suite, 0)
+        if args > DEFAULT_REC_CAP:
             raise ConfigError(
                 f"{self.suite} evaluates forms of up to {args} arguments, "
-                f"more than the recursion cap of {self.rec_cap}")
+                f"more than the recursion cap of {DEFAULT_REC_CAP}")
 
     def echo(self) -> dict:
-        return {**vars(self), "dim": self.dimension}
+        return {**vars(self), "dim": self.dimension,
+                "rec_cap": DEFAULT_REC_CAP, "oracle_cap": DEFAULT_ORACLE_CAP,
+                "word_card": WORD_CARD, "pair_sum": PAIR_SUM,
+                "taylor_max_n": TAYLOR_MAX_N}
 
 
 @dataclass(frozen=True)
@@ -339,8 +338,7 @@ def _trials(cfg: SuiteConfig):
 def _trace(cfg: SuiteConfig, pseudocharacter: bool = True):
     """The trace on ``cfg``'s matrices, declared with ``cfg``'s dimension."""
     return matrix_trace(cfg.ring_obj(), cfg.size, cfg.dimension,
-                        pseudocharacter=pseudocharacter, rec_cap=cfg.rec_cap,
-                        oracle_cap=cfg.oracle_cap)
+                        pseudocharacter=pseudocharacter)
 
 
 def _draw(rng, cfg: SuiteConfig, ring: Ring, count: int) -> tuple:
@@ -377,7 +375,7 @@ def _assoc_sides(x, y, z, budget=DEFAULT_BUDGET):
 
 def _suite_assoc(cfg: SuiteConfig) -> list:
     if cfg.ring == "words":
-        span = range(cfg.word_card + 1)
+        span = range(WORD_CARD + 1)
         cases = [(f"assoc-words({n},{m},{k})", 0,
                   (_letters("x", n), _letters("y", m), _letters("z", k)))
                  for n in span for m in span for k in span]
@@ -428,8 +426,8 @@ def _suite_functoriality(cfg: SuiteConfig) -> list:
                          for letter in _HOM_ALPHABET})
         records.append(_sum_record(
             "functoriality", trial, _renders(s, t),
-            map_formal(hom, formal_product(s, t, cfg.budget)),
-            formal_product(map_formal(hom, s), map_formal(hom, t),
+            formal_product(s, t, cfg.budget).map_elements(hom),
+            formal_product(s.map_elements(hom), t.map_elements(hom),
                            cfg.budget)))
 
     # negative control: mapping the two factors through different
@@ -441,15 +439,15 @@ def _suite_functoriality(cfg: SuiteConfig) -> list:
     s = FormalSum.of(Multiset([Word(["a"])]))
     records.append(_sum_record(
         "functoriality-mixed-hom-control", 0, _renders(s),
-        map_formal(hom1, formal_product(s, s)),
-        formal_product(map_formal(hom1, s), map_formal(hom2, s)), True))
+        formal_product(s, s).map_elements(hom1),
+        formal_product(s.map_elements(hom1), s.map_elements(hom2)), True))
     return records
 
 
 def _suite_product_formula(cfg: SuiteConfig) -> list:
     f = _trace(cfg, pseudocharacter=False)
     ring = f.ring
-    pairs = [(n, s - n) for s in range(cfg.pair_sum + 1) for n in range(s + 1)]
+    pairs = [(n, s - n) for s in range(PAIR_SUM + 1) for n in range(s + 1)]
     records = []
     for trial, rng in _trials(cfg):
         n, m = pairs[trial % len(pairs)]
@@ -546,7 +544,7 @@ def _suite_taylor_equiv(cfg: SuiteConfig) -> list:
     f = _trace(cfg, pseudocharacter=False)
     records = []
     for trial, rng in _trials(cfg):
-        n = trial % cfg.taylor_max_n + 1
+        n = trial % TAYLOR_MAX_N + 1
         args = _draw(rng, cfg, f.ring, n)
         records.append(_scalar_record(
             f.ring, f"taylor-equiv(n={n})", trial, _renders(*args),
@@ -608,21 +606,21 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration)
 
 
+def cell_configs(ring: str, dim: int, **shared) -> list:
+    """Every suite on the matrix cell (ring, dim), at size = dim."""
+    return [SuiteConfig(suite, ring=ring, size=dim, dim=dim, **shared)
+            for suite in SUITE_NAMES]
+
+
 def default_all_configs(*, seed: int = SuiteConfig.seed,
                         trials: int = SuiteConfig.trials,
                         bound: int = SuiteConfig.bound,
-                        budget: int = SuiteConfig.budget, dims=(1, 2, 3),
-                        rings=("rational", "mod:7", "mod:101"),
-                        include_words: bool = True) -> list:
+                        budget: int = SuiteConfig.budget) -> list:
     """The default verification matrix: every matrix suite on each
     (dimension, ring) cell, plus the exhaustive word associativity suite."""
     shared = dict(seed=seed, trials=trials, bound=bound, budget=budget)
-    configs = []
-    if include_words:
-        configs.append(SuiteConfig("assoc", ring="words", **shared))
-    for ring in rings:
-        for dim in dims:
-            for suite in SUITE_NAMES:
-                configs.append(SuiteConfig(suite, ring=ring, size=dim,
-                                           dim=dim, **shared))
+    configs = [SuiteConfig("assoc", ring="words", **shared)]
+    for ring in ("rational", "mod:7", "mod:101"):
+        for dim in (1, 2, 3):
+            configs += cell_configs(ring, dim, **shared)
     return configs

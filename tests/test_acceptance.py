@@ -15,7 +15,7 @@ from itertools import chain, combinations, permutations
 from pseudodet import (FormalSum, LetterHom, Matrix, ModRing, Multiset, QQ,
                        Word, char_poly, cycle_sum_form, degree_product_check,
                        determinant, formal_product,
-                       identity_padding_check, map_formal, matrix_trace,
+                       identity_padding_check, matrix_trace,
                        multiset_product, multiplicativity_check,
                        partial_bijection_count, partial_bijections,
                        product_formula_check, recursive_form)
@@ -212,8 +212,8 @@ def test_criterion_03_functoriality():
             s, t = rand_sum(rng), rand_sum(rng)
             hom = LetterHom({l: random_matrix(rng, ring, size, 4)
                              for l in alphabet})
-            lhs = map_formal(hom, formal_product(s, t))
-            rhs = formal_product(map_formal(hom, s), map_formal(hom, t))
+            lhs = formal_product(s, t).map_elements(hom)
+            rhs = formal_product(s.map_elements(hom), t.map_elements(hom))
             if lhs != rhs:
                 failures.append((ring.describe(), trial))
     _line(3, "functoriality", not failures, "100 sums x M2(Q), M3(Z/7)")

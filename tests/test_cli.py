@@ -96,6 +96,39 @@ class TestEval:
         assert rc == 2
         assert_one_error_line(capsys.readouterr(), "")
 
+    def test_charpoly_over_the_cap_is_exit_two(self, matrix_file, capsys):
+        """charpoly takes forms of dim arguments, like det: over the
+        recursion cap of 8 it prints no polynomial."""
+        rc = main(["eval", "charpoly", "--matrix", matrix_file, "--dim", "9"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "recursion cap of 8")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--size", "5"], ["--trials", "3"],
+                                      ["--seed", "9"], ["--bound", "1"],
+                                      ["--budget", "1"], ["--quiet"]])
+    def test_flags_eval_does_not_read_are_refused(self, matrix_file, flag,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "det", "--matrix", matrix_file] + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and flag[0] in errors[0]
+        assert captured.out == ""
+
+    def test_config_key_eval_does_not_read_is_exit_two(self, matrix_file,
+                                                       tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("dim = 2\ntrials = 3\n")
+        rc = main(["eval", "det", "--matrix", matrix_file, "--config",
+                   str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "'trials'")
+        assert captured.out == ""
+
     def test_det_not_invertible(self, tmp_path, capsys):
         path = tmp_path / "m3.txt"
         path.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
@@ -222,6 +255,19 @@ class TestCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "8 suite(s)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "all", "--ring", "words", "--dim", "5"],
+        ["check", "assoc", "--ring", "words", "--dim", "5", "--size", "3"],
+        ["check", "assoc", "--ring", "words", "--size", "3"],
+    ])
+    def test_words_ring_takes_no_dim_or_size(self, argv, capsys):
+        """The exhaustive word suite has neither, so a given one is an
+        error, not a value the report misstates."""
+        assert main(argv + ["--trials", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "words")
+        assert captured.out == ""
 
     def test_check_all_words_only(self, capsys):
         rc = main(["check", "all", "--ring", "words", "--trials", "1",

@@ -279,6 +279,56 @@ class TestGroupAlgebra:
         assert sorted([a, b, p])  # the order stays total
 
 
+_A = ((3, -5), (6, Fraction(1, 2)))
+_B = ((5, 4), (-6, Fraction(-2, 3)))
+_C = Fraction(-3, 4)
+#: each operation with the exact rational value of its cells
+_CELL_OPS = [("add", lambda a, b: a + b, lambda x, y: x + y),
+             ("sub", lambda a, b: a - b, lambda x, y: x - y),
+             ("neg", lambda a, b: -a, lambda x, y: -x),
+             ("scale", lambda a, b: a.scale(_C), lambda x, y: _C * x)]
+
+
+@pytest.mark.parametrize("ring", [QQ, ModRing(7), QPOLY],
+                         ids=["rational", "mod7", "poly"])
+class TestCellRule:
+    """Sums, negations and scalings canonicalize every cell through
+    ``Ring.reduce``: each result equals what the public constructor builds
+    from the exact rational values, and its cells are canonical."""
+
+    @staticmethod
+    def assert_canonical(ring, cells):
+        for c in cells:
+            if ring is QPOLY:
+                assert isinstance(c, Poly)
+            elif isinstance(ring, ModRing):
+                assert type(c) is int and 0 <= c < 7
+
+    @pytest.mark.parametrize("name,op,exact", _CELL_OPS,
+                             ids=[t[0] for t in _CELL_OPS])
+    def test_matrix(self, ring, name, op, exact):
+        got = op(Matrix(ring, _A), Matrix(ring, _B))
+        assert got == Matrix(ring, [[exact(x, y) for x, y in zip(ra, rb)]
+                                    for ra, rb in zip(_A, _B)])
+        self.assert_canonical(ring, [c for row in got.rows for c in row])
+
+    def test_matrix_trace(self, ring):
+        got = Matrix(ring, _A).trace()
+        want = Matrix(ring, [[3 + Fraction(1, 2)]]).entry(0, 0)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("name,op,exact", _CELL_OPS,
+                             ids=[t[0] for t in _CELL_OPS])
+    def test_group_algebra(self, ring, name, op, exact):
+        c4 = GroupTable.cyclic(4)
+        xs, ys = _A[0] + _A[1], _B[0] + _B[1]
+        got = op(GroupAlgebraElement(c4, ring, xs),
+                 GroupAlgebraElement(c4, ring, ys))
+        assert got == GroupAlgebraElement(
+            c4, ring, [exact(x, y) for x, y in zip(xs, ys)])
+        self.assert_canonical(ring, got.coeffs)
+
+
 def test_matrix_render_and_scale():
     m = Matrix(QQ, [[1, 2], [3, 4]])
     assert m.render() == "[[1,2],[3,4]]"

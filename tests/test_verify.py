@@ -8,7 +8,7 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
                        SuiteConfig, char_poly_leibniz, default_all_configs,
                        leibniz_det, random_matrix, random_word, run_suite)
 from pseudodet.errors import CapExceededError
-from pseudodet.verify import SplitMix64, SUITE_NAMES, substream
+from pseudodet.verify import SplitMix64, SUITE_NAMES, cell_configs, substream
 
 
 class TestPrng:
@@ -234,23 +234,29 @@ class TestConfigValidation:
             SuiteConfig("det-mult", ring="rational", size=7, dim=7).validate()
 
     @pytest.mark.parametrize("suite,size,dim,args,extra", [
-        ("det-mult", 2, 9, 9, {}), ("charpoly", 3, 3, 3, {}),
-        ("pseudochar-axioms", 1, 8, 9, {}),
-        ("product-formula", 2, 2, 6, {"pair_sum": 6}),
-        ("taylor-equiv", 2, 2, 5, {"taylor_max_n": 5})])
+        ("det-mult", 2, 9, 9, {}), ("degree-d", 2, 8, 8, {}),
+        ("pseudochar-axioms", 1, 8, 9, {})])
     def test_recursion_cap(self, suite, size, dim, args, extra):
-        """det takes forms of dim arguments, the vanishing axiom dim + 1,
-        the product formula up to pair_sum, taylor-equiv up to
-        taylor_max_n."""
-        cfg = SuiteConfig(suite, size=size, dim=dim, rec_cap=args - 1,
-                          **extra)
-        with pytest.raises(ConfigError, match=f"recursion cap of {args - 1}"):
+        """det takes forms of dim arguments and the vanishing axiom
+        dim + 1, both under the recursion cap of 8; degree-d sums over
+        dim! permutations, under the cap of 7.  One dim less passes."""
+        cfg = SuiteConfig(suite, size=size, dim=dim, **extra)
+        with pytest.raises(ConfigError, match=f"cap of {args - 1}"):
             cfg.validate()
-        replace(cfg, rec_cap=args).validate()
+        replace(cfg, dim=dim - 1).validate()
+
+    def test_echo_pins_the_fixed_parameters(self):
+        """The report's config bytes: eight fields and five fixed values."""
+        assert SuiteConfig("det-mult", dim=2).echo() == {
+            "suite": "det-mult", "ring": "rational", "size": 2, "dim": 2,
+            "trials": 50, "seed": 0, "bound": 5, "budget": 10**7,
+            "rec_cap": 8, "oracle_cap": 7, "word_card": 3, "pair_sum": 4,
+            "taylor_max_n": 4}
 
 
 def test_default_all_configs_matrix():
     configs = default_all_configs(seed=1, trials=2)
+    assert configs[1:9] == cell_configs("rational", 1, seed=1, trials=2)
     suites = [c.suite for c in configs]
     assert suites.count("assoc") == 10  # words + 9 matrix cells
     assert len(configs) == 1 + 9 * 8
