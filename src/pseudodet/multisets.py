@@ -27,12 +27,11 @@ product, over every term of both factors, must come from one backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
-from .rings import FrozenValue
+from .rings import FrozenRecord, FrozenValue
 
 #: Default ceiling on the number of intermediate multisets a single formal
 #: product may create; the count grows superexponentially in cardinalities.
@@ -95,19 +94,16 @@ def _render_term(entry_strs, coeff) -> str:
     return f"{coeff}*{{{','.join(entry_strs)}}}"
 
 
-@dataclass(frozen=True)
-class PartialBijection:
+class PartialBijection(FrozenRecord):
     """A triple (I, J, alpha): I in [1..n], J in [1..m], alpha: I -> J.
 
     ``pairs`` holds (i, alpha(i)) sorted by i; all i are distinct and all
     alpha(i) are distinct.
     """
 
-    n: int
-    m: int
-    pairs: tuple
+    __slots__ = _fields = ("n", "m", "pairs")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be >= 0")
         seen_i, seen_j = set(), set()

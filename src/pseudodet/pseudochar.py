@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from itertools import permutations
 
 from .elements import GroupTable, Matrix
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
 from .multisets import FormalSum, Multiset, multiset_product
-from .rings import Ring
+from .rings import FrozenRecord, FrozenValue, Ring
 
 #: Largest argument count the recursion accepts by default (8! leaf terms).
 DEFAULT_REC_CAP = 8
@@ -276,16 +275,12 @@ def cycle_sum_form(f: CentralFunction, args):
 # ---------------------------------------------------------------------------
 # checks
 
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    detail: str
-    ok: bool
+class CheckEntry(FrozenRecord):
+    __slots__ = _fields = ("name", "detail", "ok")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    entries: tuple
+class CheckReport(FrozenRecord):
+    __slots__ = _fields = ("entries",)
 
     @property
     def passed(self) -> bool:
@@ -426,12 +421,10 @@ def identity_padding_check(f: CentralFunction, x, n: int):
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(FrozenRecord):
     """Scalar coefficients c_0..c_d of det(t - x), lowest degree first."""
 
-    ring: Ring
-    coefficients: tuple
+    __slots__ = _fields = ("ring", "coefficients")
 
     @property
     def degree(self) -> int:
@@ -450,6 +443,8 @@ class CharPoly:
         if not isinstance(other, CharPoly):
             return NotImplemented
         return self.coefficients == other.coefficients
+
+    __hash__ = FrozenValue.__hash__
 
     def render(self) -> str:
         parts = []

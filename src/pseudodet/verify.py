@@ -15,7 +15,6 @@ ordinary check holds and every negative control misbehaves as expected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import permutations
 
 from .elements import LetterHom, Matrix, Word
@@ -28,7 +27,7 @@ from .pseudochar import (DEFAULT_ORACLE_CAP, DEFAULT_REC_CAP, CentralFunction,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
                          recursive_form)
-from .rings import QQ, ModRing, Poly, QPOLY, Ring, ring_from_spec
+from .rings import QQ, FrozenRecord, Ring, ring_from_spec
 
 # ---------------------------------------------------------------------------
 # deterministic PRNG
@@ -89,13 +88,35 @@ def random_word(rng: SplitMix64, letters, max_len: int) -> Word:
 # ---------------------------------------------------------------------------
 # independent determinant oracles
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+#: Largest matrix size the Leibniz oracles accept (6! = 720 terms).
+_LEIBNIZ_CAP = 6
+#: size n -> every permutation of range(n), in lexicographic order, paired
+#: with its sign; filled on first use of each size.
+_SIGNED_PERMS: dict = {}
+
+
+def _signed_perms(n: int) -> tuple:
+    """The cached ``(perm, sign)`` table of size ``n``.  The cap is checked
+    first, so no table larger than 6! entries is ever built."""
+    if n > _LEIBNIZ_CAP:
+        raise CapExceededError(
+            f"Leibniz oracle capped at size {_LEIBNIZ_CAP}, got {n}")
+    table = _SIGNED_PERMS.get(n)
+    if table is None:
+        rows = []
+        for perm in permutations(range(n)):
+            # the sign is (-1)^(n - number of cycles)
+            parity, seen = n, set()
+            for start in range(n):
+                if start not in seen:
+                    parity -= 1
+                    i = start
+                    while i not in seen:
+                        seen.add(i)
+                        i = perm[i]
+            rows.append((perm, -1 if parity % 2 else 1))
+        table = _SIGNED_PERMS[n] = tuple(rows)
+    return table
 
 
 def leibniz_det(matrix: Matrix):
@@ -104,43 +125,48 @@ def leibniz_det(matrix: Matrix):
     This is the independent oracle for pseudocharacter determinants: it
     never touches the recursive forms, only scalar arithmetic.
     """
-    n = matrix.n
-    if n > 6:
-        raise CapExceededError(f"Leibniz determinant capped at size 6, got {n}")
-    ring, rows = matrix.ring, matrix.rows
+    n, ring, rows = matrix.n, matrix.ring, matrix.rows
     acc = None
-    for perm in permutations(range(n)):
+    for perm, sign in _signed_perms(n):
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
-        term = prod if _perm_sign(perm) > 0 else -prod
+        term = prod if sign > 0 else -prod
         acc = term if acc is None else acc + term
     return ring.cell_to_scalar(ring.reduce(acc))
 
 
 def char_poly_leibniz(matrix: Matrix) -> tuple:
-    """Coefficients c_0..c_n of det(t*I - x) computed via the Leibniz sum
-    over polynomial scalars.  The modular backend's cells are integers in
-    [0, m): the sum is expanded over the rationals and its coefficients
-    reduced (reduction mod m is a ring homomorphism, so determinants commute
-    with it)."""
-    t = Poly.variable("t")
+    """Coefficients c_0..c_n of det(t*I - x), lowest degree first, by the
+    Leibniz sum with each permutation's term held as a coefficient list
+    in t: a fixed point i multiplies it by (t - x_ii), any other row
+    scales it by -x_i,s(i).  No variable is introduced, so the
+    coefficients are scalars of the matrix's own ring (polynomial cells
+    give polynomial coefficients).  The modular backend's cells are
+    integers in [0, m): the sum is expanded over the integers and reduced
+    once at the end (reduction mod m is a ring homomorphism)."""
     n = matrix.n
-    cells = [[t - matrix.rows[i][j] if i == j else Poly.constant(0) - matrix.rows[i][j]
-              for j in range(n)] for i in range(n)]
-    det = leibniz_det(Matrix(QPOLY, cells))
-    coeffs = [0] * (n + 1)
-    for mono, coeff in det.terms:
-        if mono == ():
-            coeffs[0] = coeff
-        elif len(mono) == 1 and mono[0][0] == "t":
-            coeffs[mono[0][1]] = coeff
-        else:
-            raise AssertionError(f"unexpected monomial {mono} in char poly")
-    ring = matrix.ring
-    if isinstance(ring, ModRing):
-        return tuple(ring.from_int(int(c)) for c in coeffs)
-    return tuple(coeffs)
+    table = _signed_perms(n)
+    ring, rows = matrix.ring, matrix.rows
+    neg = [[-a for a in row] for row in rows]
+    acc = [0] * (n + 1)
+    for perm, sign in table:
+        scale, fixed = sign, []
+        for i, j in enumerate(perm):
+            if i == j:
+                fixed.append(neg[i][i])
+            else:
+                scale = scale * neg[i][j]
+        if scale == 0:
+            continue
+        coeffs = [scale]
+        for a in fixed:  # times (t + a), where a = -x_ii
+            coeffs = ([a * coeffs[0]]
+                      + [lo + a * hi for lo, hi in zip(coeffs, coeffs[1:])]
+                      + [coeffs[-1]])
+        for k, c in enumerate(coeffs):
+            acc[k] = acc[k] + c
+    return tuple(ring.cell_to_scalar(ring.cell(c)) for c in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +185,20 @@ PAIR_SUM = 4        # product-formula: max |x| + |y|
 TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(FrozenRecord):
     """Parameters of one suite run; validation happens in ``validate``."""
 
-    suite: str
-    ring: str = "rational"          # rational | mod:<m> | words
-    size: int = 2                   # matrix size
-    dim: int | None = None          # declared dimension; defaults to size
-    trials: int = 50
-    seed: int = 0
-    bound: int = 5                  # entries drawn from [-bound, bound]
-    budget: int = DEFAULT_BUDGET    # formal-product term budget
+    __slots__ = _fields = ("suite", "ring", "size", "dim", "trials", "seed",
+                           "bound", "budget")
+    _defaults = {
+        "ring": "rational",         # rational | mod:<m> | words
+        "size": 2,                  # matrix size
+        "dim": None,                # declared dimension; defaults to size
+        "trials": 50,
+        "seed": 0,
+        "bound": 5,                 # entries drawn from [-bound, bound]
+        "budget": DEFAULT_BUDGET,   # formal-product term budget
+    }
 
     @property
     def dimension(self) -> int:
@@ -207,8 +235,9 @@ class SuiteConfig:
             raise ConfigError(
                 f"degree-d needs dim! permutations; dim {self.dimension} "
                 f"exceeds the cap of {DEFAULT_ORACLE_CAP}")
-        if self.suite in ("det-mult", "charpoly") and self.size > 6:
-            raise ConfigError("the Leibniz oracle is capped at size 6")
+        if self.suite in ("det-mult", "charpoly") and self.size > _LEIBNIZ_CAP:
+            raise ConfigError(
+                f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
         if self.suite == "charpoly" and self.dimension != self.size:
             raise ConfigError(
                 "charpoly compares against det(t-x) of the matrix itself, "
@@ -222,37 +251,28 @@ class SuiteConfig:
                 f"more than the recursion cap of {DEFAULT_REC_CAP}")
 
     def echo(self) -> dict:
-        return {**vars(self), "dim": self.dimension,
+        return {**self.fields(), "dim": self.dimension,
                 "rec_cap": DEFAULT_REC_CAP, "oracle_cap": DEFAULT_ORACLE_CAP,
                 "word_card": WORD_CARD, "pair_sum": PAIR_SUM,
                 "taylor_max_n": TAYLOR_MAX_N}
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    trial: int
-    inputs: tuple
-    lhs: str
-    rhs: str
-    ok: bool
-    negative_control: bool = False
+class CheckRecord(FrozenRecord):
+    __slots__ = _fields = ("name", "trial", "inputs", "lhs", "rhs", "ok",
+                           "negative_control")
+    _defaults = {"negative_control": False}
 
     @property
     def behaved(self) -> bool:
         return (not self.ok) if self.negative_control else self.ok
 
     def to_dict(self) -> dict:
-        return {**vars(self), "inputs": list(self.inputs),
+        return {**self.fields(), "inputs": list(self.inputs),
                 "behaved": self.behaved}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    config: dict
-    records: tuple
-    duration_seconds: float
+class SuiteReport(FrozenRecord):
+    __slots__ = _fields = ("suite", "config", "records", "duration_seconds")
 
     @property
     def passed(self) -> bool:
@@ -612,10 +632,10 @@ def cell_configs(ring: str, dim: int, **shared) -> list:
             for suite in SUITE_NAMES]
 
 
-def default_all_configs(*, seed: int = SuiteConfig.seed,
-                        trials: int = SuiteConfig.trials,
-                        bound: int = SuiteConfig.bound,
-                        budget: int = SuiteConfig.budget) -> list:
+def default_all_configs(*, seed: int = SuiteConfig._defaults["seed"],
+                        trials: int = SuiteConfig._defaults["trials"],
+                        bound: int = SuiteConfig._defaults["bound"],
+                        budget: int = SuiteConfig._defaults["budget"]) -> list:
     """The default verification matrix: every matrix suite on each
     (dimension, ring) cell, plus the exhaustive word associativity suite."""
     shared = dict(seed=seed, trials=trials, bound=bound, budget=budget)

@@ -4,8 +4,10 @@ paths equally."""
 
 import pytest
 
-from pseudodet import (GroupAlgebraElement, GroupTable, Matrix, Multiset,
-                       Poly, QQ, Residue, Word, word)
+from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, Matrix,
+                       Multiset, Poly, QQ, Residue, SuiteConfig, Word, word)
+from pseudodet.multisets import PartialBijection
+from pseudodet.verify import CheckRecord
 
 C3 = GroupTable.cyclic(3)
 
@@ -21,6 +23,10 @@ def samples():
         ("GroupAlgebraElement", GroupAlgebraElement(C3, QQ, [1, 2, 3]),
          "coeffs"),
         ("Multiset", Multiset([word("a"), word("b")]), "entries"),
+        ("SuiteConfig", SuiteConfig("det-mult", dim=2), "seed"),
+        ("CheckRecord", CheckRecord("c", 0, ("x",), "1", "1", True), "ok"),
+        ("CharPoly", CharPoly(QQ, (1, 0, 1)), "coefficients"),
+        ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
     ]
 
 
@@ -82,3 +88,30 @@ def test_equal_values_hash_equal(name, built, fast):
     assert built == fast
     assert hash(built) == hash(fast)
     assert len({built, fast}) == 1
+
+
+class TestFrozenRecord:
+    def test_fields_by_position_keyword_and_default(self):
+        cfg = SuiteConfig("charpoly", dim=3, size=3)
+        assert cfg == SuiteConfig("charpoly", "rational", 3, 3)
+        assert cfg.fields() == {
+            "suite": "charpoly", "ring": "rational", "size": 3, "dim": 3,
+            "trials": 50, "seed": 0, "bound": 5, "budget": 10**7}
+        assert repr(CharPoly(QQ, (1,))) == \
+            "CharPoly(ring=rational, coefficients=(1,))"
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((), {}), (("a",), {"bogus": 1}), (tuple(range(9)), {})])
+    def test_missing_unknown_or_extra_fields_are_refused(self, args, kwargs):
+        with pytest.raises(TypeError, match="^SuiteConfig takes the fields"):
+            SuiteConfig(*args, **kwargs)
+
+    def test_equal_only_within_one_class(self):
+        a = CheckRecord("c", 0, (), "1", "1", True)
+        assert a == CheckRecord("c", 0, (), "1", "1", True, False)
+        assert a != CheckRecord("c", 0, (), "1", "1", True, True)
+        assert a != ("c", 0, (), "1", "1", True, False)
+
+    def test_validation_runs_on_construction(self):
+        with pytest.raises(ValueError, match="sorted"):
+            PartialBijection(2, 2, ((2, 1), (1, 2)))

@@ -1,6 +1,7 @@
 """PRNG determinism, oracles, suite runs, and report structure."""
 
-from dataclasses import replace
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,7 +9,9 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
                        SuiteConfig, char_poly_leibniz, default_all_configs,
                        leibniz_det, random_matrix, random_word, run_suite)
 from pseudodet.errors import CapExceededError
-from pseudodet.verify import SplitMix64, SUITE_NAMES, cell_configs, substream
+from pseudodet.rings import ring_from_spec
+from pseudodet.verify import (_SIGNED_PERMS, SUITE_NAMES, SplitMix64,
+                              _signed_perms, cell_configs, substream)
 
 
 class TestPrng:
@@ -130,6 +133,40 @@ class TestLeibnizDet:
         assert leibniz_det(m) == -2
 
 
+class TestSignedPerms:
+    def test_signs_are_inversion_parity(self):
+        for n in range(1, 7):
+            table = _signed_perms(n)
+            assert [perm for perm, _ in table] == \
+                list(permutations(range(n)))
+            for perm, sign in table:
+                inversions = sum(perm[i] > perm[j] for i in range(n)
+                                 for j in range(i + 1, n))
+                assert sign == (-1) ** inversions
+            assert _signed_perms(n) is table
+
+
+def symbolic_char_poly(matrix):
+    """Reference: leibniz_det of T*I - x over QPOLY, read back coefficient
+    by coefficient.  T is a variable no test cell uses."""
+    T = Poly.variable("T_ref")
+    n, rows = matrix.n, matrix.rows
+    cells = [[(T if i == j else Poly.constant(0)) - rows[i][j]
+              for j in range(n)] for i in range(n)]
+    coeffs = [0] * (n + 1)
+    for mono, coeff in leibniz_det(Matrix(QPOLY, cells)).terms:
+        coeffs[mono[0][1] if mono else 0] = coeff
+    ring = matrix.ring
+    if isinstance(ring, ModRing):
+        return tuple(ring.from_int(c) for c in coeffs)
+    return tuple(coeffs)
+
+
+def _fraction_matrix(rng, size):
+    return Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(size)] for _ in range(size)])
+
+
 class TestCharPolyLeibniz:
     def test_rational_two_by_two(self):
         m = Matrix(QQ, [[1, 2], [3, 4]])
@@ -140,6 +177,49 @@ class TestCharPolyLeibniz:
         m = Matrix(ring, [[1, 2], [3, 4]])
         got = char_poly_leibniz(m)
         assert got == (ring.from_int(-2), ring.from_int(-5), ring.from_int(1))
+
+    @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
+                                      "mod:101"])
+    def test_matches_symbolic_reference(self, spec):
+        """Same value and same type (int, Fraction, Residue) in every
+        coefficient as the symbolic expansion, for d = 1..6."""
+        for d in range(1, 7):
+            for t in range(3):
+                rng = substream(11, 10 * d + t)
+                if spec == "fractions":
+                    m = _fraction_matrix(rng, d)
+                else:
+                    m = random_matrix(rng, ring_from_spec(spec), d, 5)
+                got, want = char_poly_leibniz(m), symbolic_char_poly(m)
+                assert got == want
+                assert [type(c) for c in got] == [type(c) for c in want]
+
+    def test_generic_two_by_two(self):
+        a, b, c, d = (Poly.variable(v) for v in "abcd")
+        got = char_poly_leibniz(Matrix(QPOLY, [[a, b], [c, d]]))
+        assert got == (a * d - b * c, -a - d, 1)
+        assert all(isinstance(coeff, Poly) for coeff in got)
+
+    def test_cell_variable_named_t(self):
+        # a cell's variable t is a scalar, not the indeterminate
+        t = Poly.variable("t")
+        got = char_poly_leibniz(Matrix(QPOLY, [[t, 0], [0, 1]]))
+        assert got == (t, -t - 1, 1)
+
+    def test_size_cap_builds_no_table(self):
+        with pytest.raises(CapExceededError):
+            char_poly_leibniz(Matrix.identity(QQ, 7))
+        assert 7 not in _SIGNED_PERMS
+
+    def test_independent_of_form_recursion(self, monkeypatch):
+        import pseudodet.pseudochar as pc
+
+        def boom(*a, **k):
+            raise AssertionError("oracle called the recursion")
+
+        monkeypatch.setattr(pc._FormEvaluator, "value", boom)
+        m = Matrix(QQ, [[1, 2], [3, 4]])
+        assert char_poly_leibniz(m) == (-2, -5, 1)
 
 
 class TestSuiteRuns:
@@ -243,7 +323,7 @@ class TestConfigValidation:
         cfg = SuiteConfig(suite, size=size, dim=dim, **extra)
         with pytest.raises(ConfigError, match=f"cap of {args - 1}"):
             cfg.validate()
-        replace(cfg, dim=dim - 1).validate()
+        SuiteConfig(**{**cfg.fields(), "dim": dim - 1}).validate()
 
     def test_echo_pins_the_fixed_parameters(self):
         """The report's config bytes: eight fields and five fixed values."""
