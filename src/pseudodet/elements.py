@@ -18,7 +18,7 @@ threads.
 from __future__ import annotations
 
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
-from .rings import FrozenValue, Ring
+from .rings import FrozenValue, Ring, _set_hash
 
 
 class Matrix(FrozenValue):
@@ -82,7 +82,14 @@ class Matrix(FrozenValue):
             cols = tuple(zip(*other.rows))
             rows = tuple(tuple(ring.dot(row, col) for col in cols)
                          for row in self.rows)
-        return Matrix._make(ring, n, rows)
+        # every element product builds a matrix: writing the slots here,
+        # not through _make, saves a call and a loop
+        obj = object.__new__(Matrix)
+        _set_hash(obj, None)
+        _set_ring(obj, ring)
+        _set_n(obj, n)
+        _set_rows(obj, rows)
+        return obj
 
     def __add__(self, other):
         self._check_peer(other)
@@ -110,9 +117,14 @@ class Matrix(FrozenValue):
         return Matrix.identity(self.ring, self.n)
 
     def trace(self):
-        ring = self.ring
-        return ring.cell_to_scalar(ring.reduce(
-            sum(map(tuple.__getitem__, self.rows, range(self.n)))))
+        ring, rows, n = self.ring, self.rows, self.n
+        if n == 2:
+            total = rows[0][0] + rows[1][1]
+        elif n == 3:
+            total = rows[0][0] + rows[1][1] + rows[2][2]
+        else:
+            total = sum(map(tuple.__getitem__, rows, range(n)))
+        return ring.cell_to_scalar(ring.reduce(total))
 
     def entry(self, i: int, j: int):
         return self.ring.cell_to_scalar(self.rows[i][j])
@@ -141,6 +153,11 @@ class Matrix(FrozenValue):
 
     def __repr__(self):
         return f"Matrix({self.ring.describe()}, {self.render()})"
+
+
+_set_ring = Matrix.ring.__set__
+_set_n = Matrix.n.__set__
+_set_rows = Matrix.rows.__set__
 
 
 class Word(FrozenValue):

@@ -27,7 +27,6 @@ product, over every term of both factors, must come from one backend.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
@@ -124,14 +123,30 @@ class PartialBijection(FrozenRecord):
         return len(self.pairs)
 
 
-@lru_cache(maxsize=None)
-def _plans(n: int, m: int) -> tuple:
+#: Shapes (n, m) with at most this many partial bijections keep their plans
+#: in ``_PLANS``; larger ones are generated afresh on every use, so memory
+#: stays bounded (the (7, 7) plans alone would hold about 20 MB).
+PLAN_CACHE_MAX = 5000
+_PLANS: dict = {}
+
+
+def _plans(n: int, m: int):
     """Every partial bijection from [n] to [m] as a flat index plan, 0-based,
-    in the documented order.  A plan indexes the list ``table + xs + ys``,
-    where ``table`` is the flat n x m table of entry products: it holds
-    i * m + j for each matched (i, j), sorted by i, then n * m + i for each
-    unmatched i and n * m + n + j for each unmatched j."""
-    out = []
+    in the documented order: a cached tuple for shapes of at most
+    ``PLAN_CACHE_MAX`` bijections, else an iterator in the same order.  A
+    plan indexes the list ``table + xs + ys``, where ``table`` is the flat
+    n x m table of entry products: it holds i * m + j for each matched
+    (i, j), sorted by i, then n * m + i for each unmatched i and
+    n * m + n + j for each unmatched j."""
+    plans = _PLANS.get((n, m))
+    if plans is None:
+        plans = _generate_plans(n, m)
+        if partial_bijection_count(n, m) <= PLAN_CACHE_MAX:
+            plans = _PLANS[n, m] = tuple(plans)
+    return plans
+
+
+def _generate_plans(n: int, m: int):
     nm = n * m
     for k in range(min(n, m) + 1):
         for dom in combinations(range(n), k):
@@ -142,8 +157,7 @@ def _plans(n: int, m: int) -> tuple:
                                if j not in img_set)
                 for images in permutations(img_set):
                     cells = tuple(r + j for r, j in zip(rows, images))
-                    out.append(cells + rest_x + rest_y)
-    return tuple(out)
+                    yield cells + rest_x + rest_y
 
 
 def partial_bijections(n: int, m: int) -> tuple:

@@ -93,73 +93,100 @@ def regular_trace(group: GroupTable, ring: Ring, **kwargs) -> CentralFunction:
 
 
 class _FormEvaluator:
-    """Shared per-evaluation state.  Each distinct element is interned once
-    to an int id: ``ids`` maps element to id, ``elems`` id to element, and
-    ``f_values`` holds f by id (valid because ``evaluate`` is pure).  The
-    memo is keyed on tuples of ids listed in the element order, so a key
-    stands for the same canonical multiset as the sorted element tuple, and
-    the pairwise products are keyed on id pairs.  Fresh per top-level call,
-    so concurrent evaluations never share mutable state."""
+    """Shared per-evaluation state; ``form`` is the only entry point.
 
-    __slots__ = ("f", "memo", "ids", "elems", "order", "f_values", "products")
+    Each distinct element is interned once to an int id: ``ids`` maps its
+    intern key (a matrix's ``rows``, any other element itself) to the id,
+    ``elems`` and ``order`` map the id back to the element and to that key,
+    which sorts elements of one backend as ``<`` does.  f runs at intern
+    time (every interned element is evaluated, and ``evaluate`` is pure)
+    and enters once through ``f.ring.cell`` into ``f_cells``.  The
+    recursion works on plain cells: form_1 is read from ``f_cells``, form_2
+    is written out as f(a)·f(b) − f(a·b), and from n = 3 on each value is
+    reduced once into the memo, keyed on id tuples in the element order, so
+    a key stands for the sorted argument multiset and the largest element
+    is the one peeled.  ``products`` caches pair products on id pairs.
+    Fresh per top-level call, so evaluations never share mutable state."""
+
+    __slots__ = ("f", "ring", "memo", "ids", "elems", "order", "f_cells",
+                 "products")
 
     def __init__(self, f: CentralFunction):
         self.f = f
+        self.ring = f.ring
         self.memo = {}
         self.ids = {}
         self.elems = []
-        # sort key by id: a matrix's rows order matrices of one ring and
-        # size exactly as Matrix.__lt__ does, without its peer check
         self.order = []
-        self.f_values = []
+        self.f_cells = []
         self.products = {}
 
     def intern(self, x) -> int:
-        """The id of element ``x``, assigned on first sight."""
-        i = self.ids.get(x)
-        if i is None:
-            i = self.ids[x] = len(self.elems)
+        """The id of element ``x``, assigned (and f computed) on first
+        sight."""
+        key = x.rows if type(x) is Matrix else x
+        ids = self.ids
+        fresh = len(ids)
+        i = ids.setdefault(key, fresh)  # one hash of the key, not two
+        if i == fresh:
             self.elems.append(x)
-            self.order.append(x.rows if type(x) is Matrix else x)
-            self.f_values.append(None)
+            self.order.append(key)
+            self.f_cells.append(self.ring.cell(self.f(x)))
         return i
 
+    def product(self, a: int, b: int) -> int:
+        """The id of elems[a] * elems[b], cached on the id pair."""
+        p = self.products.get((a, b))
+        if p is None:
+            elems = self.elems
+            p = self.products[(a, b)] = self.intern(elems[a] * elems[b])
+        return p
+
     def form(self, entries):
-        """form_n of an argument tuple already in element order."""
+        """form_n of an argument tuple already in element order, as a
+        scalar."""
         _check_rec_cap(self.f, len(entries))
-        return self.value(tuple(map(self.intern, entries)))
+        ring = self.ring
+        return ring.cell_to_scalar(ring.reduce(
+            self.value(tuple(map(self.intern, entries)))))
 
     def value(self, key: tuple):
-        """form_n of the multiset with memo key ``key`` (n = len(key) >= 1)."""
+        """The cell of form_n on the multiset with memo key ``key``
+        (n = len(key) >= 1); memoized and reduced from n = 3 on."""
+        fc = self.f_cells
+        product = self.product
+        n = len(key)
+        if n <= 2:
+            if n == 1:
+                return fc[key[0]]
+            a, b = key
+            return fc[a] * fc[b] - fc[product(a, b)]
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
             return cached
-        f_values = self.f_values
         last = key[-1]
-        f_last = f_values[last]
-        if f_last is None:
-            f_last = f_values[last] = self.f(self.elems[last])
-        n = len(key)
-        if n == 1:
-            result = f_last
+        head = key[:-1]
+        if n == 3:
+            # the three sub-forms of size 2 written out, saving their calls
+            a, b = head
+            order = self.order
+            result = fc[last] * (fc[a] * fc[b] - fc[product(a, b)])
+            for e, other in ((a, b), (b, a)):
+                merged = product(e, last)
+                pair = ((merged, other) if order[merged] < order[other]
+                        else (other, merged))
+                result -= fc[merged] * fc[other] - fc[product(*pair)]
         else:
-            head = key[:-1]
-            result = f_last * self.value(head)
-            products, elems = self.products, self.elems
             order = self.order.__getitem__
-            x_last = elems[last]
-            for i in range(n - 1):
-                e = head[i]
-                merged = products.get((e, last))
-                if merged is None:
-                    merged = products[(e, last)] = self.intern(
-                        elems[e] * x_last)
+            value = self.value
+            result = fc[last] * value(head)
+            for i, e in enumerate(head):
                 rest = list(head)
                 del rest[i]
-                insort(rest, merged, key=order)
-                result = result - self.value(tuple(rest))
-        memo[key] = result
+                insort(rest, product(e, last), key=order)
+                result -= value(tuple(rest))
+        result = memo[key] = self.ring.reduce(result)
         return result
 
 
@@ -185,10 +212,13 @@ def recursive_form(f: CentralFunction, args, *, memoized: bool = True):
     """Evaluate form_n(args) by the defining recursion.
 
     With ``memoized=True`` (the default) arguments are canonicalized to a
-    sorted multiset and sub-values are cached per call; this is valid for
-    central f, whose forms are symmetric, and is what makes evaluations with
-    repeated arguments (determinants) cheap.  ``memoized=False`` runs the
-    recursion verbatim on the sequence as given.
+    sorted multiset and evaluated on ring cells, with f cached per distinct
+    element and each sub-form of three or more arguments cached per call;
+    this is valid for central f, whose forms are symmetric, and is what
+    makes evaluations with repeated arguments (determinants) cheap.  Every
+    f value must be a scalar of ``f.ring``: it enters through
+    ``f.ring.cell``, which raises ``MismatchError`` for another ring's.
+    ``memoized=False`` runs the recursion verbatim on the sequence as given.
     """
     seq = tuple(args)
     n = len(seq)
@@ -408,7 +438,9 @@ def multiplicativity_check(f: CentralFunction, x, y):
 def identity_padding_check(f: CentralFunction, x, n: int):
     """Compare form_n(x, 1, .., 1) with the closed form
     f(x) * prod_{i=1..n-1} (f(1) - i); holds for every central f on a
-    unital backend."""
+    unital backend.  Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"identity padding needs n >= 1, got {n}")
     one = x.one()
     lhs = recursive_form(f, (x,) + (one,) * (n - 1))
     f1 = f(one)

@@ -29,6 +29,8 @@ RationalLike = (int, Fraction)
 
 
 def _as_rational(value):
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, RationalLike):
         raise MismatchError(f"not a rational scalar: {value!r}")
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -194,6 +196,8 @@ class Residue(FrozenValue):
         return Residue(-self.value, self.modulus)
 
     def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** -exponent
         return Residue(pow(self.value, exponent, self.modulus), self.modulus)
 
     def inverse(self) -> "Residue":

@@ -4,6 +4,7 @@ from itertools import chain, combinations, permutations
 
 import pytest
 
+from pseudodet import multisets
 from pseudodet import (BudgetExceededError, FormalSum, LetterHom, Matrix,
                        MismatchError, ModRing, Multiset, PartialBijection, QQ,
                        Word,
@@ -392,6 +393,37 @@ class TestProductMatchesDefinition:
             t = FormalSum.of(draw(), rng.randint(1, 3)) \
                 + FormalSum.of(draw(), -rng.randint(1, 3))
             assert formal_product(s, t) == reference_formal_product(s, t)
+
+
+class TestPlanMemory:
+    """Plans of shapes up to ``PLAN_CACHE_MAX`` bijections are cached;
+    larger shapes are generated afresh, in the same order, each time."""
+
+    def test_large_shape_leaves_no_cache_entry(self, monkeypatch):
+        x, y = letters("x", 6), letters("y", 6)
+        assert partial_bijection_count(6, 6) == 13327
+        assert partial_bijection_count(6, 6) > multisets.PLAN_CACHE_MAX
+        got = multiset_product(x, y)
+        assert (6, 6) not in multisets._PLANS
+        assert got == reference_product(x, y)
+        # the same sum as from the cached tuple of plans
+        monkeypatch.setattr(multisets, "PLAN_CACHE_MAX", 10**6)
+        monkeypatch.setattr(multisets, "_PLANS", {})
+        assert multiset_product(x, y) == got
+        assert len(multisets._PLANS[6, 6]) == 13327
+
+    @pytest.mark.parametrize("n,m", [(6, 3), (3, 6)])
+    def test_check_all_shapes_stay_cached(self, n, m):
+        multiset_product(letters("x", n), letters("y", m))
+        assert len(multisets._PLANS[n, m]) == 229
+
+    def test_lazy_plans_keep_the_documented_order(self, monkeypatch):
+        monkeypatch.setattr(multisets, "PLAN_CACHE_MAX", 0)
+        monkeypatch.setattr(multisets, "_PLANS", {})
+        lazy = partial_bijections(3, 4)
+        assert multisets._PLANS == {}
+        monkeypatch.setattr(multisets, "PLAN_CACHE_MAX", 10**6)
+        assert partial_bijections(3, 4) == lazy
 
 
 class TestEntryProductWork:

@@ -8,7 +8,7 @@ import pytest
 
 from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        FormalSum, GroupAlgebraElement, GroupTable, Matrix,
-                       ModRing, Multiset, NotInvertibleError, Poly, QPOLY, QQ,
+                       MismatchError, ModRing, Multiset, NotInvertibleError, Poly, QPOLY, QQ,
                        UnitlessError, Word, char_poly,
                        char_poly_interpolated, check_pseudocharacter,
                        cycle_sum_form, degree_product_check, determinant,
@@ -394,6 +394,72 @@ class TestMemoKeysInElementOrder:
         assert recursive_form(_CORNER, mats) == form
 
 
+def _evaluator_case(case, s3):
+    """(f, six elements) for one backend of ``TestCellEvaluator``."""
+    rng = substream(660, 0)
+    if case in ("rational", "mod:7", "mod:101"):
+        ring = QQ if case == "rational" else ModRing(int(case[4:]))
+        return matrix_trace(ring, 2), rand_mats(661, 6, ring=ring)
+    if case == "fractions":
+        return matrix_trace(QQ, 2), [
+            Matrix(QQ, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(2)] for _ in range(2)])
+            for _ in range(6)]
+    if case == "poly":
+        return matrix_trace(QPOLY, 2), [
+            Matrix(QPOLY, [[Poly.variable(f"{v}{i}{j}") for j in range(2)]
+                           for i in range(2)]) for v in "abcdef"]
+    if case == "s3":
+        return regular_trace(s3, QQ), [
+            GroupAlgebraElement(s3, QQ, [rng.randint(-2, 2)
+                                         for _ in range(6)])
+            for _ in range(6)]
+    return necklace_function(), [word(w) for w in
+                                 ("a", "b", "a*b", "b*a*a", "c", "a*c")]
+
+
+class TestCellEvaluator:
+    """The memoized evaluator computes on ring cells and writes form_1 and
+    form_2 out; every value and its rendering equal the literal
+    recursion's, on every backend."""
+
+    @pytest.mark.parametrize("case", ["rational", "fractions", "mod:7",
+                                      "mod:101", "poly", "s3", "words"])
+    def test_memoized_equals_plain(self, case, s3):
+        f, pool = _evaluator_case(case, s3)
+        top = 3 if case == "poly" else 4
+        for n in range(1, top + 1):
+            # distinct, one repeat, all equal, and out of element order
+            for args in (pool[:n], pool[:n - 1] + pool[:1], [pool[1]] * n,
+                         pool[-n:][::-1]):
+                got = recursive_form(f, args)
+                want = recursive_form(f, args, memoized=False)
+                assert got == want, (case, n)
+                assert f.ring.render(got) == f.ring.render(want)
+
+    def test_mod_values_are_residues(self):
+        f = matrix_trace(ModRing(7), 2)
+        for n in (1, 2, 3, 4):
+            args = rand_mats(670 + n, n, ring=ModRing(7))
+            got = recursive_form(f, args)
+            assert got == recursive_form(f, args, memoized=False)
+            assert got.modulus == 7 and 0 <= got.value < 7
+
+    def test_mixed_rings_raise(self):
+        f = matrix_trace(ModRing(7), 2)
+        x7 = Matrix(ModRing(7), [[1, 2], [3, 4]])
+        x11 = Matrix(ModRing(11), [[1, 2], [3, 4]])
+        xq = Matrix(QQ, [[1, 2], [3, 4]])
+        for args in ((x7, x11), (x11, x7), (x7, xq), (x7, x7, x11)):
+            with pytest.raises(MismatchError):
+                recursive_form(f, args)
+        # an f value of another ring enters through f.ring.cell
+        with pytest.raises(MismatchError):
+            recursive_form(f, (x11,))
+        with pytest.raises(MismatchError):
+            recursive_form(matrix_trace(QQ, 2), (x7, x7))
+
+
 class TestDegreeProduct:
     def test_dimension_one_is_multiplicativity(self):
         f = matrix_trace(QQ, 1)
@@ -543,6 +609,13 @@ class TestIdentityPadding:
         f = necklace_function()
         with pytest.raises(UnitlessError):
             identity_padding_check(f, word("a"), 2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_argument(self, n):
+        f = matrix_trace(QQ, 2)
+        x = rand_mats(494, 1)[0]
+        with pytest.raises(ValueError, match="n >= 1"):
+            identity_padding_check(f, x, n)
 
 
 class TestCharPoly:

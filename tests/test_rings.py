@@ -74,6 +74,19 @@ class TestCanonicalForms:
         assert (u - u).render() == "0"
 
 
+class TestResiduePower:
+    def test_negative_exponent_is_a_power_of_the_inverse(self):
+        assert Residue(3, 7) ** -1 == Residue(5, 7)
+        assert Residue(3, 7) ** -2 == Residue(4, 7)
+        assert Residue(3, 7) ** 0 == Residue(1, 7)
+
+    def test_negative_exponent_of_a_non_unit(self):
+        with pytest.raises(NotInvertibleError, match="not invertible mod 4"):
+            Residue(2, 4) ** -1
+        with pytest.raises(NotInvertibleError):
+            Residue(0, 7) ** -3
+
+
 class TestErrors:
     def test_modulus_mismatch(self):
         with pytest.raises(MismatchError):

@@ -95,6 +95,24 @@ def cofactor_det(matrix):
     return det(rows)
 
 
+def forbid_form_recursion(monkeypatch):
+    """Make every route into the recursive forms raise: ``form``, the
+    memoized evaluator's only entry point, and the literal recursion of
+    ``recursive_form(..., memoized=False)``."""
+    import pseudodet.pseudochar as pc
+
+    def boom(*a, **k):
+        raise AssertionError("oracle called the recursion")
+
+    monkeypatch.setattr(pc._FormEvaluator, "form", boom)
+    monkeypatch.setattr(pc, "_recursive_form_plain", boom)
+    f = pc.matrix_trace(QQ, 2)
+    x = Matrix(QQ, [[1, 2], [3, 4]])
+    for memoized in (True, False):
+        with pytest.raises(AssertionError, match="oracle called"):
+            pc.recursive_form(f, (x,), memoized=memoized)
+
+
 class TestLeibnizDet:
     def test_identity(self):
         for d in (1, 2, 3, 4):
@@ -123,12 +141,7 @@ class TestLeibnizDet:
 
     def test_independent_of_form_recursion(self, monkeypatch):
         # the oracle must not route through the recursive forms
-        import pseudodet.pseudochar as pc
-
-        def boom(*a, **k):
-            raise AssertionError("oracle called the recursion")
-
-        monkeypatch.setattr(pc._FormEvaluator, "value", boom)
+        forbid_form_recursion(monkeypatch)
         m = Matrix(QQ, [[1, 2], [3, 4]])
         assert leibniz_det(m) == -2
 
@@ -212,12 +225,7 @@ class TestCharPolyLeibniz:
         assert 7 not in _SIGNED_PERMS
 
     def test_independent_of_form_recursion(self, monkeypatch):
-        import pseudodet.pseudochar as pc
-
-        def boom(*a, **k):
-            raise AssertionError("oracle called the recursion")
-
-        monkeypatch.setattr(pc._FormEvaluator, "value", boom)
+        forbid_form_recursion(monkeypatch)
         m = Matrix(QQ, [[1, 2], [3, 4]])
         assert char_poly_leibniz(m) == (-2, -5, 1)
 
@@ -275,6 +283,24 @@ class TestSuiteRuns:
             for m in range(4):
                 for k in range(4):
                     assert f"assoc-words({n},{m},{k})" in names
+
+
+class TestNoncentralControls:
+    """The records of the two controls that use the non-central corner
+    entry.  Their values depend on the memo's key order (element order,
+    largest element peeled), so they are pinned here by value, not only
+    through the seed-42 digest."""
+
+    @pytest.mark.parametrize("suite,name,lhs,rhs", [
+        ("product-formula", "product-formula-noncentral-control", "23", "6"),
+        ("taylor-equiv", "taylor-equiv-noncentral-control", "-36", "-21"),
+    ])
+    def test_record(self, suite, name, lhs, rhs):
+        report = run_suite(SuiteConfig(suite, ring="rational", size=2,
+                                       dim=2, trials=1, seed=42))
+        (record,) = [r for r in report.records if r.name == name]
+        assert (record.lhs, record.rhs, record.ok) == (lhs, rhs, False)
+        assert record.negative_control and record.behaved
 
 
 class TestConfigValidation:
