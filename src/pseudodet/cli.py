@@ -66,6 +66,8 @@ def read_matrix_file(path: str, ring):
         d = int(tokens_by_line[0][0])
     except ValueError:
         raise ConfigError(f"{path}: bad size {tokens_by_line[0][0]!r}") from None
+    if d < 1:
+        raise ConfigError(f"{path}: matrix size must be >= 1")
     rows = tokens_by_line[1:]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ConfigError(f"{path}: expected {d} rows of {d} entries")

@@ -18,10 +18,13 @@ Partial bijections from [n] to [m] are enumerated deterministically: by
 matched size k = 0..min(n,m), then domain subsets of [n] in lexicographic
 order, then image subsets of [m] in lexicographic order, then the images as
 permutations in lexicographic order.  The total count is
-sum_k C(n,k)*C(m,k)*k!.  A product computes each entry product x_i*y_j once
-and shares it among all the bijections that match i with j.  It sorts the
-distinct entries once and works on their ranks, so all entries of one
-product, over every term of both factors, must come from one backend.
+sum_k C(n,k)*C(m,k)*k!.  A product computes each entry product a*b once
+per distinct pair of entry objects, however many terms of the factors hold
+them, and shares it among all the bijections that match a with b.  It
+sorts the distinct entries once and works on their ranks, so all entries
+of one product, over every term of both factors, must come from one
+backend.  A formal sum keys its terms by sorted entry tuples, not by
+``Multiset`` objects.
 """
 
 from __future__ import annotations
@@ -208,38 +211,58 @@ def multiset_product(x: Multiset, y: Multiset,
         raise BudgetExceededError(
             f"product of cardinalities ({n},{m}) needs {count} intermediate "
             f"multisets, over the budget of {budget}")
-    return _product([(x.entries, y.entries, 1)])
+    return _product({x.entries: 1}, {y.entries: 1})
 
 
-def _product(pairs) -> "FormalSum":
-    """The sum of ``coeff`` times the product of the multisets with sorted
-    entries ``xs`` and ``ys``, over the ``(xs, ys, coeff)`` term pairs.
+def _product(left: dict, right: dict) -> "FormalSum":
+    """The bilinear product of two formal sums given as their term dicts
+    (sorted entry tuple -> coefficient).
 
-    Each entry product x_i * y_j is computed once, into cell i * m + j of
-    a flat n x m table, and shared by every partial bijection that matches
-    i with j.  Every distinct entry (inputs and entry products of all the
-    pairs) is sorted once and replaced by its rank, so each bijection sorts
-    and hashes a short tuple of ints; ranks preserve the element order, so
+    Every term of ``left`` meets every term of ``right``, so the entry
+    products needed are those of each distinct entry object of ``left``
+    with each of ``right``: each pair ``(id(a), id(b))`` is multiplied
+    once, into a flat table shared by all the term pairs and bijections
+    that match a with b (the entries stay alive for the call, so no id is
+    reused).  The distinct objects (entries and their products) are
+    sorted once by value and replaced by ranks, equal objects sharing
+    one, so each bijection sorts and hashes a short tuple of ints, and
     the entries of each resulting multiset come out sorted.  Entries must
     therefore all come from one backend (comparable under ``<``): mixing,
     say, words and matrices raises ``MismatchError``.
     """
-    flat = [[a * b for a in xs for b in ys] + list(xs) + list(ys)
-            for xs, ys, _ in pairs]
-    rank = dict.fromkeys(e for vals in flat for e in vals)
-    elems = sorted(rank)
-    for r, e in enumerate(elems):
-        rank[e] = r
+    lefts = {id(a): a for xs in left for a in xs}
+    rights = {id(b): b for ys in right for b in ys}
+    width = len(rights)
+    row = {ida: i * width for i, ida in enumerate(lefts)}
+    col = {idb: j for j, idb in enumerate(rights)}
+    table = [a * b for a in lefts.values() for b in rights.values()]
+    distinct = {id(e): e for e in table}
+    distinct.update(lefts)
+    distinct.update(rights)
+    rank = {}
+    elems = []
+    for e in sorted(distinct.values()):
+        if not elems or elems[-1] < e:
+            elems.append(e)
+        rank[id(e)] = len(elems) - 1
+    table = [rank[id(e)] for e in table]
+    right_terms = [([col[id(b)] for b in ys], [rank[id(b)] for b in ys], c)
+                   for ys, c in right.items()]
     acc: dict = {}
     get = acc.get
-    for vals, (xs, ys, coeff) in zip(flat, pairs):
-        ranked = [rank[e] for e in vals].__getitem__
-        for plan in _plans(len(xs), len(ys)):
-            key = tuple(sorted(map(ranked, plan)))
-            acc[key] = get(key, 0) + coeff
-    return FormalSum._trusted(
-        (Multiset._make(tuple(map(elems.__getitem__, key))), c)
-        for key, c in acc.items())
+    for xs, c1 in left.items():
+        rows = [row[id(a)] for a in xs]
+        xs_ranks = [rank[id(a)] for a in xs]
+        for cols, ys_ranks, c2 in right_terms:
+            ranked = ([table[r + j] for r in rows for j in cols]
+                      + xs_ranks + ys_ranks).__getitem__
+            coeff = c1 * c2
+            for plan in _plans(len(rows), len(cols)):
+                key = tuple(sorted(map(ranked, plan)))
+                acc[key] = get(key, 0) + coeff
+    return FormalSum._of_entries(
+        {tuple(map(elems.__getitem__, key)): coeff
+         for key, coeff in acc.items()})
 
 
 class FormalSum:
@@ -249,6 +272,10 @@ class FormalSum:
     Coefficients are arbitrary-precision integers; zero coefficients are
     never stored.  ``+``/``-`` are the module operations, ``int * sum``
     rescales, and ``sum * sum`` is the ring product extended bilinearly.
+    Terms are stored keyed by each multiset's sorted entry tuple, which is
+    exactly what ``Multiset`` hashes and compares; ``terms()``,
+    ``multisets()`` and ``coefficient`` speak in ``Multiset``s, built only
+    when they are called.
     """
 
     __slots__ = ("_terms",)
@@ -261,16 +288,18 @@ class FormalSum:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
             if coeff != 0:
-                clean[ms] = coeff
+                clean[ms.entries] = coeff
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, pairs) -> "FormalSum":
-        """The sum of ``(multiset, coeff)`` pairs with distinct canonical
-        multisets and int coefficients, as the product builds them: only
-        zero coefficients (terms that cancelled) are dropped."""
+    def _of_entries(cls, terms: dict) -> "FormalSum":
+        """The sum that takes over ``terms``, a dict from sorted entry
+        tuples to int coefficients, as the operations below build it; its
+        zero coefficients (terms that cancelled) are deleted."""
+        for key in [key for key, coeff in terms.items() if not coeff]:
+            del terms[key]
         obj = object.__new__(cls)
-        obj._terms = {ms: coeff for ms, coeff in pairs if coeff}
+        obj._terms = terms
         return obj
 
     @classmethod
@@ -287,14 +316,21 @@ class FormalSum:
         return cls({Multiset.empty(): 1})
 
     def coefficient(self, ms: Multiset) -> int:
-        return self._terms.get(ms, 0)
+        return self._terms.get(ms.entries, 0)
+
+    def entry_terms(self):
+        """``(entries, coeff)`` pairs, ``entries`` a multiset's sorted entry
+        tuple, in the canonical (cardinality, entries) order."""
+        return sorted(self._terms.items(),
+                      key=lambda kv: (len(kv[0]), kv[0]))
 
     def terms(self):
         """Term pairs in the canonical (cardinality, entries) order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        return [(Multiset._make(entries), coeff)
+                for entries, coeff in self.entry_terms()]
 
     def multisets(self):
-        return list(self._terms.keys())
+        return [Multiset._make(entries) for entries in self._terms]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -309,9 +345,9 @@ class FormalSum:
         if not isinstance(other, FormalSum):
             return NotImplemented
         acc = dict(self._terms)
-        for ms, coeff in other._terms.items():
-            acc[ms] = acc.get(ms, 0) + coeff
-        return FormalSum(acc)
+        for entries, coeff in other._terms.items():
+            acc[entries] = acc.get(entries, 0) + coeff
+        return FormalSum._of_entries(acc)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
@@ -319,10 +355,11 @@ class FormalSum:
         return self + (-other)
 
     def __neg__(self):
-        return FormalSum({ms: -c for ms, c in self._terms.items()})
+        return self.scale(-1)
 
     def scale(self, k: int) -> "FormalSum":
-        return FormalSum({ms: k * c for ms, c in self._terms.items()})
+        return FormalSum._of_entries(
+            {entries: k * c for entries, c in self._terms.items()})
 
     def __rmul__(self, k):
         if isinstance(k, int) and not isinstance(k, bool):
@@ -338,10 +375,10 @@ class FormalSum:
         """Apply ``fn`` to every entry of every multiset, re-canonicalize,
         and merge multisets that become equal (their coefficients add)."""
         acc: dict = {}
-        for ms, coeff in self._terms.items():
-            image = Multiset(fn(e) for e in ms.entries)
+        for entries, coeff in self._terms.items():
+            image = tuple(sorted(map(fn, entries)))
             acc[image] = acc.get(image, 0) + coeff
-        return FormalSum(acc)
+        return FormalSum._of_entries(acc)
 
     def __eq__(self, other):
         if not isinstance(other, FormalSum):
@@ -352,9 +389,9 @@ class FormalSum:
         if not self._terms:
             return "0"
         rendered = []
-        for ms, coeff in self._terms.items():
-            entry_strs = tuple(_render_entry(e) for e in ms.entries)
-            rendered.append(((len(ms), entry_strs), coeff))
+        for entries, coeff in self._terms.items():
+            entry_strs = tuple(_render_entry(e) for e in entries)
+            rendered.append(((len(entries), entry_strs), coeff))
         rendered.sort(key=lambda t: t[0])
         return " + ".join(_render_term(key[1], coeff)
                           for key, coeff in rendered)
@@ -367,9 +404,9 @@ class FormalSum:
         if not self._terms:
             return len("0") > limit
         total = -len(" + ")
-        for ms, coeff in self._terms.items():
+        for entries, coeff in self._terms.items():
             total += len(" + ") + len(
-                _render_term(map(_render_entry, ms.entries), coeff))
+                _render_term(map(_render_entry, entries), coeff))
             if total > limit:
                 return True
         return False
@@ -380,21 +417,20 @@ class FormalSum:
 
 def formal_product(left: FormalSum, right: FormalSum,
                    budget: int = DEFAULT_BUDGET) -> FormalSum:
-    """Bilinear extension of the multiset product.  The entries of every
-    term of both factors must come from one backend.
+    """Bilinear extension of the multiset product.  Each distinct pair of
+    entry objects is multiplied once, however many term pairs hold it
+    (the terms of a product result share their entry objects).  The
+    entries of every term of both factors must come from one backend.
 
     Refuses to start when the predicted number of intermediate multisets
     (summed over all term pairs) exceeds ``budget``.
     """
     predicted = 0
-    for ms1 in left._terms:
-        for ms2 in right._terms:
-            predicted += partial_bijection_count(len(ms1), len(ms2))
+    for xs in left._terms:
+        for ys in right._terms:
+            predicted += partial_bijection_count(len(xs), len(ys))
             if predicted > budget:
                 raise BudgetExceededError(
                     f"formal product predicts more than {budget} "
                     f"intermediate multisets")
-    return _product([(ms1.entries, ms2.entries, c1 * c2)
-                     for ms1, c1 in left._terms.items()
-                     for ms2, c2 in right._terms.items()])
-
+    return _product(left._terms, right._terms)

@@ -242,11 +242,11 @@ def form_on_sum(f: CentralFunction, s: FormalSum, *,
     ring = f.ring
     total = ring.zero()
     one = ring.one()
-    for ms, coeff in s.terms():
-        if len(ms) == 0:
+    for entries, coeff in s.entry_terms():
+        if not entries:
             total = total + coeff * one
             continue
-        total = total + coeff * ev.form(ms.entries)
+        total = total + coeff * ev.form(entries)
     return total
 
 

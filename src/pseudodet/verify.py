@@ -18,7 +18,8 @@ import time
 from itertools import permutations
 
 from .elements import LetterHom, Matrix, Word
-from .errors import CapExceededError, ConfigError, NotInvertibleError
+from .errors import (BudgetExceededError, CapExceededError, ConfigError,
+                     NotInvertibleError)
 from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, formal_product,
                         multiset_product)
 from .pseudochar import (DEFAULT_ORACLE_CAP, DEFAULT_REC_CAP, CentralFunction,
@@ -272,11 +273,17 @@ class CheckRecord(FrozenRecord):
 
 
 class SuiteReport(FrozenRecord):
-    __slots__ = _fields = ("suite", "config", "records", "duration_seconds")
+    """One suite's records; ``error`` is the text of a budget overrun that
+    stopped the suite (its records are then lost and it fails), else
+    None."""
+
+    __slots__ = _fields = ("suite", "config", "records", "duration_seconds",
+                           "error")
+    _defaults = {"error": None}
 
     @property
     def passed(self) -> bool:
-        return all(r.behaved for r in self.records)
+        return self.error is None and all(r.behaved for r in self.records)
 
     def counts(self) -> dict:
         return {
@@ -292,7 +299,7 @@ class SuiteReport(FrozenRecord):
                 for r in self.records if not r.behaved]
 
     def to_dict(self) -> dict:
-        return {
+        body = {
             "suite": self.suite,
             "config": self.config,
             "checks": [r.to_dict() for r in self.records],
@@ -301,6 +308,9 @@ class SuiteReport(FrozenRecord):
             "reproductions": self.reproductions(),
             "duration_seconds": self.duration_seconds,
         }
+        if self.error is not None:
+            body["error"] = self.error
+        return body
 
     def text_lines(self, quiet: bool = False) -> list:
         counts = self.counts()
@@ -311,6 +321,8 @@ class SuiteReport(FrozenRecord):
                 f"{counts['negative_controls']} negative controls) "
                 f"in {self.duration_seconds:.2f}s")
         lines = [head]
+        if self.error is not None:
+            lines.append(f"  ERROR: {self.error}")
         if not quiet:
             for r in self.records:
                 if not r.behaved:
@@ -618,12 +630,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     Deterministic given (suite, seed, config): trials draw from per-index
     substreams, so the report body never depends on timing or ordering.
+    A product over the budget stops the suite: its report then fails with
+    no records and the exception text as ``error``, and the caller goes
+    on with the next suite.
     """
     cfg.validate()
     start = time.perf_counter()
-    records = _SUITE_BODIES[cfg.suite](cfg)
+    try:
+        records, error = _SUITE_BODIES[cfg.suite](cfg), None
+    except BudgetExceededError as exc:
+        records, error = (), str(exc)
     duration = time.perf_counter() - start
-    return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration)
+    return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration, error)
 
 
 def cell_configs(ring: str, dim: int, **shared) -> list:

@@ -155,6 +155,15 @@ class TestMatrixFile:
         with pytest.raises(ConfigError):
             read_matrix_file(str(bad), QQ)
 
+    @pytest.mark.parametrize("text", ["0\n", "-1\n"])
+    def test_size_below_one_is_exit_two(self, text, tmp_path, capsys):
+        """A size-0 file used to raise a bare ValueError from ``Matrix``
+        and print a traceback."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["eval", "det", "--matrix", str(bad)]) == 2
+        assert_one_error_line(capsys.readouterr(), "size must be >= 1")
+
 
 class TestCheck:
     def test_suite_pass_exit_zero(self, capsys):
@@ -274,6 +283,43 @@ class TestCheck:
                    "--quiet"])
         assert rc == 0
         assert "1 suite(s)" in capsys.readouterr().out
+
+
+class TestBudgetErrorKeepsTheReport:
+    """A product over ``--budget`` fails its own suite, with the exception
+    text as ``"error"``; every other suite still runs and reports."""
+
+    def test_single_suite(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "assoc", "--budget", "30",
+                     "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "ERROR: formal product predicts more than 30" in captured.out
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False
+        (suite,) = doc["suites"]
+        assert suite["suite"] == "assoc" and suite["pass"] is False
+        assert suite["checks"] == [] and suite["reproductions"] == []
+        assert suite["error"] == ("formal product predicts more than 30 "
+                                  "intermediate multisets")
+
+    def test_check_all_runs_every_suite(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "all", "--budget", "30", "--trials", "2",
+                     "--quiet", "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL: 73 suite(s)" in captured.out
+        doc = json.loads(out.read_text())
+        suites = doc["suites"]
+        assert len(suites) == 73 and doc["pass"] is False
+        failed = [s for s in suites if "error" in s]
+        assert failed and all(s["suite"] == "assoc" and not s["pass"]
+                              for s in failed)
+        # the suites without an error carry no "error" key and still pass
+        assert all(s["pass"] for s in suites if "error" not in s)
+        assert sum(1 for s in suites if "error" not in s) > 60
 
 
 class TestConfigFile:

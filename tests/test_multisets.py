@@ -527,3 +527,106 @@ class TestRenderLengthExceeds:
         length = len(s.render())
         for limit in (-1, 0, length - 1, length, length + 1, 10**6):
             assert s.render_length_exceeds(limit) == (length > limit)
+
+
+class PairCountingWord(Word):
+    """A word whose products stay in the class and record the identities
+    of both factors, so products of products are counted too."""
+
+    __slots__ = ()
+    pairs: list = []
+
+    def __mul__(self, other):
+        PairCountingWord.pairs.append((id(self), id(other)))
+        return PairCountingWord._make(self.letters + other.letters)
+
+
+def pair_counting(*names):
+    return Multiset(PairCountingWord(name.split("*")) for name in names)
+
+
+_ASSOC_CASES = pytest.mark.parametrize("xs,ys,zs", [
+    (("x1", "x2"), ("y1", "y2"), ("z1", "z2")),
+    (("x1", "x2", "x3"), ("y1",), ("z1", "z2")),
+    # equal but distinct entries: two objects for the letter a
+    (("a", "a", "b"), ("a", "c"), ("a", "a*c")),
+], ids=["2-2-2", "3-1-2", "equal-entries"])
+
+
+class TestEntryProductsOncePerPair:
+    """In (x X y) X z the terms of x X y share their entry objects; each
+    distinct pair of entry objects is multiplied once per call."""
+
+    @_ASSOC_CASES
+    def test_each_pair_multiplied_once(self, xs, ys, zs):
+        x, y, z = pair_counting(*xs), pair_counting(*ys), pair_counting(*zs)
+        xy = multiset_product(x, y)
+        PairCountingWord.pairs = []
+        formal_product(xy, FormalSum.of(z))
+        calls = PairCountingWord.pairs
+        left = {id(e) for ms in xy.multisets() for e in ms.entries}
+        right = {id(e) for e in z.entries}
+        assert len(calls) == len(set(calls)) == len(left) * len(right)
+        assert set(calls) == {(a, b) for a in left for b in right}
+
+    @_ASSOC_CASES
+    def test_matches_the_definition(self, xs, ys, zs):
+        x, y, z = pair_counting(*xs), pair_counting(*ys), pair_counting(*zs)
+        got = formal_product(multiset_product(x, y), FormalSum.of(z))
+        assert got == reference_formal_product(reference_product(x, y),
+                                               FormalSum.of(z))
+
+
+class TestFormalSumPublicBehaviour:
+    """``FormalSum`` speaks in ``Multiset``s, whatever it stores."""
+
+    def sample(self):
+        return (FormalSum.of(letters("x", 2), 1)
+                + FormalSum.of(Multiset([word("b")]), -2)
+                + FormalSum.of(Multiset.empty(), 3)
+                + FormalSum.of(Multiset([word("a")]), 5))
+
+    def test_terms_are_multisets_in_canonical_order(self):
+        terms = self.sample().terms()
+        assert all(type(ms) is Multiset for ms, _ in terms)
+        assert [(ms.render(), c) for ms, c in terms] == [
+            ("{}", 3), ("{a}", 5), ("{b}", -2), ("{x1,x2}", 1)]
+        assert [ms for ms, _ in terms] == sorted(ms for ms, _ in terms)
+
+    def test_coefficient_and_multisets(self):
+        s = self.sample()
+        assert s.coefficient(Multiset([word("b")])) == -2
+        assert s.coefficient(Multiset([word("x2"), word("x1")])) == 1
+        assert s.coefficient(Multiset([word("c")])) == 0
+        assert all(type(ms) is Multiset for ms in s.multisets())
+        assert set(s.multisets()) == {ms for ms, _ in s.terms()}
+        assert {ms: s.coefficient(ms) for ms in s.multisets()} == \
+            dict(s.terms())
+
+    def test_product_equals_sum_built_from_multisets(self):
+        a, b = word("a"), word("b")
+        got = multiset_product(Multiset([a, a]), Multiset([b]))
+        assert got == FormalSum({
+            Multiset([a, a, b]): 1,
+            Multiset([word("a*b"), a]): 2,
+        })
+        assert FormalSum(dict(got.terms())) == got
+
+    def test_map_elements_merges_and_drops_cancelled_images(self):
+        m = Matrix(QQ, [[1, 1], [0, 1]])
+        hom = LetterHom({"x1": m, "x2": m, "x3": Matrix.identity(QQ, 2)})
+        s = (FormalSum.of(Multiset([word("x1"), word("x3")]), 2)
+             + FormalSum.of(Multiset([word("x3"), word("x2")]), -2)
+             + FormalSum.of(Multiset([word("x1")]), 1)
+             + FormalSum.of(Multiset([word("x2")]), 4))
+        assert s.map_elements(hom) == FormalSum.of(Multiset([m]), 5)
+        assert s.map_elements(hom).num_terms() == 1
+
+    def test_cancelled_terms_are_dropped(self):
+        s = self.sample()
+        assert (s - s).is_zero() and (s - s) == FormalSum.zero()
+        assert (0 * s).num_terms() == 0
+        t = s + FormalSum.of(Multiset([word("a")]), -5)
+        assert t.num_terms() == 3
+        assert Multiset([word("a")]) not in t.multisets()
+        assert t.render() == "3*{} + -2*{b} + 1*{x1,x2}"
