@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -173,11 +174,11 @@ def _run_check(args) -> int:
         report = run_suite(cfg)
         reports.append(report)
         for line in report.text_lines(quiet=args.quiet):
-            print(line)
+            _say(line)
     total = time.perf_counter() - start
     all_pass = all(r.passed for r in reports)
-    print(f"{'PASS' if all_pass else 'FAIL'}: {len(reports)} suite(s) "
-          f"in {total:.2f}s")
+    _say(f"{'PASS' if all_pass else 'FAIL'}: {len(reports)} suite(s) "
+         f"in {total:.2f}s")
 
     if args.json_path:
         document = {
@@ -215,13 +216,25 @@ def _run_eval(args) -> int:
         rendered = ring.render(determinant(f, x))
     else:
         rendered = char_poly(f, x).render()
-    print(rendered)
+    _say(rendered)
     if args.json_path:
         document = {"command": "eval", "what": args.what,
                     "ring": ring_spec, "dim": dim,
                     "matrix": x.render(), "result": rendered}
         _write_json(args.json_path, document)
     return 0
+
+
+def _say(line: str) -> None:
+    """Print one line of output.  Once the reader of stdout has gone (a
+    pipe into ``head``), stdout is pointed at the null device, so the run
+    still finishes, writes its JSON and exits with its verdict."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_json(path: str, document: dict) -> None:

@@ -218,10 +218,9 @@ def word(text: str) -> Word:
 class GroupTable(FrozenValue):
     """A finite group given by an explicit multiplication table.
 
-    File format: first line ``order n``, then n lines of n whitespace
-    separated 0-based indices; row i, column j holds the index of g_i * g_j,
-    and index 0 is the identity.  Identity behaviour and associativity are
-    validated on construction.
+    ``table`` is n rows of n 0-based indices; row i, column j holds the
+    index of g_i * g_j, and index 0 is the identity.  Identity behaviour and
+    associativity are validated on construction.
     """
 
     __slots__ = _fields = ("order", "table")
@@ -246,33 +245,6 @@ class GroupTable(FrozenValue):
                         raise GroupTableError(
                             f"associativity fails at ({i},{j},{k})")
         return cls._make(n, table)
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupTable":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise GroupTableError("empty group table")
-        head = lines[0].split()
-        if len(head) != 2 or head[0] != "order":
-            raise GroupTableError("first line must be 'order n'")
-        try:
-            n = int(head[1])
-        except ValueError:
-            raise GroupTableError(f"bad order {head[1]!r}") from None
-        if len(lines) != n + 1:
-            raise GroupTableError(f"expected {n} table rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            try:
-                rows.append([int(tok) for tok in ln.split()])
-            except ValueError:
-                raise GroupTableError(f"non-integer entry in row {ln!r}") from None
-        return cls(rows)
-
-    @classmethod
-    def load(cls, path) -> "GroupTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupTable":

@@ -205,13 +205,7 @@ def multiset_product(x: Multiset, y: Multiset,
                      budget: int = DEFAULT_BUDGET) -> "FormalSum":
     """The ring product of two multisets: the formal sum of ``product_along``
     over every partial bijection between their index sets."""
-    n, m = len(x), len(y)
-    count = partial_bijection_count(n, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"product of cardinalities ({n},{m}) needs {count} intermediate "
-            f"multisets, over the budget of {budget}")
-    return _product({x.entries: 1}, {y.entries: 1})
+    return formal_product(FormalSum.of(x), FormalSum.of(y), budget)
 
 
 def _product(left: dict, right: dict) -> "FormalSum":

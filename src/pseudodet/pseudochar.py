@@ -27,13 +27,13 @@ from itertools import permutations
 
 from .elements import GroupTable, Matrix
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
-from .multisets import FormalSum, Multiset, multiset_product
+from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .rings import FrozenRecord, FrozenValue, Ring
 
-#: Largest argument count the recursion accepts by default (8! leaf terms).
-DEFAULT_REC_CAP = 8
-#: Largest argument count the permutation cycle-sum accepts by default.
-DEFAULT_ORACLE_CAP = 7
+#: Largest argument count the recursion accepts (8! leaf terms).
+REC_CAP = 8
+#: Largest argument count the permutation sums accept.
+ORACLE_CAP = 7
 
 
 class CentralFunction:
@@ -42,17 +42,13 @@ class CentralFunction:
     ``evaluate`` must be pure.  When ``pseudocharacter=True`` the constructor
     eagerly checks that (dim!)^-1 exists in the scalar ring, which is part of
     the definition of a dimension-d pseudocharacter (and fails, for example,
-    for dimension 3 over Z/6Z).  ``rec_cap`` caps the argument count of
-    forms, ``oracle_cap`` that of permutation sums.
+    for dimension 3 over Z/6Z).
     """
 
-    __slots__ = ("_evaluate", "dim", "ring", "domain", "name", "rec_cap",
-                 "oracle_cap")
+    __slots__ = ("_evaluate", "dim", "ring", "domain", "name")
 
     def __init__(self, evaluate, dim: int, ring: Ring, *, domain: str = "R",
-                 name: str = "f", pseudocharacter: bool = False,
-                 rec_cap: int = DEFAULT_REC_CAP,
-                 oracle_cap: int = DEFAULT_ORACLE_CAP):
+                 name: str = "f", pseudocharacter: bool = False):
         if dim < 1:
             raise ValueError("dimension must be a positive integer")
         if pseudocharacter:
@@ -62,8 +58,6 @@ class CentralFunction:
         self.ring = ring
         self.domain = domain
         self.name = name
-        self.rec_cap = rec_cap
-        self.oracle_cap = oracle_cap
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -74,22 +68,22 @@ class CentralFunction:
 
 
 def matrix_trace(ring: Ring, size: int, dim: int | None = None, *,
-                 pseudocharacter: bool = True, **kwargs) -> CentralFunction:
+                 pseudocharacter: bool = True) -> CentralFunction:
     """The trace on size x size matrices, declared with dimension ``dim``
     (defaults to the matrix size, the honest choice)."""
     return CentralFunction(
         lambda m: m.trace(), dim if dim is not None else size, ring,
         domain=f"M{size}({ring.describe()})", name="trace",
-        pseudocharacter=pseudocharacter, **kwargs)
+        pseudocharacter=pseudocharacter)
 
 
-def regular_trace(group: GroupTable, ring: Ring, **kwargs) -> CentralFunction:
+def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
     """Trace of the left regular representation of a finite group: n times
     the coefficient of the identity.  A pseudocharacter of dimension n."""
     n = group.order
     return CentralFunction(
         lambda a: n * a.coefficient(0), n, ring,
-        domain=f"Q[G], |G|={n}", name="regular-trace", **kwargs)
+        domain=f"Q[G], |G|={n}", name="regular-trace")
 
 
 class _FormEvaluator:
@@ -145,7 +139,7 @@ class _FormEvaluator:
     def form(self, entries):
         """form_n of an argument tuple already in element order, as a
         scalar."""
-        _check_rec_cap(self.f, len(entries))
+        _check_rec_cap(len(entries))
         ring = self.ring
         return ring.cell_to_scalar(ring.reduce(
             self.value(tuple(map(self.intern, entries)))))
@@ -190,10 +184,10 @@ class _FormEvaluator:
         return result
 
 
-def _check_rec_cap(f: CentralFunction, n: int) -> None:
-    if n > f.rec_cap:
+def _check_rec_cap(n: int) -> None:
+    if n > REC_CAP:
         raise CapExceededError(
-            f"{n} arguments exceed the recursion cap of {f.rec_cap}")
+            f"{n} arguments exceed the recursion cap of {REC_CAP}")
 
 
 def _recursive_form_plain(f: CentralFunction, seq: tuple):
@@ -226,7 +220,7 @@ def recursive_form(f: CentralFunction, args, *, memoized: bool = True):
         raise ValueError("form of zero arguments: use form_on_sum on the "
                          "empty multiset, whose value is 1")
     if not memoized:
-        _check_rec_cap(f, n)
+        _check_rec_cap(n)
         return _recursive_form_plain(f, seq)
     return _FormEvaluator(f).form(sorted(seq))
 
@@ -283,9 +277,9 @@ def cycle_sum_form(f: CentralFunction, args):
     n = len(seq)
     if n == 0:
         raise ValueError("cycle sum needs at least one argument")
-    if n > f.oracle_cap:
+    if n > ORACLE_CAP:
         raise CapExceededError(
-            f"{n} arguments exceed the cycle-sum cap of {f.oracle_cap} "
+            f"{n} arguments exceed the cycle-sum cap of {ORACLE_CAP} "
             f"({n}! permutations)")
     total = f.ring.zero()
     for perm in permutations(range(n)):
@@ -386,17 +380,17 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
 
 
 def product_formula_check(f: CentralFunction, x: Multiset, y: Multiset,
-                          budget=None):
+                          budget: int = DEFAULT_BUDGET):
     """Compare form(x ring-product y) with form(x) * form(y).
 
     The equality holds for every central f (no pseudocharacter hypothesis);
     both sides are computed through one shared evaluator cache.
     """
-    kwargs = {} if budget is None else {"budget": budget}
     ev = _FormEvaluator(f)
-    lhs = form_on_sum(f, multiset_product(x, y, **kwargs), _evaluator=ev)
-    rhs = (form_on_sum(f, FormalSum.of(x), _evaluator=ev)
-           * form_on_sum(f, FormalSum.of(y), _evaluator=ev))
+    sx, sy = FormalSum.of(x), FormalSum.of(y)
+    lhs = form_on_sum(f, formal_product(sx, sy, budget), _evaluator=ev)
+    rhs = (form_on_sum(f, sx, _evaluator=ev)
+           * form_on_sum(f, sy, _evaluator=ev))
     return lhs, rhs, lhs == rhs
 
 
@@ -408,9 +402,9 @@ def degree_product_check(f: CentralFunction, xs, ys):
     d = f.dim
     if len(xs) != d or len(ys) != d:
         raise ValueError(f"need two tuples of exactly dim={d} elements")
-    if d > f.oracle_cap:
+    if d > ORACLE_CAP:
         raise CapExceededError(
-            f"dimension {d} exceeds the permutation cap of {f.oracle_cap}")
+            f"dimension {d} exceeds the permutation cap of {ORACLE_CAP}")
     ev = _FormEvaluator(f)
     lhs = ev.form(sorted(xs)) * ev.form(sorted(ys))
     rhs = f.ring.zero()
@@ -509,20 +503,16 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     return CharPoly(ring, tuple(coeffs))
 
 
-def char_poly_interpolated(f: CentralFunction, x, points=None) -> CharPoly:
+def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     """Cross-check path for ``char_poly``: evaluate det on the pencil t - x
-    at d+1 scalar points and Lagrange-interpolate the coefficients.
+    at the d+1 points t = 0..d and Lagrange-interpolate the coefficients.
 
-    Uses scalar division, so the modular backend needs the point
-    differences to be invertible (any d+1 distinct points mod a prime).
+    Uses scalar division by differences of those points, integers of
+    absolute value at most d; they are units because d! is invertible.
     """
     d = f.dim
     ring = f.ring
-    if points is None:
-        points = [ring.from_int(j) for j in range(d + 1)]
-    points = list(points)
-    if len(points) != d + 1:
-        raise ValueError(f"need exactly {d + 1} interpolation points")
+    points = [ring.from_int(j) for j in range(d + 1)]
     identity = x.one()
     neg = -x
     values = [determinant(f, identity.scale(t) + neg) for t in points]

@@ -20,10 +20,9 @@ from itertools import permutations
 from .elements import LetterHom, Matrix, Word
 from .errors import (BudgetExceededError, CapExceededError, ConfigError,
                      NotInvertibleError)
-from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, formal_product,
-                        multiset_product)
-from .pseudochar import (DEFAULT_ORACLE_CAP, DEFAULT_REC_CAP, CentralFunction,
-                         CharPoly, char_poly, char_poly_interpolated,
+from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
+from .pseudochar import (ORACLE_CAP, REC_CAP, CentralFunction, CharPoly,
+                         char_poly, char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -173,9 +172,6 @@ def char_poly_leibniz(matrix: Matrix) -> tuple:
 # ---------------------------------------------------------------------------
 # configuration and reports
 
-SUITE_NAMES = ("assoc", "functoriality", "product-formula", "degree-d",
-               "det-mult", "charpoly", "taylor-equiv", "pseudochar-axioms")
-
 #: Suites that require the pseudocharacter hypothesis (and hence an
 #: invertible dim! in the scalar ring).
 _PSEUDO_SUITES = {"degree-d", "det-mult", "charpoly", "pseudochar-axioms"}
@@ -232,10 +228,10 @@ class SuiteConfig(FrozenRecord):
                 ring.inverse_of_factorial(self.dimension)
             except NotInvertibleError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.suite == "degree-d" and self.dimension > DEFAULT_ORACLE_CAP:
+        if self.suite == "degree-d" and self.dimension > ORACLE_CAP:
             raise ConfigError(
                 f"degree-d needs dim! permutations; dim {self.dimension} "
-                f"exceeds the cap of {DEFAULT_ORACLE_CAP}")
+                f"exceeds the cap of {ORACLE_CAP}")
         if self.suite in ("det-mult", "charpoly") and self.size > _LEIBNIZ_CAP:
             raise ConfigError(
                 f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
@@ -246,14 +242,14 @@ class SuiteConfig(FrozenRecord):
         # only two suites can reach the cap: det (dim), vanishing (dim + 1)
         args = {"det-mult": self.dimension,
                 "pseudochar-axioms": self.dimension + 1}.get(self.suite, 0)
-        if args > DEFAULT_REC_CAP:
+        if args > REC_CAP:
             raise ConfigError(
                 f"{self.suite} evaluates forms of up to {args} arguments, "
-                f"more than the recursion cap of {DEFAULT_REC_CAP}")
+                f"more than the recursion cap of {REC_CAP}")
 
     def echo(self) -> dict:
         return {**self.fields(), "dim": self.dimension,
-                "rec_cap": DEFAULT_REC_CAP, "oracle_cap": DEFAULT_ORACLE_CAP,
+                "rec_cap": REC_CAP, "oracle_cap": ORACLE_CAP,
                 "word_card": WORD_CARD, "pair_sum": PAIR_SUM,
                 "taylor_max_n": TAYLOR_MAX_N}
 
@@ -399,10 +395,9 @@ def _letters(prefix: str, count: int) -> Multiset:
 
 def _assoc_sides(x, y, z, budget=DEFAULT_BUDGET):
     """(x X y) X z and x X (y X z)."""
-    return (formal_product(multiset_product(x, y, budget), FormalSum.of(z),
-                           budget),
-            formal_product(FormalSum.of(x), multiset_product(y, z, budget),
-                           budget))
+    x, y, z = map(FormalSum.of, (x, y, z))
+    return (formal_product(formal_product(x, y, budget), z, budget),
+            formal_product(x, formal_product(y, z, budget), budget))
 
 
 def _suite_assoc(cfg: SuiteConfig) -> list:
@@ -436,14 +431,16 @@ def _suite_assoc(cfg: SuiteConfig) -> list:
 _HOM_ALPHABET = ("a", "b", "c", "d")
 
 
-def _random_word_sum(rng, max_terms=3, max_card=2, coeff_bound=3) -> FormalSum:
+def _random_word_sum(rng) -> FormalSum:
+    """1 to 3 terms: multisets of 0 to 2 words of length at most 2, with
+    nonzero coefficients in [-3, 3]."""
     acc = FormalSum.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        card = rng.randint(0, max_card)
+    for _ in range(rng.randint(1, 3)):
+        card = rng.randint(0, 2)
         ms = Multiset(random_word(rng, _HOM_ALPHABET, 2) for _ in range(card))
         coeff = 0
         while coeff == 0:
-            coeff = rng.randint(-coeff_bound, coeff_bound)
+            coeff = rng.randint(-3, 3)
         acc = acc + FormalSum.of(ms, coeff)
     return acc
 
@@ -623,6 +620,7 @@ _SUITE_BODIES = {
     "taylor-equiv": _suite_taylor_equiv,
     "pseudochar-axioms": _suite_pseudochar_axioms,
 }
+SUITE_NAMES = tuple(_SUITE_BODIES)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -650,13 +648,9 @@ def cell_configs(ring: str, dim: int, **shared) -> list:
             for suite in SUITE_NAMES]
 
 
-def default_all_configs(*, seed: int = SuiteConfig._defaults["seed"],
-                        trials: int = SuiteConfig._defaults["trials"],
-                        bound: int = SuiteConfig._defaults["bound"],
-                        budget: int = SuiteConfig._defaults["budget"]) -> list:
+def default_all_configs(**shared) -> list:
     """The default verification matrix: every matrix suite on each
     (dimension, ring) cell, plus the exhaustive word associativity suite."""
-    shared = dict(seed=seed, trials=trials, bound=bound, budget=budget)
     configs = [SuiteConfig("assoc", ring="words", **shared)]
     for ring in ("rational", "mod:7", "mod:101"):
         for dim in (1, 2, 3):

@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: exit codes, outputs, JSON reports, config."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +287,42 @@ class TestCheck:
                    "--quiet"])
         assert rc == 0
         assert "1 suite(s)" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    """A reader that quits early (``check all ... | head -1``) must not
+    cost the report: the run goes on, writes its JSON and exits with the
+    suites' verdict."""
+
+    ARGV = ["check", "all", "--seed", "42", "--trials", "2", "--quiet"]
+
+    def test_head_one_keeps_the_json(self, tmp_path, capsys):
+        unpiped = tmp_path / "unpiped.json"
+        verdict = main(self.ARGV + ["--json", str(unpiped)])
+        capsys.readouterr()
+        piped = tmp_path / "piped.json"
+        src = Path(__file__).resolve().parent.parent / "src"
+        # unbuffered, so each line reaches the pipe when it is printed
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        with subprocess.Popen(
+                [sys.executable, "-m", "pseudodet.cli", *self.ARGV,
+                 "--json", str(piped)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert proc.stdout.readline().startswith(b"suite assoc")
+            proc.stdout.close()  # the reader quits; 72 suites still to run
+            rc = proc.wait(timeout=120)
+            err = proc.stderr.read().decode()
+        assert rc == verdict == 0
+        assert "error:" not in err and "Traceback" not in err, err
+        assert stripped_json(piped) == stripped_json(unpiped)
+
+    def test_json_into_a_missing_directory_is_exit_two(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["check", "assoc", "--trials", "1", "--json",
+                     str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), "No such file")
 
 
 class TestBudgetErrorKeepsTheReport:

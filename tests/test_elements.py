@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodet import (GroupAlgebraElement, GroupTable, GroupTableError,
-                       LetterHom, Matrix, MismatchError, ModRing, Poly, QPOLY,
-                       QQ, UnitlessError, UnknownLetterError, Word, word)
+from pseudodet import (FormalSum, GroupAlgebraElement, GroupTable,
+                       GroupTableError, LetterHom, Matrix, MismatchError,
+                       ModRing, Multiset, Poly, QPOLY, QQ, UnitlessError,
+                       UnknownLetterError, Word, word)
 from pseudodet.verify import random_matrix, random_word, substream
 
 from conftest import s3_table
@@ -37,6 +38,29 @@ class TestElementMul:
     def test_cross_backend_mismatch(self):
         with pytest.raises(MismatchError):
             word("a") * Matrix(QQ, [[1]])  # type: ignore[operator]
+
+
+class TestMatrixEqualityAcrossRingObjects:
+    """``ModRing(7) is ModRing(7)`` is False, so matrices over two equal
+    rings compare through the ring keys, not the ring objects."""
+
+    def test_equal_rings_give_equal_matrices(self):
+        r1, r2 = ModRing(7), ModRing(7)
+        assert r1 is not r2
+        a = Matrix(r1, [[1, 2], [3, 4]])
+        b = Matrix(r2, [[1, 2], [3, 4]])
+        assert a == b and b == a and hash(a) == hash(b)
+        total = FormalSum.of(Multiset([a])) + FormalSum.of(Multiset([b]))
+        assert total.num_terms() == 1
+        assert total.coefficient(Multiset([a])) == 2
+
+    def test_same_residues_mod_7_and_11_differ(self):
+        a = Matrix(ModRing(7), [[1, 2], [3, 4]])
+        b = Matrix(ModRing(11), [[1, 2], [3, 4]])
+        assert a.rows == b.rows
+        assert a != b and b != a
+        assert len(FormalSum.of(Multiset([a]))
+                   + FormalSum.of(Multiset([b]))) == 2
 
 
 def _dot_product(a, b):
@@ -201,14 +225,6 @@ def test_word_has_no_unit():
 
 
 class TestGroupTable:
-    def test_parse_and_load(self, tmp_path):
-        text = "order 2\n0 1\n1 0\n"
-        table = GroupTable.parse(text)
-        assert table.order == 2 and table.mul(1, 1) == 0
-        path = tmp_path / "c2.txt"
-        path.write_text(text)
-        assert GroupTable.load(path) == table
-
     def test_identity_validation(self):
         with pytest.raises(GroupTableError):
             GroupTable([[1, 0], [0, 1]])  # index 0 not the identity
@@ -224,14 +240,6 @@ class TestGroupTable:
         ]
         with pytest.raises(GroupTableError, match="associativity"):
             GroupTable(square)
-
-    def test_malformed_files(self):
-        with pytest.raises(GroupTableError):
-            GroupTable.parse("2\n0 1\n1 0\n")
-        with pytest.raises(GroupTableError):
-            GroupTable.parse("order 3\n0 1\n1 0\n")
-        with pytest.raises(GroupTableError):
-            GroupTable.parse("order 2\n0 1\n1 x\n")
 
     def test_s3_is_valid(self, s3):
         assert s3.order == 6

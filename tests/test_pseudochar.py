@@ -36,11 +36,11 @@ def form3_oracle(f, x1, x2, x3):
             + f(x1 * x3 * x2))
 
 
-def symbolic_word_function(cap=8):
+def symbolic_word_function():
     """f sending each word to its own polynomial variable; evaluating the
     recursion with it yields the literal formal expansion."""
     return CentralFunction(lambda w: Poly.variable(f"f[{w.render()}]"), 1,
-                           QPOLY, name="formal", rec_cap=cap)
+                           QPOLY, name="formal")
 
 
 def necklace_function():
@@ -105,28 +105,22 @@ class TestRecursiveForm:
             recursive_form(f, ())
 
     def test_cap(self):
+        """The cap is checked before any evaluation, so 9 arguments fail
+        at once on both routes."""
         f = matrix_trace(QQ, 2)
         eye = Matrix.identity(QQ, 2)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="recursion cap of 8"):
             recursive_form(f, (eye,) * 9)
-        g = matrix_trace(QQ, 2, rec_cap=3)
-        with pytest.raises(CapExceededError):
-            recursive_form(g, (eye,) * 4)
-        with pytest.raises(CapExceededError):
-            recursive_form(g, (eye,) * 4, memoized=False)
+        with pytest.raises(CapExceededError, match="recursion cap of 8"):
+            recursive_form(f, (eye,) * 9, memoized=False)
 
     def test_cap_holds_on_every_entry(self):
-        """char_poly and degree_product_check evaluate forms of dim
-        arguments without recursive_form; the cap still applies."""
+        """char_poly evaluates forms of dim arguments without
+        recursive_form; the cap still applies."""
         eye = Matrix.identity(QQ, 2)
         f = matrix_trace(QQ, 2, 9)
         with pytest.raises(CapExceededError, match="recursion cap of 8"):
             char_poly(f, eye)
-        g = matrix_trace(QQ, 2, 3, rec_cap=2)
-        with pytest.raises(CapExceededError, match="recursion cap of 2"):
-            char_poly(g, eye)
-        with pytest.raises(CapExceededError, match="recursion cap of 2"):
-            degree_product_check(g, (eye,) * 3, (eye,) * 3)
 
 
 class TestSymmetry:
@@ -228,8 +222,8 @@ class TestFormOnSum:
             assert value == f(x) * f(y)
 
     def test_cap_on_large_multiset(self):
-        f = matrix_trace(QQ, 2, rec_cap=3)
-        ms = Multiset(rand_mats(370, 4))
+        f = matrix_trace(QQ, 2)
+        ms = Multiset(rand_mats(370, 9))
         with pytest.raises(CapExceededError):
             form_on_sum(f, FormalSum.of(ms))
 
@@ -668,12 +662,6 @@ class TestCharPoly:
                 for t in range(5):
                     x = rand_mats(520 + 10 * d + t, 1, ring=ring, size=d)[0]
                     assert char_poly(f, x) == char_poly_interpolated(f, x)
-
-    def test_interpolation_point_count_enforced(self):
-        f = matrix_trace(QQ, 2)
-        x = Matrix.identity(QQ, 2)
-        with pytest.raises(ValueError):
-            char_poly_interpolated(f, x, points=[0, 1])
 
     def test_trace_roundtrip_report(self):
         f = matrix_trace(QQ, 3)

@@ -73,8 +73,7 @@ def _equal_pairs():
         ("Matrix._make", Matrix(QQ, [[1, 2], [0, 1]]),
          Matrix._make(QQ, 2, ((1, 2), (0, 1)))),
         ("Word", Word(["a", "b"]), word("a") * word("b")),
-        ("GroupTable", GroupTable([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
-         GroupTable.parse("order 3\n0 1 2\n1 2 0\n2 0 1\n")),
+        ("GroupTable", GroupTable([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), C3),
         ("GroupAlgebraElement", GroupAlgebraElement(C3, QQ, [0, 0, 1]),
          g1 * g1),
         ("Multiset", Multiset([word("b"), word("a")]),
