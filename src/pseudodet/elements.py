@@ -51,7 +51,7 @@ class Matrix(FrozenValue):
             return
         if not isinstance(other, Matrix):
             raise MismatchError(f"expected a matrix, got {other!r}")
-        if self.ring.key() != other.ring.key():
+        if self.ring != other.ring:
             raise MismatchError(
                 f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}")
         if self.n != other.n:
@@ -134,7 +134,7 @@ class Matrix(FrozenValue):
             return NotImplemented
         if other.ring is self.ring:
             return self.rows == other.rows
-        return (self.n == other.n and self.ring.key() == other.ring.key()
+        return (self.n == other.n and self.ring == other.ring
                 and self.rows == other.rows)
 
     def __lt__(self, other):
@@ -142,9 +142,6 @@ class Matrix(FrozenValue):
         return self.rows < other.rows
 
     __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return self.ring.key(), self.rows
 
     def render(self) -> str:
         rc = self.ring.render_cell
@@ -185,11 +182,6 @@ class Word(FrozenValue):
     def __len__(self):
         return len(self.letters)
 
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
     def __lt__(self, other):
         if not isinstance(other, Word):
             raise MismatchError(f"expected a word, got {other!r}")
@@ -197,11 +189,6 @@ class Word(FrozenValue):
         if len(a) != len(b):
             return len(a) < len(b)
         return a < b
-
-    __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return "word", self.letters
 
     def render(self) -> str:
         return "*".join(self.letters)
@@ -253,14 +240,6 @@ class GroupTable(FrozenValue):
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def __eq__(self, other):
-        return isinstance(other, GroupTable) and self.table == other.table
-
-    __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return self.table
-
     def __repr__(self):
         return f"GroupTable(order={self.order})"
 
@@ -297,7 +276,7 @@ class GroupAlgebraElement(FrozenValue):
             raise MismatchError(f"expected a group-algebra element, got {other!r}")
         if self.group is not other.group and self.group != other.group:
             raise MismatchError("group mismatch")
-        if self.ring.key() != other.ring.key():
+        if self.ring != other.ring:
             raise MismatchError(
                 f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}")
 
@@ -343,19 +322,9 @@ class GroupAlgebraElement(FrozenValue):
     def coefficient(self, index: int):
         return self.ring.cell_to_scalar(self.coeffs[index])
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self._key() == other._key()
-
     def __lt__(self, other):
         self._check_peer(other)
         return self.coeffs < other.coeffs
-
-    __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return self.ring.key(), self.group.table, self.coeffs
 
     def render(self) -> str:
         rc = self.ring.render_cell

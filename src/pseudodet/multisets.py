@@ -33,7 +33,7 @@ import math
 from itertools import combinations, permutations
 
 from .errors import BudgetExceededError
-from .rings import FrozenRecord, FrozenValue
+from .rings import FrozenValue
 
 #: Default ceiling on the number of intermediate multisets a single formal
 #: product may create; the count grows superexponentially in cardinalities.
@@ -60,21 +60,11 @@ class Multiset(FrozenValue):
     def __len__(self):
         return len(self.entries)
 
-    def __eq__(self, other):
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self.entries == other.entries
-
     def __lt__(self, other):
         a, b = self.entries, other.entries
         if len(a) != len(b):
             return len(a) < len(b)
         return a < b
-
-    __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return self.entries
 
     def render(self) -> str:
         return "{" + ",".join(_render_entry(e) for e in self.entries) + "}"
@@ -96,7 +86,7 @@ def _render_term(entry_strs, coeff) -> str:
     return f"{coeff}*{{{','.join(entry_strs)}}}"
 
 
-class PartialBijection(FrozenRecord):
+class PartialBijection(FrozenValue):
     """A triple (I, J, alpha): I in [1..n], J in [1..m], alpha: I -> J.
 
     ``pairs`` holds (i, alpha(i)) sorted by i; all i are distinct and all

@@ -28,7 +28,7 @@ from itertools import permutations
 from .elements import GroupTable, Matrix
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
-from .rings import FrozenRecord, FrozenValue, Ring
+from .rings import FrozenValue, Ring
 
 #: Largest argument count the recursion accepts (8! leaf terms).
 REC_CAP = 8
@@ -87,7 +87,7 @@ def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
 
 
 class _FormEvaluator:
-    """Shared per-evaluation state; ``form`` is the only entry point.
+    """Per-evaluation state; ``form`` and ``on_sum`` are the entry points.
 
     Each distinct element is interned once to an int id: ``ids`` maps its
     intern key (a matrix's ``rows``, any other element itself) to the id,
@@ -143,6 +143,18 @@ class _FormEvaluator:
         ring = self.ring
         return ring.cell_to_scalar(ring.reduce(
             self.value(tuple(map(self.intern, entries)))))
+
+    def on_sum(self, s: FormalSum):
+        """``form_on_sum`` of ``s``, through this evaluator's caches."""
+        ring = self.ring
+        total = ring.zero()
+        one = ring.one()
+        for entries, coeff in s.entry_terms():
+            if not entries:
+                total = total + coeff * one
+                continue
+            total = total + coeff * self.form(entries)
+        return total
 
     def value(self, key: tuple):
         """The cell of form_n on the multiset with memo key ``key``
@@ -225,23 +237,13 @@ def recursive_form(f: CentralFunction, args, *, memoized: bool = True):
     return _FormEvaluator(f).form(sorted(seq))
 
 
-def form_on_sum(f: CentralFunction, s: FormalSum, *,
-                _evaluator: _FormEvaluator | None = None):
+def form_on_sum(f: CentralFunction, s: FormalSum):
     """Linear extension of the forms to a formal sum of multisets.
 
     Each multiset contributes its coefficient times form_|ms|(ms); the empty
     multiset contributes its coefficient times 1.
     """
-    ev = _evaluator if _evaluator is not None else _FormEvaluator(f)
-    ring = f.ring
-    total = ring.zero()
-    one = ring.one()
-    for entries, coeff in s.entry_terms():
-        if not entries:
-            total = total + coeff * one
-            continue
-        total = total + coeff * ev.form(entries)
-    return total
+    return _FormEvaluator(f).on_sum(s)
 
 
 def _cycles(perm: tuple) -> list:
@@ -299,11 +301,11 @@ def cycle_sum_form(f: CentralFunction, args):
 # ---------------------------------------------------------------------------
 # checks
 
-class CheckEntry(FrozenRecord):
+class CheckEntry(FrozenValue):
     __slots__ = _fields = ("name", "detail", "ok")
 
 
-class CheckReport(FrozenRecord):
+class CheckReport(FrozenValue):
     __slots__ = _fields = ("entries",)
 
     @property
@@ -388,9 +390,8 @@ def product_formula_check(f: CentralFunction, x: Multiset, y: Multiset,
     """
     ev = _FormEvaluator(f)
     sx, sy = FormalSum.of(x), FormalSum.of(y)
-    lhs = form_on_sum(f, formal_product(sx, sy, budget), _evaluator=ev)
-    rhs = (form_on_sum(f, sx, _evaluator=ev)
-           * form_on_sum(f, sy, _evaluator=ev))
+    lhs = ev.on_sum(formal_product(sx, sy, budget))
+    rhs = ev.on_sum(sx) * ev.on_sum(sy)
     return lhs, rhs, lhs == rhs
 
 
@@ -447,7 +448,7 @@ def identity_padding_check(f: CentralFunction, x, n: int):
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
-class CharPoly(FrozenRecord):
+class CharPoly(FrozenValue):
     """Scalar coefficients c_0..c_d of det(t - x), lowest degree first."""
 
     __slots__ = _fields = ("ring", "coefficients")
@@ -464,13 +465,6 @@ class CharPoly(FrozenRecord):
         if self.degree < 1:
             raise ValueError("degree-0 polynomial has no trace coefficient")
         return -self.coefficients[-2]
-
-    def __eq__(self, other):
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    __hash__ = FrozenValue.__hash__
 
     def render(self) -> str:
         parts = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import MismatchError, NotInvertibleError
 
@@ -39,67 +39,40 @@ def _as_rational(value):
 
 
 class FrozenValue:
-    """Base class of the package's immutable values.
+    """Base class of the package's immutable values, records and ring
+    descriptors.
 
     A subclass names its attributes in ``_fields``, which is also its
-    ``__slots__``.  ``_make`` sets them in that order without validation;
-    public constructors validate, then call it.  Any later assignment or
-    deletion raises.  ``__hash__`` hashes ``_key()`` once and caches it in
-    the ``_hash`` slot.  A subclass that defines ``__eq__`` must re-bind
+    ``__slots__``.  Calling the class builds a value from the fields, by
+    position or keyword; ``_defaults`` fills the ones left out, and
+    ``_validate`` may refuse the new value.  ``_make`` sets the fields in
+    order without validation; a subclass with its own constructor
+    validates, then calls it.  Any later assignment or deletion raises.
+
+    Two values are equal when they are of the same class and their
+    ``_key``s are equal; the hash is that of ``_key``, computed once and
+    cached in the ``_hash`` slot.  ``_key`` is the field (one field) or
+    the tuple of fields, read by a per-class ``operator.attrgetter``
+    property.  A subclass that defines ``__eq__`` must re-bind
     ``__hash__ = FrozenValue.__hash__``: defining ``__eq__`` alone sets
     ``__hash__`` to None.
+
+    It stands in for ``dataclasses``, whose import (with ``inspect``,
+    ``ast`` and ``dis``) adds about 0.8 MB to every process that imports
+    the package; the values need none of its other features.
     """
 
     __slots__ = ("_hash",)
     _fields = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
         # (position, slot setter) pairs: the setters write past __setattr__,
         # and indexing by position is cheaper than a zip in every _make.
         cls._setters = tuple(enumerate(getattr(cls, name).__set__
                                        for name in cls._fields))
-
-    @classmethod
-    def _make(cls, *values):
-        obj = object.__new__(cls)
-        _set_hash(obj, None)
-        for i, setter in cls._setters:
-            setter(obj, values[i])
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self):
-        raise NotImplementedError
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            _set_hash(self, h)
-        return h
-
-
-_set_hash = FrozenValue._hash.__set__
-
-
-class FrozenRecord(FrozenValue):
-    """A FrozenValue built by calling its class with the fields, by
-    position or keyword; ``_defaults`` fills the ones left out, and
-    ``_validate`` may refuse the new record.  Two records are equal when
-    they are of the same class and their fields are equal.
-
-    It stands in for ``dataclasses``, whose import (with ``inspect``,
-    ``ast`` and ``dis``) adds about 0.8 MB to every process that imports
-    the package; the records need none of its other features.
-    """
-
-    __slots__ = ()
-    _defaults: dict = {}
+        cls._key = property(attrgetter(*cls._fields) if cls._fields
+                            else lambda self: ())
 
     def __new__(cls, *args, **kwargs):
         values = dict(cls._defaults)
@@ -112,26 +85,45 @@ class FrozenRecord(FrozenValue):
         obj._validate()
         return obj
 
+    @classmethod
+    def _make(cls, *values):
+        obj = object.__new__(cls)
+        _set_hash(obj, None)
+        for i, setter in cls._setters:
+            setter(obj, values[i])
+        return obj
+
     def _validate(self) -> None:
         pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def fields(self) -> dict:
         """The fields by name, in declaration order."""
         return {name: getattr(self, name) for name in self._fields}
 
-    def _key(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
-    __hash__ = FrozenValue.__hash__
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
         return f"{type(self).__name__}({fields})"
+
+
+_set_hash = FrozenValue._hash.__set__
 
 
 class Residue(FrozenValue):
@@ -213,16 +205,7 @@ class Residue(FrozenValue):
             return NotImplemented
         return self.value == o.value
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.value < o.value
-
     __hash__ = FrozenValue.__hash__
-
-    def _key(self):
-        return self.modulus, self.value
 
     def __repr__(self):
         return f"{self.value} mod {self.modulus}"
@@ -265,19 +248,18 @@ class Poly(FrozenValue):
     __slots__ = _fields = ("terms",)
 
     def __new__(cls, terms):
-        return cls._make(tuple(terms))
-
-    @classmethod
-    def _from_dict(cls, d) -> "Poly":
-        """The Poly of a dict of monomials to coefficients of any type;
-        each coefficient is checked to be rational."""
-        items = []
-        for mono, coeff in d.items():
+        """The canonical Poly of ``(monomial, coefficient)`` pairs in any
+        order: each coefficient checked to be rational, each monomial's
+        pairs sorted (a repeated variable's exponents added), and the
+        coefficients of a repeated monomial added."""
+        acc = {}
+        for mono, coeff in terms:
             coeff = _as_rational(coeff)
-            if coeff != 0:
-                items.append((mono, coeff))
-        items.sort(key=lambda t: t[0])
-        return cls._make(tuple(items))
+            if any(e < 1 for _, e in mono):
+                raise ValueError(f"exponents must be >= 1 in {mono!r}")
+            mono = _monomial_mul((), mono)
+            acc[mono] = acc.get(mono, 0) + coeff
+        return _canonical(acc)
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -358,9 +340,6 @@ class Poly(FrozenValue):
 
     __hash__ = FrozenValue.__hash__
 
-    def _key(self):
-        return self.terms
-
     def __repr__(self):
         return self.render()
 
@@ -379,8 +358,9 @@ class Poly(FrozenValue):
         return " + ".join(parts)
 
 
-class Ring:
-    """Descriptor of a scalar backend.
+class Ring(FrozenValue):
+    """Descriptor of a scalar backend: an immutable value, equal to another
+    of the same backend (and modulus).
 
     ``cell`` values are the internal representation used for matrix and
     group-algebra entries; for the rational and polynomial backends they are
@@ -388,10 +368,8 @@ class Ring:
     integers (wrapped into :class:`Residue` only at the scalar boundary).
     """
 
+    __slots__ = ()
     kind = "abstract"
-
-    def key(self):
-        raise NotImplementedError
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -430,12 +408,6 @@ class Ring:
     def render_cell(self, cell) -> str:
         return str(cell)
 
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return self.describe()
 
@@ -446,10 +418,8 @@ class Ring:
 class RationalRing(Ring):
     """Exact rationals: plain ints plus fractions.Fraction."""
 
+    __slots__ = ()
     kind = "rational"
-
-    def key(self):
-        return ("rational",)
 
     def from_int(self, n: int):
         return n
@@ -469,15 +439,12 @@ class RationalRing(Ring):
 class ModRing(Ring):
     """Integers mod m; cells are canonical representatives in [0, m)."""
 
+    __slots__ = _fields = ("modulus",)
     kind = "mod"
 
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.modulus = modulus
-
-    def key(self):
-        return ("mod", self.modulus)
+    def _validate(self):
+        if self.modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
     def from_int(self, n: int):
         return Residue(n, self.modulus)
@@ -533,10 +500,8 @@ class ModRing(Ring):
 class PolyRing(Ring):
     """Sparse multivariate polynomials over the rationals."""
 
+    __slots__ = ()
     kind = "poly"
-
-    def key(self):
-        return ("poly",)
 
     def from_int(self, n: int):
         return Poly.constant(n)

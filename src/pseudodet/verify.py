@@ -27,7 +27,7 @@ from .pseudochar import (ORACLE_CAP, REC_CAP, CentralFunction, CharPoly,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
                          recursive_form)
-from .rings import QQ, FrozenRecord, Ring, ring_from_spec
+from .rings import QQ, FrozenValue, Ring, ring_from_spec
 
 # ---------------------------------------------------------------------------
 # deterministic PRNG
@@ -182,7 +182,7 @@ PAIR_SUM = 4        # product-formula: max |x| + |y|
 TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
 
 
-class SuiteConfig(FrozenRecord):
+class SuiteConfig(FrozenValue):
     """Parameters of one suite run; validation happens in ``validate``."""
 
     __slots__ = _fields = ("suite", "ring", "size", "dim", "trials", "seed",
@@ -254,7 +254,7 @@ class SuiteConfig(FrozenRecord):
                 "taylor_max_n": TAYLOR_MAX_N}
 
 
-class CheckRecord(FrozenRecord):
+class CheckRecord(FrozenValue):
     __slots__ = _fields = ("name", "trial", "inputs", "lhs", "rhs", "ok",
                            "negative_control")
     _defaults = {"negative_control": False}
@@ -268,7 +268,7 @@ class CheckRecord(FrozenRecord):
                 "behaved": self.behaved}
 
 
-class SuiteReport(FrozenRecord):
+class SuiteReport(FrozenValue):
     """One suite's records; ``error`` is the text of a budget overrun that
     stopped the suite (its records are then lost and it fails), else
     None."""

@@ -184,7 +184,7 @@ monomials = st.lists(
     st.tuples(st.sampled_from("uvw"), st.integers(1, 3)),
     max_size=3, unique_by=lambda ve: ve[0]).map(lambda m: tuple(sorted(m)))
 canonical_polys = st.dictionaries(monomials, rationals, max_size=4).map(
-    Poly._from_dict)
+    lambda d: Poly(d.items()))
 
 
 def accumulate(op, a, b):
@@ -219,7 +219,7 @@ def test_poly_results_are_canonical(op, a, b):
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is Fraction
                                       and coeff.denominator != 1)
-    expected = Poly._from_dict(accumulate(op, a, b))
+    expected = Poly(accumulate(op, a, b).items())
     assert got == expected
     assert [(m, type(c)) for m, c in got.terms] == \
         [(m, type(c)) for m, c in expected.terms]

@@ -2,11 +2,15 @@
 deletion, keeps its cached hash, and hashes equal values built by different
 paths equally."""
 
+from fractions import Fraction
+
 import pytest
 
 from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, Matrix,
-                       Multiset, Poly, QQ, Residue, SuiteConfig, Word, word)
+                       ModRing, Multiset, Poly, QPOLY, QQ, RationalRing,
+                       Residue, SuiteConfig, Word, ring_from_spec, word)
 from pseudodet.multisets import PartialBijection
+from pseudodet.rings import FrozenValue
 from pseudodet.verify import CheckRecord
 
 C3 = GroupTable.cyclic(3)
@@ -27,6 +31,7 @@ def samples():
         ("CheckRecord", CheckRecord("c", 0, ("x",), "1", "1", True), "ok"),
         ("CharPoly", CharPoly(QQ, (1, 0, 1)), "coefficients"),
         ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
+        ("ModRing", ModRing(7), "modulus"),
     ]
 
 
@@ -63,13 +68,22 @@ def test_cached_hash_cannot_be_overwritten(name, value, attr):
 
 def _equal_pairs():
     """(built by the public constructor, built by a product or ``_make``)."""
-    x, y = Poly.variable("x"), Poly.variable("y")
-    u = Matrix(QQ, [[1, 1], [0, 1]])
+    x, y, u = Poly.variable("x"), Poly.variable("y"), Poly.variable("u")
+    m = Matrix(QQ, [[1, 1], [0, 1]])
     g1 = GroupAlgebraElement.basis(C3, QQ, 1)
     return [
         ("Residue", Residue(1, 7), Residue(3, 7) * Residue(5, 7)),
         ("Poly", Poly(((((("x", 1), ("y", 1)), 1),))), x * y),
-        ("Matrix", Matrix(QQ, [[1, 2], [0, 1]]), u * u),
+        ("Poly unsorted terms", Poly([((("u", 1),), 1), ((), 2)]), u + 2),
+        ("Poly zero coefficient", Poly([((), 0), ((("u", 1),), 0)]),
+         Poly.constant(0)),
+        ("Poly repeated monomial", Poly([((("u", 1),), 1), ((("u", 1),), 2)]),
+         3 * u),
+        ("Poly unsorted monomial", Poly([((("y", 1), ("x", 2)), 1)]),
+         x * x * y),
+        ("Poly Fraction(4, 2)", Poly([((), Fraction(4, 2))]),
+         Poly.constant(2)),
+        ("Matrix", Matrix(QQ, [[1, 2], [0, 1]]), m * m),
         ("Matrix._make", Matrix(QQ, [[1, 2], [0, 1]]),
          Matrix._make(QQ, 2, ((1, 2), (0, 1)))),
         ("Word", Word(["a", "b"]), word("a") * word("b")),
@@ -78,6 +92,7 @@ def _equal_pairs():
          g1 * g1),
         ("Multiset", Multiset([word("b"), word("a")]),
          Multiset._make((word("a"), word("b")))),
+        ("ModRing", ModRing(7), ring_from_spec("mod:7")),
     ]
 
 
@@ -90,6 +105,9 @@ def test_equal_values_hash_equal(name, built, fast):
 
 
 class TestFrozenRecord:
+    """Records: value classes built from their fields by calling the
+    class."""
+
     def test_fields_by_position_keyword_and_default(self):
         cfg = SuiteConfig("charpoly", dim=3, size=3)
         assert cfg == SuiteConfig("charpoly", "rational", 3, 3)
@@ -114,3 +132,53 @@ class TestFrozenRecord:
     def test_validation_runs_on_construction(self):
         with pytest.raises(ValueError, match="sorted"):
             PartialBijection(2, 2, ((2, 1), (1, 2)))
+
+
+def test_poly_refuses_exponents_below_one():
+    with pytest.raises(ValueError, match="exponents must be >= 1"):
+        Poly([((("u", 0),), 1)])
+
+
+class TestRingDescriptors:
+    def test_equal_by_backend_and_modulus(self):
+        assert QQ == RationalRing()
+        assert QQ != QPOLY
+        assert ModRing(7) != ModRing(11)
+        assert ModRing(modulus=7) == ModRing(7)
+
+    def test_modulus_is_validated(self):
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            ModRing(1)
+
+
+def _value_classes(cls=FrozenValue):
+    """Every FrozenValue subclass the package defines, recursively."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("pseudodet."):
+            yield sub
+        yield from _value_classes(sub)
+
+
+class TestEqualityRule:
+    """One rule: equal when of one class with equal ``_key``s.  A class
+    may override ``__eq__`` only together with ``__hash__``."""
+
+    def test_every_value_class_is_hashable(self):
+        classes = list(_value_classes())
+        assert {"Residue", "ModRing", "Matrix", "PartialBijection",
+                "CharPoly", "SuiteReport"} <= {c.__name__ for c in classes}
+        for cls in classes:
+            assert cls.__hash__ is not None, cls.__name__
+
+    def test_own_eq_comes_with_own_hash(self):
+        own_eq = [c for c in _value_classes() if "__eq__" in vars(c)]
+        assert {c.__name__ for c in own_eq} == {"Matrix", "Residue", "Poly"}
+        for cls in own_eq:
+            assert "__hash__" in vars(cls), cls.__name__
+
+    def test_char_polys_over_different_rings_differ(self):
+        mod7 = ModRing(7)
+        coeffs = (Residue(1, 7), Residue(0, 7), Residue(1, 7))
+        assert coeffs == (1, 0, 1)
+        assert CharPoly(QQ, (1, 0, 1)) != CharPoly(mod7, coeffs)
+        assert CharPoly(mod7, coeffs) == CharPoly(ModRing(7), coeffs)
