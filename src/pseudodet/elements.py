@@ -18,7 +18,7 @@ threads.
 from __future__ import annotations
 
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
-from .rings import FrozenValue, Ring, _set_hash
+from .rings import FrozenValue, ModRing, Ring, _set_hash
 
 
 class Matrix(FrozenValue):
@@ -27,7 +27,12 @@ class Matrix(FrozenValue):
     __slots__ = _fields = ("ring", "n", "rows")
 
     def __new__(cls, ring: Ring, rows):
-        rows = tuple(tuple(ring.cell(v) for v in row) for row in rows)
+        cell = ring.cell
+        # rows of canonical cells are kept: a rebuilt matrix shares them
+        if not (type(rows) is tuple and all(
+                type(row) is tuple and all(cell(v) is v for v in row)
+                for row in rows)):
+            rows = tuple(tuple(map(cell, row)) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -46,49 +51,19 @@ class Matrix(FrozenValue):
         return cls._make(ring, n, tuple((z,) * n for _ in range(n)))
 
     def _check_peer(self, other):
-        if (other.__class__ is Matrix and other.ring is self.ring
-                and other.n == self.n):
-            return
-        if not isinstance(other, Matrix):
-            raise MismatchError(f"expected a matrix, got {other!r}")
-        if self.ring != other.ring:
-            raise MismatchError(
-                f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}")
-        if self.n != other.n:
-            raise MismatchError(f"size mismatch: {self.n} vs {other.n}")
+        if (other.__class__ is not Matrix or other.ring is not self.ring
+                or other.n != self.n):
+            _matrix_rows(self.ring, self.n, other)
 
     def __mul__(self, other):
         self._check_peer(other)
-        ring = self.ring
-        n = self.n
-        # Sizes 2 and 3 are unrolled: ring.reduce of the written-out sum
-        # gives the cell that ring.dot gives, in value and in type.
-        red = ring.reduce
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            rows = ((red(a * e + b * g), red(a * f + b * h)),
-                    (red(c * e + d * g), red(c * f + d * h)))
-        elif n == 3:
-            (a, b, c), (d, e, f), (g, h, i) = self.rows
-            (p, q, r), (s, t, u), (v, w, x) = other.rows
-            rows = ((red(a * p + b * s + c * v), red(a * q + b * t + c * w),
-                     red(a * r + b * u + c * x)),
-                    (red(d * p + e * s + f * v), red(d * q + e * t + f * w),
-                     red(d * r + e * u + f * x)),
-                    (red(g * p + h * s + i * v), red(g * q + h * t + i * w),
-                     red(g * r + h * u + i * x)))
-        else:
-            cols = tuple(zip(*other.rows))
-            rows = tuple(tuple(ring.dot(row, col) for col in cols)
-                         for row in self.rows)
-        # every element product builds a matrix: writing the slots here,
-        # not through _make, saves a call and a loop
+        ring, n = self.ring, self.n
+        # writing the slots here, not through _make, saves a call and a loop
         obj = object.__new__(Matrix)
         _set_hash(obj, None)
         _set_ring(obj, ring)
         _set_n(obj, n)
-        _set_rows(obj, rows)
+        _set_rows(obj, _kernels(ring, n)[0](self.rows, other.rows))
         return obj
 
     def __add__(self, other):
@@ -117,14 +92,8 @@ class Matrix(FrozenValue):
         return Matrix.identity(self.ring, self.n)
 
     def trace(self):
-        ring, rows, n = self.ring, self.rows, self.n
-        if n == 2:
-            total = rows[0][0] + rows[1][1]
-        elif n == 3:
-            total = rows[0][0] + rows[1][1] + rows[2][2]
-        else:
-            total = sum(map(tuple.__getitem__, rows, range(n)))
-        return ring.cell_to_scalar(ring.reduce(total))
+        ring = self.ring
+        return ring.cell_to_scalar(_kernels(ring, self.n)[1](self.rows))
 
     def entry(self, i: int, j: int):
         return self.ring.cell_to_scalar(self.rows[i][j])
@@ -155,6 +124,60 @@ class Matrix(FrozenValue):
 _set_ring = Matrix.ring.__set__
 _set_n = Matrix.n.__set__
 _set_rows = Matrix.rows.__set__
+
+
+def _matrix_rows(ring: Ring, n: int, other):
+    """The rows of ``other``, which must be an n x n matrix over a ring
+    equal to ``ring``; MismatchError otherwise."""
+    if not isinstance(other, Matrix):
+        raise MismatchError(f"expected a matrix, got {other!r}")
+    if other.ring is not ring and ring != other.ring:
+        raise MismatchError(
+            f"ring mismatch: {ring.describe()} vs {other.ring.describe()}")
+    if n != other.n:
+        raise MismatchError(f"size mismatch: {n} vs {other.n}")
+    return other.rows
+
+
+#: the largest size whose product cells are written out, not ring.dot's
+_UNROLLED = 6
+_KERNELS = {}
+
+
+def _kernels(ring: Ring, n: int):
+    """The ``(product, trace)`` functions on the row tuples of n x n
+    matrices over ``ring``, compiled on first use of each (ring, size).
+
+    ``product(x, y)`` gives the rows of the product, each cell the one
+    ``ring.dot`` gives, in value and in type; ``trace(x)`` gives
+    ``ring.reduce`` of the diagonal sum.  Neither checks its arguments.  A
+    mod-m cell is reduced by an inline ``% m``; the other rings' ``reduce``
+    is the identity, so their cells are left as computed.
+    """
+    pair = _KERNELS.get((ring, n))
+    if pair is None:
+        cell = "({}) % m" if isinstance(ring, ModRing) else "{}"
+        idx = range(n)
+
+        def rows(cell_of):
+            """Source of the row tuples whose (i, j) cell is cell_of(i, j)."""
+            return "(" + "".join("(" + "".join(
+                cell_of(i, j) + ", " for j in idx) + "), " for i in idx) + ")"
+        if n <= _UNROLLED:
+            product = rows(lambda i, j: cell.format(" + ".join(
+                f"x{i}_{k} * y{k}_{j}" for k in idx)))
+            product = (f"    {rows('x{}_{}'.format)} = x\n"
+                       f"    {rows('y{}_{}'.format)} = y\n"
+                       f"    return {product}\n")
+        else:
+            product = ("    cols = tuple(zip(*y))\n    return tuple(tuple("
+                       "dot(row, col) for col in cols) for row in x)\n")
+        trace = cell.format(" + ".join(f"x[{i}][{i}]" for i in idx))
+        names = {"m": getattr(ring, "modulus", None), "dot": ring.dot}
+        exec(f"def product(x, y):\n{product}def trace(x):\n"
+             f"    return {trace}\n", names)
+        pair = _KERNELS[ring, n] = names["product"], names["trace"]
+    return pair
 
 
 class Word(FrozenValue):

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from functools import partial
 from itertools import permutations
+from operator import mul
 
-from .elements import GroupTable, Matrix
+from .elements import GroupTable, _kernels, _matrix_rows
 from .errors import CapExceededError, NotInvertibleError, UnitlessError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .rings import FrozenValue, Ring
@@ -45,7 +47,7 @@ class CentralFunction:
     for dimension 3 over Z/6Z).
     """
 
-    __slots__ = ("_evaluate", "dim", "ring", "domain", "name")
+    __slots__ = ("_evaluate", "dim", "ring", "domain", "name", "_matrix")
 
     def __init__(self, evaluate, dim: int, ring: Ring, *, domain: str = "R",
                  name: str = "f", pseudocharacter: bool = False):
@@ -58,6 +60,7 @@ class CentralFunction:
         self.ring = ring
         self.domain = domain
         self.name = name
+        self._matrix = None  # (ring, size) for matrix_trace's f
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -71,10 +74,12 @@ def matrix_trace(ring: Ring, size: int, dim: int | None = None, *,
                  pseudocharacter: bool = True) -> CentralFunction:
     """The trace on size x size matrices, declared with dimension ``dim``
     (defaults to the matrix size, the honest choice)."""
-    return CentralFunction(
+    f = CentralFunction(
         lambda m: m.trace(), dim if dim is not None else size, ring,
         domain=f"M{size}({ring.describe()})", name="trace",
         pseudocharacter=pseudocharacter)
+    f._matrix = (ring, size)
+    return f
 
 
 def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
@@ -89,43 +94,52 @@ def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
 class _FormEvaluator:
     """Per-evaluation state; ``form`` and ``on_sum`` are the entry points.
 
-    Each distinct element is interned once to an int id: ``ids`` maps its
-    intern key (a matrix's ``rows``, any other element itself) to the id,
-    ``elems`` and ``order`` map the id back to the element and to that key,
-    which sorts elements of one backend as ``<`` does.  f runs at intern
-    time (every interned element is evaluated, and ``evaluate`` is pure)
-    and enters once through ``f.ring.cell`` into ``f_cells``.  The
+    Each distinct element is interned once to an int id: ``ids`` maps it
+    to the id, ``elems`` maps the id back and, as elements of one backend
+    sort by ``<``, gives the element order.  f runs at intern time (every
+    interned element is evaluated, and ``evaluate`` is pure) and enters
+    once through ``f.ring.cell`` into ``f_cells``.  The
     recursion works on plain cells: form_1 is read from ``f_cells``, form_2
     is written out as f(a)·f(b) − f(a·b), and from n = 3 on each value is
     reduced once into the memo, keyed on id tuples in the element order, so
     a key stands for the sorted argument multiset and the largest element
     is the one peeled.  ``products`` caches pair products on id pairs.
-    Fresh per top-level call, so evaluations never share mutable state."""
+    Fresh per top-level call, so evaluations never share mutable state.
 
-    __slots__ = ("f", "ring", "memo", "ids", "elems", "order", "f_cells",
-                 "products")
+    For ``matrix_trace``'s f the elements are the matrices' row tuples,
+    which sort as the matrices do: each argument is checked against f's
+    ring and size as it enters, and products and f-cells come from the
+    (ring, size) kernels, so no ``Matrix`` or scalar is built in the
+    recursion.  Any other f runs on the elements themselves."""
+
+    __slots__ = ("ring", "memo", "ids", "elems", "f_cells", "products",
+                 "arg", "mul", "f_cell")
 
     def __init__(self, f: CentralFunction):
-        self.f = f
-        self.ring = f.ring
+        ring = self.ring = f.ring
         self.memo = {}
         self.ids = {}
         self.elems = []
-        self.order = []
         self.f_cells = []
         self.products = {}
+        cell = ring.cell
+        if f._matrix is None:
+            self.arg, self.mul = (lambda x: x), mul
+            self.f_cell = lambda x: cell(f(x))
+        else:
+            self.arg = partial(_matrix_rows, *f._matrix)
+            self.mul, trace = _kernels(*f._matrix)
+            self.f_cell = lambda rows: cell(trace(rows))
 
     def intern(self, x) -> int:
         """The id of element ``x``, assigned (and f computed) on first
         sight."""
-        key = x.rows if type(x) is Matrix else x
         ids = self.ids
         fresh = len(ids)
-        i = ids.setdefault(key, fresh)  # one hash of the key, not two
+        i = ids.setdefault(x, fresh)  # one hash of x, not two
         if i == fresh:
             self.elems.append(x)
-            self.order.append(key)
-            self.f_cells.append(self.ring.cell(self.f(x)))
+            self.f_cells.append(self.f_cell(x))
         return i
 
     def product(self, a: int, b: int) -> int:
@@ -133,7 +147,8 @@ class _FormEvaluator:
         p = self.products.get((a, b))
         if p is None:
             elems = self.elems
-            p = self.products[(a, b)] = self.intern(elems[a] * elems[b])
+            p = self.products[(a, b)] = self.intern(
+                self.mul(elems[a], elems[b]))
         return p
 
     def form(self, entries):
@@ -142,7 +157,7 @@ class _FormEvaluator:
         _check_rec_cap(len(entries))
         ring = self.ring
         return ring.cell_to_scalar(ring.reduce(
-            self.value(tuple(map(self.intern, entries)))))
+            self.value(tuple(map(self.intern, map(self.arg, entries))))))
 
     def on_sum(self, s: FormalSum):
         """``form_on_sum`` of ``s``, through this evaluator's caches."""
@@ -176,7 +191,7 @@ class _FormEvaluator:
         if n == 3:
             # the three sub-forms of size 2 written out, saving their calls
             a, b = head
-            order = self.order
+            order = self.elems
             result = fc[last] * (fc[a] * fc[b] - fc[product(a, b)])
             for e, other in ((a, b), (b, a)):
                 merged = product(e, last)
@@ -184,7 +199,7 @@ class _FormEvaluator:
                         else (other, merged))
                 result -= fc[merged] * fc[other] - fc[product(*pair)]
         else:
-            order = self.order.__getitem__
+            order = self.elems.__getitem__
             value = self.value
             result = fc[last] * value(head)
             for i, e in enumerate(head):

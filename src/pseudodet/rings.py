@@ -443,6 +443,8 @@ class ModRing(Ring):
     kind = "mod"
 
     def _validate(self):
+        if type(self.modulus) is not int:
+            raise ValueError(f"modulus must be an int, got {self.modulus!r}")
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 

@@ -8,6 +8,8 @@ from pseudodet import (FormalSum, GroupAlgebraElement, GroupTable,
                        GroupTableError, LetterHom, Matrix, MismatchError,
                        ModRing, Multiset, Poly, QPOLY, QQ, UnitlessError,
                        UnknownLetterError, Word, word)
+from pseudodet.elements import _kernels
+from pseudodet.rings import PolyRing, Ring
 from pseudodet.verify import random_matrix, random_word, substream
 
 from conftest import s3_table
@@ -70,11 +72,12 @@ def _dot_product(a, b):
 
 
 def _product_pairs():
-    """(id, a, b) pairs of 2x2 and 3x3 matrices for every unrolled case."""
+    """(id, a, b) pairs of matrices over every ring, of sizes 1 to 5 and
+    of size 7, whose product cells are not written out."""
     half, third = Fraction(1, 2), Fraction(-1, 3)
     x, y, z = (Poly.variable(v) for v in "xyz")
     cases = []
-    for n in (2, 3):
+    for n in (1, 2, 3, 4, 5, 7):
         for t in range(6):
             rng = substream(850 + n, t)
             a, b = (random_matrix(rng, QQ, n, 5) for _ in range(2))
@@ -89,6 +92,10 @@ def _product_pairs():
                 cases.append((f"mod{m}-{n}-{t}",
                               random_matrix(rng, ring, n, m),
                               Matrix(ring, big)))
+        # two distinct but equal ring objects share one kernel
+        cases.append((f"mod7-two-rings-{n}",
+                       random_matrix(substream(860, n), ModRing(7), n, 7),
+                       Matrix(ModRing(7), [[6] * n] * n)))
         generic = [[Poly.variable(f"a{i}{j}") for j in range(n)]
                    for i in range(n)]
         cancel = [[y if (i + j) % 2 else -x for j in range(n)]
@@ -103,18 +110,39 @@ def _product_pairs():
 
 
 class TestUnrolledProducts:
-    """2x2 and 3x3 products are unrolled; each cell must equal the
-    ``Ring.dot`` cell in value and in type."""
+    """Products and traces run through the kernels of each (ring, size):
+    each product cell must equal the ``Ring.dot`` cell in value and in
+    type, and the trace the canonical cell of ``Matrix.trace``."""
 
     @pytest.mark.parametrize("a,b", _product_pairs())
     def test_cells_match_ring_dot(self, a, b):
-        got = (a * b).rows
+        product, trace = _kernels(a.ring, a.n)
         expected = _dot_product(a, b)
-        assert got == expected
-        assert [type(c) for row in got for c in row] == \
-            [type(c) for row in expected for c in row]
+        for got in ((a * b).rows, product(a.rows, b.rows)):
+            assert got == expected
+            assert [type(c) for row in got for c in row] == \
+                [type(c) for row in expected for c in row]
+        for m in (a, b, a * b):
+            assert trace(m.rows) == m.ring.cell(m.trace())
 
-    @pytest.mark.parametrize("n", [2, 3])
+    def test_distinct_equal_rings_share_kernels(self):
+        assert _kernels(ModRing(7), 3) is _kernels(ModRing(7), 3)
+
+    def test_integral_fraction_trace(self):
+        # the kernel keeps Fraction(1, 1); Matrix.trace passes it on as is
+        m = Matrix(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        got = _kernels(QQ, 2)[1](m.rows)
+        assert type(got) is Fraction and got == 1
+        assert type(m.trace()) is Fraction and QQ.cell(m.trace()) == 1
+
+    @pytest.mark.parametrize("cls,name", [
+        (Matrix, "__mul__"), (Matrix, "trace"), (Ring, "dot"),
+        (ModRing, "dot"), (PolyRing, "dot")])
+    def test_traced_methods_stay_on_their_classes(self, cls, name):
+        # perfbench/tracer.py wraps these by name in the class's __dict__
+        assert name in vars(cls)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_integral_fraction_sum_stays_a_fraction(self, n):
         # n cells of 1/n sum to Fraction(1, 1) through Ring.dot, not to 1
         ones = Matrix(QQ, [[1] * n] * n)
@@ -350,3 +378,17 @@ def test_mod_matrix_entries_are_canonical():
     m = Matrix(ModRing(7), [[-1, 8], [14, 3]])
     assert m.render() == "[[6,1],[0,3]]"
     assert m.trace() == ModRing(7).from_int(9)
+
+
+def test_canonical_rows_are_shared():
+    rows = ((1, Fraction(1, 2)), (3, 4))
+    m = Matrix(QQ, rows)
+    assert m.rows is rows and Matrix(QQ, m.rows).rows is rows
+    # a cell that is not canonical, or rows that are not tuples, are rebuilt
+    for given in (((1, Fraction(4, 2)), (3, 4)), [[1, 2], [3, 4]],
+                  ((1, 2), [3, 4])):
+        got = Matrix(QQ, given).rows
+        assert got == ((1, 2), (3, 4)) and got is not given
+        assert all(type(c) is int for row in got for c in row)
+    got = Matrix(ModRing(7), ((8, -1), (0, 3))).rows
+    assert got == ((1, 6), (0, 3))

@@ -1,6 +1,7 @@
 """Recursive forms, the cycle-sum oracle, determinants, char polys."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,7 +16,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        form_on_sum, identity_padding_check, matrix_trace,
                        multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
-                       word)
+                       ring_from_spec, word)
 from pseudodet.verify import _CORNER, leibniz_det, random_matrix, substream
 
 
@@ -447,11 +448,67 @@ class TestCellEvaluator:
         for args in ((x7, x11), (x11, x7), (x7, xq), (x7, x7, x11)):
             with pytest.raises(MismatchError):
                 recursive_form(f, args)
-        # an f value of another ring enters through f.ring.cell
+        # an argument of another ring is refused as it enters
         with pytest.raises(MismatchError):
             recursive_form(f, (x11,))
         with pytest.raises(MismatchError):
             recursive_form(matrix_trace(QQ, 2), (x7, x7))
+
+
+class TestRowPath:
+    """For ``matrix_trace`` the evaluator works on row tuples through the
+    (ring, size) kernels.  Its values equal, in value and in type, the
+    literal recursion's, the cycle sum's, and those of the same recursion
+    on ``Matrix`` elements (the trace as an f of no known shape)."""
+
+    @pytest.mark.parametrize("spec,size", [("rational", 2), ("rational", 3),
+                                           ("mod:101", 2)])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_oracles(self, spec, size, n):
+        ring = ring_from_spec(spec)
+        f = matrix_trace(ring, size)
+        g = CentralFunction(lambda m: m.trace(), size, ring)
+        for t in range(3):
+            args = rand_mats(700 + 10 * n + t, n, ring=ring, size=size)
+            args[::2] = args[:1] * len(args[::2])  # some repeats
+            got = recursive_form(f, args)
+            for want in (recursive_form(f, args, memoized=False),
+                         cycle_sum_form(f, args), recursive_form(g, args)):
+                assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fraction_cells_equal_the_element_path(self, n):
+        f = matrix_trace(QQ, 2)
+        g = CentralFunction(lambda m: m.trace(), 2, QQ)
+        half = Fraction(1, 2)
+        args = [m.scale(half) for m in rand_mats(760 + n, n)]
+        got = recursive_form(f, args)
+        want = recursive_form(g, args)
+        assert got == want and type(got) is type(want)
+        assert got == recursive_form(f, args, memoized=False)
+        assert got == cycle_sum_form(f, args)
+
+    @pytest.mark.parametrize("other", [
+        Matrix(ModRing(7), [[1]]), Matrix(ModRing(7), [[1] * 3] * 3),
+        Matrix(ModRing(11), [[1, 2], [3, 4]]), Matrix(QQ, [[1, 2], [3, 4]]),
+        word("a")], ids=["size-1", "size-3", "mod11", "rational", "word"])
+    def test_argument_mismatch_has_the_peer_message(self, other):
+        f = matrix_trace(ModRing(7), 2)
+        with pytest.raises(MismatchError) as peer:
+            Matrix.identity(ModRing(7), 2) * other
+        message = f"^{re.escape(str(peer.value))}$"
+        with pytest.raises(MismatchError, match=message):
+            recursive_form(f, (other,))
+        with pytest.raises(MismatchError, match=message):
+            form_on_sum(f, FormalSum.of(Multiset([other])))
+
+    def test_equal_ring_objects_pass(self):
+        # rings are compared with ==: a distinct ModRing(7) object is the
+        # same ring
+        f = matrix_trace(ModRing(7), 2)
+        x = Matrix(ModRing(7), [[1, 2], [3, 4]])
+        assert x.ring is not f.ring
+        assert recursive_form(f, (x, x)) == ModRing(7).from_int(25 - 29)
 
 
 class TestDegreeProduct:

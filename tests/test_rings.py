@@ -106,6 +106,11 @@ class TestErrors:
         with pytest.raises(ValueError):
             ring_from_spec("float")
 
+    @pytest.mark.parametrize("modulus", [7.5, 7.0, True, Fraction(7), "7"])
+    def test_modulus_must_be_a_plain_int(self, modulus):
+        with pytest.raises(ValueError, match="^modulus must be an int, got "):
+            ModRing(modulus)
+
     def test_ring_spec_roundtrip(self):
         assert ring_from_spec("rational") == QQ
         assert ring_from_spec("mod:101") == ModRing(101)
