@@ -113,9 +113,8 @@ class Matrix(FrozenValue):
     __hash__ = FrozenValue.__hash__
 
     def render(self) -> str:
-        rc = self.ring.render_cell
         return "[" + ",".join(
-            "[" + ",".join(rc(v) for v in row) + "]" for row in self.rows) + "]"
+            "[" + ",".join(map(str, row)) + "]" for row in self.rows) + "]"
 
     def __repr__(self):
         return f"Matrix({self.ring.describe()}, {self.render()})"
@@ -350,8 +349,7 @@ class GroupAlgebraElement(FrozenValue):
         return self.coeffs < other.coeffs
 
     def render(self) -> str:
-        rc = self.ring.render_cell
-        parts = [f"{rc(c)}*g{i}" for i, c in enumerate(self.coeffs) if c != 0]
+        parts = [f"{c}*g{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

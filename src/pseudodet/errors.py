@@ -30,7 +30,7 @@ class BudgetExceededError(PseudodetError, RuntimeError):
 
 
 class GroupTableError(PseudodetError, ValueError):
-    """A group multiplication table file is malformed or inconsistent."""
+    """A group multiplication table is malformed or inconsistent."""
 
 
 class ConfigError(PseudodetError, ValueError):

@@ -516,11 +516,12 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     """Cross-check path for ``char_poly``: evaluate det on the pencil t - x
     at the d+1 points t = 0..d and Lagrange-interpolate the coefficients.
 
-    Uses scalar division by differences of those points, integers of
-    absolute value at most d; they are units because d! is invertible.
+    The j-th Lagrange denominator is (-1)^(d-j) j! (d-j)!, so its inverse
+    is (-1)^(d-j) C(d, j) (d!)^-1 and no other division is needed.
     """
     d = f.dim
     ring = f.ring
+    inv = ring.inverse_of_factorial(d)
     points = [ring.from_int(j) for j in range(d + 1)]
     identity = x.one()
     neg = -x
@@ -528,10 +529,9 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
 
     zero, one = ring.zero(), ring.one()
     coeffs = [zero] * (d + 1)
-    for j, (tj, vj) in enumerate(zip(points, values)):
-        # basis_j(T) = prod_{k != j} (T - t_k) / (t_j - t_k)
+    for j, vj in enumerate(values):
+        # prod_{k != j} (T - t_k); scale holds 1 / prod_{k != j} (t_j - t_k)
         basis = [one]
-        denom = one
         for k, tk in enumerate(points):
             if k == j:
                 continue
@@ -540,8 +540,7 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
                 new[deg] = new[deg] + c * (-tk)
                 new[deg + 1] = new[deg + 1] + c
             basis = new
-            denom = denom * (tj - tk)
-        scale = ring.div(vj, denom)
+        scale = inv * ((-1) ** (d - j) * math.comb(d, j) * vj)
         for deg, c in enumerate(basis):
             coeffs[deg] = coeffs[deg] + scale * c
     return CharPoly(ring, tuple(coeffs))

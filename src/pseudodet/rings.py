@@ -126,6 +126,14 @@ class FrozenValue:
 _set_hash = FrozenValue._hash.__set__
 
 
+def _check_modulus(modulus) -> None:
+    """Refuse a modulus that is not a plain ``int`` of at least 2."""
+    if type(modulus) is not int:
+        raise ValueError(f"modulus must be an int, got {modulus!r}")
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+
+
 class Residue(FrozenValue):
     """An element of Z/mZ, stored as its canonical representative in [0, m).
 
@@ -136,8 +144,8 @@ class Residue(FrozenValue):
     __slots__ = _fields = ("value", "modulus")
 
     def __new__(cls, value: int, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if type(modulus) is not int or modulus < 2:
+            _check_modulus(modulus)
         # Every modular scalar operation builds a residue: writing the
         # slots here, not through a second call to _make, saves a third.
         obj = object.__new__(cls)
@@ -249,12 +257,16 @@ class Poly(FrozenValue):
 
     def __new__(cls, terms):
         """The canonical Poly of ``(monomial, coefficient)`` pairs in any
-        order: each coefficient checked to be rational, each monomial's
-        pairs sorted (a repeated variable's exponents added), and the
-        coefficients of a repeated monomial added."""
+        order: each coefficient checked to be rational and each variable
+        name a nonempty ``str``, each monomial's pairs sorted (a repeated
+        variable's exponents added), and the coefficients of a repeated
+        monomial added."""
         acc = {}
         for mono, coeff in terms:
             coeff = _as_rational(coeff)
+            if not all(isinstance(v, str) and v for v, _ in mono):
+                raise ValueError(
+                    f"variable names must be nonempty str in {mono!r}")
             if any(e < 1 for _, e in mono):
                 raise ValueError(f"exponents must be >= 1 in {mono!r}")
             mono = _monomial_mul((), mono)
@@ -263,7 +275,7 @@ class Poly(FrozenValue):
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls._make((((((name, 1),)), 1),))
+        return cls([(((name, 1),), 1)])
 
     @classmethod
     def constant(cls, value) -> "Poly":
@@ -372,7 +384,7 @@ class Ring(FrozenValue):
     kind = "abstract"
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return self.cell_to_scalar(self.cell(n))
 
     def zero(self):
         return self.from_int(0)
@@ -382,11 +394,7 @@ class Ring(FrozenValue):
 
     def inverse_of_factorial(self, d: int):
         """Return (d!)^-1 as a scalar, or raise NotInvertibleError."""
-        raise NotImplementedError
-
-    def div(self, a, b):
-        """Exact division a/b; raises NotInvertibleError when impossible."""
-        raise NotImplementedError
+        return self.cell_to_scalar(self.cell(Fraction(1, math.factorial(d))))
 
     # matrix-cell protocol ------------------------------------------------
     def cell(self, value):
@@ -405,9 +413,6 @@ class Ring(FrozenValue):
     def render(self, scalar) -> str:
         return str(scalar)
 
-    def render_cell(self, cell) -> str:
-        return str(cell)
-
     def __repr__(self):
         return self.describe()
 
@@ -421,17 +426,6 @@ class RationalRing(Ring):
     __slots__ = ()
     kind = "rational"
 
-    def from_int(self, n: int):
-        return n
-
-    def inverse_of_factorial(self, d: int):
-        return Fraction(1, math.factorial(d))
-
-    def div(self, a, b):
-        if b == 0:
-            raise NotInvertibleError("division by zero")
-        return _as_rational(Fraction(a) / Fraction(b))
-
     def cell(self, value):
         return _as_rational(value)
 
@@ -443,13 +437,7 @@ class ModRing(Ring):
     kind = "mod"
 
     def _validate(self):
-        if type(self.modulus) is not int:
-            raise ValueError(f"modulus must be an int, got {self.modulus!r}")
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-
-    def from_int(self, n: int):
-        return Residue(n, self.modulus)
+        _check_modulus(self.modulus)
 
     def inverse_of_factorial(self, d: int):
         fact = math.factorial(d) % self.modulus
@@ -457,11 +445,6 @@ class ModRing(Ring):
             raise NotInvertibleError(
                 f"{d}! not invertible mod {self.modulus}")
         return Residue(pow(fact, -1, self.modulus), self.modulus)
-
-    def div(self, a, b):
-        if not isinstance(b, Residue):
-            b = self.from_int(b)
-        return a * b.inverse()
 
     def cell(self, value):
         m = self.modulus
@@ -504,12 +487,6 @@ class PolyRing(Ring):
 
     __slots__ = ()
     kind = "poly"
-
-    def from_int(self, n: int):
-        return Poly.constant(n)
-
-    def inverse_of_factorial(self, d: int):
-        return Poly.constant(Fraction(1, math.factorial(d)))
 
     def cell(self, value):
         if isinstance(value, Poly):

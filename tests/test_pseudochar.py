@@ -719,6 +719,11 @@ class TestCharPoly:
                 for t in range(5):
                     x = rand_mats(520 + 10 * d + t, 1, ring=ring, size=d)[0]
                     assert char_poly(f, x) == char_poly_interpolated(f, x)
+        for d in (2, 3):
+            x = Matrix(QPOLY, [[Poly.variable(f"x{i}{j}") for j in range(d)]
+                               for i in range(d)])
+            f = matrix_trace(QPOLY, d)
+            assert char_poly(f, x) == char_poly_interpolated(f, x)
 
     def test_trace_roundtrip_report(self):
         f = matrix_trace(QQ, 3)

@@ -1,5 +1,6 @@
 """Scalar backends: exactness, canonical forms, and ring axioms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,37 @@ class TestExamples:
         assert ModRing(7).inverse_of_factorial(3) == Residue(6, 7)
         with pytest.raises(NotInvertibleError):
             ModRing(6).inverse_of_factorial(3)
+
+
+PROTOCOL_RINGS = [QQ, ModRing(7), ModRing(12), QPOLY]
+
+
+class TestProtocolWrittenOnce:
+    @pytest.mark.parametrize("ring", PROTOCOL_RINGS, ids=repr)
+    def test_from_int_is_the_cell_of_n(self, ring):
+        for n in range(-3, 9):
+            assert ring.from_int(n) == ring.cell_to_scalar(ring.cell(n))
+
+    @pytest.mark.parametrize("ring", PROTOCOL_RINGS, ids=repr)
+    def test_inverse_of_factorial_inverts_d_factorial(self, ring):
+        for d in range(8):
+            try:
+                inv = ring.inverse_of_factorial(d)
+            except NotInvertibleError:
+                assert isinstance(ring, ModRing)
+                assert math.gcd(math.factorial(d), ring.modulus) != 1
+                continue
+            assert inv * ring.from_int(math.factorial(d)) == ring.one()
+
+    def test_inverse_of_factorial_names_d_and_the_modulus(self):
+        with pytest.raises(NotInvertibleError,
+                           match=r"^3! not invertible mod 12$"):
+            ModRing(12).inverse_of_factorial(3)
+
+    def test_no_division_or_cell_rendering_in_the_protocol(self):
+        for cls in (type(QQ), ModRing, type(QPOLY)):
+            assert not hasattr(cls, "div")
+            assert not hasattr(cls, "render_cell")
 
 
 class TestCanonicalForms:
@@ -106,10 +138,27 @@ class TestErrors:
         with pytest.raises(ValueError):
             ring_from_spec("float")
 
+    # ModRing and Residue share one modulus rule; looping over both keeps
+    # each modulus one test.
     @pytest.mark.parametrize("modulus", [7.5, 7.0, True, Fraction(7), "7"])
     def test_modulus_must_be_a_plain_int(self, modulus):
-        with pytest.raises(ValueError, match="^modulus must be an int, got "):
-            ModRing(modulus)
+        for build in (ModRing, lambda m: Residue(3, m)):
+            with pytest.raises(ValueError,
+                               match="^modulus must be an int, got "):
+                build(modulus)
+
+    @pytest.mark.parametrize("modulus", [1, 0, -7])
+    def test_modulus_must_be_at_least_two(self, modulus):
+        for build in (ModRing, lambda m: Residue(3, m)):
+            with pytest.raises(ValueError, match="^modulus must be >= 2, got "):
+                build(modulus)
+
+    @pytest.mark.parametrize("name", [1, "", None, ("x",)])
+    def test_variable_name_must_be_a_nonempty_str(self, name):
+        with pytest.raises(ValueError, match="variable names must be"):
+            Poly.variable(name)
+        with pytest.raises(ValueError, match="variable names must be"):
+            Poly([(((name, 1),), 1)])
 
     def test_ring_spec_roundtrip(self):
         assert ring_from_spec("rational") == QQ
