@@ -28,6 +28,15 @@ _CONFIG_KEYS = {"ring": str, "dim": int, "size": int, "trials": int,
                 "seed": int, "bound": int, "budget": int}
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``; ConfigError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+
+
 def load_config_file(path: str, keys=_CONFIG_KEYS) -> dict:
     """Key-value config file: one ``key = value`` per line, ``#`` comments.
 
@@ -35,32 +44,31 @@ def load_config_file(path: str, keys=_CONFIG_KEYS) -> dict:
     given on the command line take precedence.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                                  f"(expected one of {', '.join(keys)})")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value {value!r} for {key}") from None
+    # only "\n" ends a line: str.splitlines() also splits at form feeds
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                              f"(expected one of {', '.join(keys)})")
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
 
 
 def read_matrix_file(path: str, ring):
     """Matrix file: first line is the size d, then d rows of d entries,
     each an integer or a fraction p/q, whitespace separated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens_by_line = [ln.split() for ln in fh.read().splitlines()
-                          if ln.strip()]
+    tokens_by_line = [ln.split() for ln in _read_text(path).splitlines()
+                      if ln.strip()]
     if not tokens_by_line or len(tokens_by_line[0]) != 1:
         raise ConfigError(f"{path}: first line must be the matrix size")
     try:
@@ -198,10 +206,7 @@ def _run_eval(args) -> int:
     ring_spec = options.get("ring", "rational")
     if ring_spec == "words":
         raise ConfigError("eval needs a matrix ring (rational or mod:<m>)")
-    try:
-        ring = ring_from_spec(ring_spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ring = ring_from_spec(ring_spec)
     x = read_matrix_file(args.matrix, ring)
     dim = options.get("dim", x.n)
     if dim < 1:

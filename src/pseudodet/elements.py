@@ -98,19 +98,9 @@ class Matrix(FrozenValue):
     def entry(self, i: int, j: int):
         return self.ring.cell_to_scalar(self.rows[i][j])
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if other.ring is self.ring:
-            return self.rows == other.rows
-        return (self.n == other.n and self.ring == other.ring
-                and self.rows == other.rows)
-
     def __lt__(self, other):
         self._check_peer(other)
         return self.rows < other.rows
-
-    __hash__ = FrozenValue.__hash__
 
     def render(self) -> str:
         return "[" + ",".join(
@@ -126,11 +116,11 @@ _set_rows = Matrix.rows.__set__
 
 
 def _matrix_rows(ring: Ring, n: int, other):
-    """The rows of ``other``, which must be an n x n matrix over a ring
-    equal to ``ring``; MismatchError otherwise."""
+    """The rows of ``other``, which must be an n x n matrix over
+    ``ring``; MismatchError otherwise."""
     if not isinstance(other, Matrix):
         raise MismatchError(f"expected a matrix, got {other!r}")
-    if other.ring is not ring and ring != other.ring:
+    if other.ring is not ring:
         raise MismatchError(
             f"ring mismatch: {ring.describe()} vs {other.ring.describe()}")
     if n != other.n:
@@ -298,7 +288,7 @@ class GroupAlgebraElement(FrozenValue):
             raise MismatchError(f"expected a group-algebra element, got {other!r}")
         if self.group is not other.group and self.group != other.group:
             raise MismatchError("group mismatch")
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise MismatchError(
                 f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}")
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter, mul
 
-from .errors import MismatchError, NotInvertibleError
+from .errors import ConfigError, MismatchError, NotInvertibleError
 
 RationalLike = (int, Fraction)
 
@@ -53,9 +53,9 @@ class FrozenValue:
     ``_key``s are equal; the hash is that of ``_key``, computed once and
     cached in the ``_hash`` slot.  ``_key`` is the field (one field) or
     the tuple of fields, read by a per-class ``operator.attrgetter``
-    property.  A subclass that defines ``__eq__`` must re-bind
-    ``__hash__ = FrozenValue.__hash__``: defining ``__eq__`` alone sets
-    ``__hash__`` to None.
+    property.  A subclass that defines ``__eq__`` must bind ``__hash__``
+    too (``Ring`` binds both to ``object``'s): defining ``__eq__`` alone
+    sets ``__hash__`` to None.
 
     It stands in for ``dataclasses``, whose import (with ``inspect``,
     ``ast`` and ``dis``) adds about 0.8 MB to every process that imports
@@ -144,8 +144,9 @@ class Residue(FrozenValue):
     __slots__ = _fields = ("value", "modulus")
 
     def __new__(cls, value: int, modulus: int):
-        if type(modulus) is not int or modulus < 2:
+        if type(modulus) is not int or modulus < 2 or type(value) is not int:
             _check_modulus(modulus)
+            raise MismatchError(f"not a mod-{modulus} scalar: {value!r}")
         # Every modular scalar operation builds a residue: writing the
         # slots here, not through a second call to _make, saves a third.
         obj = object.__new__(cls)
@@ -371,8 +372,8 @@ class Poly(FrozenValue):
 
 
 class Ring(FrozenValue):
-    """Descriptor of a scalar backend: an immutable value, equal to another
-    of the same backend (and modulus).
+    """Descriptor of a scalar backend: an immutable value, and the one
+    object of its backend (and modulus), so rings compare by identity.
 
     ``cell`` values are the internal representation used for matrix and
     group-algebra entries; for the rational and polynomial backends they are
@@ -382,6 +383,14 @@ class Ring(FrozenValue):
 
     __slots__ = ()
     kind = "abstract"
+    # C-level: a lookup keyed by a ring makes no Python call
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        # validated first: ModRing(7.0) must raise, not find ModRing(7)
+        ring = FrozenValue.__new__(cls, *args, **kwargs)
+        return _RINGS.setdefault((cls, ring._key), ring)
 
     def from_int(self, n: int):
         return self.cell_to_scalar(self.cell(n))
@@ -493,30 +502,29 @@ class PolyRing(Ring):
             return value
         return Poly.constant(value)
 
-    def dot(self, row, col):
-        acc = Poly._make(())
-        for a, b in zip(row, col):
-            acc = acc + a * b
-        return acc
-
-    def render(self, scalar) -> str:
-        if isinstance(scalar, Poly):
-            return scalar.render()
-        return str(scalar)
+    # own entries, not inherited: perfbench/tracer.py wraps each class's
+    # dot and render by name
+    dot = Ring.dot
+    render = Ring.render
 
 
+#: (class, key) -> the one ring object of that class and key
+_RINGS = {}
 QQ = RationalRing()
 QPOLY = PolyRing()
 
 
 def ring_from_spec(spec: str) -> Ring:
-    """Parse a ring spec string: ``rational`` or ``mod:<m>``."""
+    """Parse ``rational`` or ``mod:<m>``; ConfigError for any other spec."""
     if spec == "rational":
         return QQ
-    if spec.startswith("mod:"):
-        try:
-            m = int(spec[4:])
-        except ValueError:
-            raise ValueError(f"bad modulus in ring spec {spec!r}") from None
+    if not spec.startswith("mod:"):
+        raise ConfigError(f"unknown ring spec {spec!r}")
+    try:
+        m = int(spec[4:])
+    except ValueError:
+        raise ConfigError(f"bad modulus in ring spec {spec!r}") from None
+    try:
         return ModRing(m)
-    raise ValueError(f"unknown ring spec {spec!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

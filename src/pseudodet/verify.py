@@ -22,7 +22,7 @@ from .errors import (BudgetExceededError, CapExceededError, ConfigError,
                      NotInvertibleError)
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .pseudochar import (ORACLE_CAP, REC_CAP, CentralFunction, CharPoly,
-                         char_poly, char_poly_interpolated,
+                         _cycles, char_poly, char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -103,19 +103,10 @@ def _signed_perms(n: int) -> tuple:
             f"Leibniz oracle capped at size {_LEIBNIZ_CAP}, got {n}")
     table = _SIGNED_PERMS.get(n)
     if table is None:
-        rows = []
-        for perm in permutations(range(n)):
-            # the sign is (-1)^(n - number of cycles)
-            parity, seen = n, set()
-            for start in range(n):
-                if start not in seen:
-                    parity -= 1
-                    i = start
-                    while i not in seen:
-                        seen.add(i)
-                        i = perm[i]
-            rows.append((perm, -1 if parity % 2 else 1))
-        table = _SIGNED_PERMS[n] = tuple(rows)
+        # the sign is (-1)^(n - number of cycles)
+        table = _SIGNED_PERMS[n] = tuple(
+            (perm, -1 if (n - len(_cycles(perm))) % 2 else 1)
+            for perm in permutations(range(n)))
     return table
 
 
@@ -219,10 +210,7 @@ class SuiteConfig(FrozenValue):
                     f"ring 'words' only supports the assoc suite, "
                     f"not {self.suite!r}")
             return
-        try:
-            ring = self.ring_obj()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        ring = self.ring_obj()
         if self.suite in _PSEUDO_SUITES:
             try:
                 ring.inverse_of_factorial(self.dimension)

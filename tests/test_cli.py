@@ -168,6 +168,14 @@ class TestMatrixFile:
         assert main(["eval", "det", "--matrix", str(bad)]) == 2
         assert_one_error_line(capsys.readouterr(), "size must be >= 1")
 
+    def test_non_utf8_file_is_exit_two(self, tmp_path, capsys):
+        """A byte that is not UTF-8 used to escape as a UnicodeDecodeError
+        traceback with exit code 1."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2\n1 2\n3 \xff\n")
+        assert main(["eval", "det", "--matrix", str(bad)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"{bad}: not UTF-8 text")
+
 
 class TestCheck:
     def test_suite_pass_exit_zero(self, capsys):
@@ -398,6 +406,22 @@ class TestConfigFile:
         cfg.write_text("trials = four\n")
         with pytest.raises(ConfigError):
             load_config_file(str(cfg))
+
+    def test_lines_end_at_newlines_only(self, tmp_path):
+        # a form feed is inside a line, so "2\fseed = 3" is one bad value
+        cfg = tmp_path / "ff.cfg"
+        cfg.write_text("trials = 2\fseed = 3\r\nbound = 4\n")
+        with pytest.raises(ConfigError, match=r":1: bad value '2\\x0cseed"):
+            load_config_file(str(cfg))
+        cfg.write_text("trials = 2\r\nbound = 4\rseed = 3\n")
+        assert load_config_file(str(cfg)) == {"trials": 2, "bound": 4,
+                                              "seed": 3}
+
+    def test_non_utf8_config_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("trials = 2  # café\n".encode("latin-1"))
+        assert main(["check", "degree-d", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"{cfg}: not UTF-8 text")
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

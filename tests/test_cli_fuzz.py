@@ -1,5 +1,6 @@
-"""Property test over CLI argv and config-file text: whatever the user
-types, ``pseudodet`` ends with exit code 0, 1 or 2 and never a traceback.
+"""Property test over CLI argv and the bytes of config and matrix files
+(UTF-8 or not): whatever the user types, ``pseudodet`` ends with exit code
+0, 1 or 2 and never a traceback.
 
 The program runs in-process through ``cli.main``; an exception escaping
 ``main`` is what would print a traceback, so the test fails on any
@@ -73,10 +74,19 @@ def matrix_text(draw):
     return "\n".join([size_line] + [" ".join(r) for r in rows]) + "\n"
 
 
+def _encoded(draw, text):
+    """``text`` as UTF-8 three times in four, else as latin-1 with a "ÿ"
+    appended, whose byte 0xff is never UTF-8 (a character latin-1 lacks
+    becomes "?")."""
+    if draw(st.integers(0, 3)):
+        return text.encode("utf-8")
+    return (text + "ÿ").encode("latin-1", errors="replace")
+
+
 @st.composite
 def invocation(draw):
     """``(argv, files)``: ``files`` maps the file names that argv uses to
-    their text.  Most draws are well-formed commands with odd values;
+    their bytes.  Most draws are well-formed commands with odd values;
     some carry a flag the command does not take or a junk token.  A
     ``check`` always gets its trials (at most 2) from a flag or from the
     config file, since the default of 50 would make a run slow."""
@@ -96,7 +106,7 @@ def invocation(draw):
     elif command == "eval":
         argv.append(draw(st.sampled_from(("fn", "det", "charpoly", "trace"))))
         flags, keys = _EVAL_FLAGS, ("ring", "dim")
-        files["m.txt"] = draw(matrix_text())
+        files["m.txt"] = _encoded(draw, draw(matrix_text()))
         argv += ["--matrix", draw(st.sampled_from(("m.txt", "m.txt",
                                                    "missing.txt")))]
     else:
@@ -117,7 +127,7 @@ def invocation(draw):
                for _ in range(draw(st.integers(0, 4)))]
     draw(st.randoms()).shuffle(config)
     if config:
-        files["run.cfg"] = "\n".join(config) + "\n"
+        files["run.cfg"] = _encoded(draw, "\n".join(config) + "\n")
         argv += ["--config", draw(st.sampled_from(("run.cfg", "run.cfg",
                                                    "missing.cfg")))]
     return argv, files
@@ -129,8 +139,8 @@ def invocation(draw):
 def test_exit_code_is_0_1_or_2_and_no_traceback(case, tmp_path,
                                                  monkeypatch):
     argv, files = case
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

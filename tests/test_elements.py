@@ -43,12 +43,13 @@ class TestElementMul:
 
 
 class TestMatrixEqualityAcrossRingObjects:
-    """``ModRing(7) is ModRing(7)`` is False, so matrices over two equal
-    rings compare through the ring keys, not the ring objects."""
+    """Rings are one object per modulus: ``ModRing(7)`` built twice is one
+    ring, and matrices over it compare by their rows; matrices over
+    ``ModRing(7)`` and ``ModRing(11)`` never compare equal."""
 
     def test_equal_rings_give_equal_matrices(self):
         r1, r2 = ModRing(7), ModRing(7)
-        assert r1 is not r2
+        assert r1 is r2
         a = Matrix(r1, [[1, 2], [3, 4]])
         b = Matrix(r2, [[1, 2], [3, 4]])
         assert a == b and b == a and hash(a) == hash(b)
@@ -92,7 +93,7 @@ def _product_pairs():
                 cases.append((f"mod{m}-{n}-{t}",
                               random_matrix(rng, ring, n, m),
                               Matrix(ring, big)))
-        # two distinct but equal ring objects share one kernel
+        # ModRing(7) built a second time is the same ring, with one kernel
         cases.append((f"mod7-two-rings-{n}",
                        random_matrix(substream(860, n), ModRing(7), n, 7),
                        Matrix(ModRing(7), [[6] * n] * n)))
@@ -137,7 +138,8 @@ class TestUnrolledProducts:
 
     @pytest.mark.parametrize("cls,name", [
         (Matrix, "__mul__"), (Matrix, "trace"), (Ring, "dot"),
-        (ModRing, "dot"), (PolyRing, "dot")])
+        (ModRing, "dot"), (PolyRing, "dot"), (Ring, "render"),
+        (ModRing, "render"), (PolyRing, "render")])
     def test_traced_methods_stay_on_their_classes(self, cls, name):
         # perfbench/tracer.py wraps these by name in the class's __dict__
         assert name in vars(cls)

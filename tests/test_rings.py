@@ -1,13 +1,15 @@
 """Scalar backends: exactness, canonical forms, and ring axioms."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudodet import (MismatchError, ModRing, NotInvertibleError, Poly,
-                       QPOLY, QQ, Residue, ring_from_spec)
+from pseudodet import (ConfigError, MismatchError, ModRing,
+                       NotInvertibleError, Poly, PolyRing, QPOLY, QQ,
+                       RationalRing, Residue, Ring, ring_from_spec)
 
 rationals = st.one_of(
     st.integers(-60, 60),
@@ -163,6 +165,47 @@ class TestErrors:
     def test_ring_spec_roundtrip(self):
         assert ring_from_spec("rational") == QQ
         assert ring_from_spec("mod:101") == ModRing(101)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("mod:1", "modulus must be >= 2, got 1"),
+        ("mod:x", "bad modulus in ring spec 'mod:x'"),
+        ("Q", "unknown ring spec 'Q'")])
+    def test_bad_ring_spec_is_a_config_error(self, spec, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ring_from_spec(spec)
+
+    @pytest.mark.parametrize("value", [2.5, True, Fraction(3), "3"])
+    def test_residue_value_must_be_a_plain_int(self, value):
+        # the message ModRing(7).cell gives for a value it refuses
+        message = f"^not a mod-7 scalar: {re.escape(repr(value))}$"
+        with pytest.raises(MismatchError, match=message):
+            Residue(value, 7)
+
+
+class TestCanonicalRings:
+    """One object per ring: equal rings are the same object."""
+
+    def test_building_a_ring_again_gives_the_same_object(self):
+        assert ModRing(7) is ModRing(7)
+        assert ModRing(modulus=7) is ModRing(7)
+        assert ring_from_spec("mod:7") is ModRing(7)
+        assert ring_from_spec("rational") is QQ
+        assert RationalRing() is QQ
+        assert PolyRing() is QPOLY
+        assert ModRing(7) is not ModRing(11)
+
+    @pytest.mark.parametrize("modulus", [7.0, True])
+    def test_validation_comes_before_the_lookup(self, modulus):
+        # 7.0 == 7 hash alike, so a lookup before validating would hand
+        # back ModRing(7); True == 1 likewise
+        ModRing(7)
+        with pytest.raises(ValueError, match="^modulus must be an int, got "):
+            ModRing(modulus)
+
+    def test_equality_and_hash_are_identity(self):
+        assert Ring.__hash__ is object.__hash__
+        assert Ring.__eq__ is object.__eq__
+        assert hash(ModRing(7)) == object.__hash__(ModRing(7))
 
 
 @given(rationals, rationals, rationals)
