@@ -21,11 +21,10 @@ from .elements import Matrix
 from .errors import ConfigError, PseudodetError
 from .pseudochar import char_poly, determinant, matrix_trace, recursive_form
 from .rings import ring_from_spec
-from .verify import (SUITE_NAMES, SuiteConfig, cell_configs,
-                     default_all_configs, run_suite)
+from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
 
-_CONFIG_KEYS = {"ring": str, "dim": int, "size": int, "trials": int,
-                "seed": int, "bound": int, "budget": int}
+#: ``check``'s settable values and their types: ``SuiteConfig``'s defaults
+_CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig._defaults.items()}
 
 
 def _read_text(path: str) -> str:
@@ -98,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     _add_common_flags(check)
     for flag, text in (
-            ("--size", "matrix size (default: the dimension)"),
             ("--trials", "number of randomized trials (default 50)"),
             ("--seed", "base PRNG seed (default 0)"),
             ("--bound", "matrix entries drawn from [-bound, bound] (default 5)"),
@@ -118,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=None,
-                   help="declared dimension (default 2; for eval, the size)")
+                   help="declared dimension, for check also the matrix "
+                        "size (default 2; for eval, the file's size)")
     p.add_argument("--ring", default=None,
                    help="rational | mod:<m> | words (default rational)")
     p.add_argument("--config", default=None, help="key-value config file")
@@ -137,38 +136,24 @@ def _merged_options(args, keys) -> dict:
 
 
 def _check_configs(args, options) -> list:
-    """The configs to run.  The ring defaults to rational and dim to 2
-    (size to dim); trials, seed, bound and budget are passed on only when
-    the user set them, so their defaults live in ``SuiteConfig`` alone.
-    The word suite has no dim or size, and ``check all`` runs every matrix
-    cell at size = dim, so a given size must equal each cell's dim."""
-    shared = dict(options)
-    ring = shared.pop("ring", None)
-    dim = shared.pop("dim", None)
-    size = shared.pop("size", None)
-    if ring == "words":
-        if dim is not None or size is not None:
-            raise ConfigError("ring 'words' runs the exhaustive word suite, "
-                              "which takes no --dim or --size")
-        suite = "assoc" if args.suite == "all" else args.suite
-        return [SuiteConfig(suite, ring="words", **shared)]
-    explicit_cell = ring is not None or dim is not None
-    ring = "rational" if ring is None else ring
-    dim = 2 if dim is None else dim
+    """The configs to run.  Only the options the user set are passed on,
+    so every default (ring rational, dim 2, ...) lives in ``SuiteConfig``
+    alone.  ``check all`` runs the default matrix, or the one cell whose
+    ring or dim is given; with ring words it runs the word suite, which
+    has no dim."""
+    words = options.get("ring") == "words"
+    if words and "dim" in options:
+        raise ConfigError("ring 'words' runs the exhaustive word suite, "
+                          "which takes no --dim")
     if args.suite != "all":
-        size = dim if size is None else size
-        return [SuiteConfig(args.suite, ring=ring, size=size, dim=dim,
-                            **shared)]
-    if explicit_cell:
-        configs = cell_configs(ring, dim, **shared)
+        suites = (args.suite,)
+    elif words:
+        suites = ("assoc",)
+    elif "ring" in options or "dim" in options:
+        suites = SUITE_NAMES
     else:
-        configs = default_all_configs(**shared)
-    if size is not None and any(cfg.ring == "words" or cfg.size != size
-                                for cfg in configs):
-        raise ConfigError(
-            f"check all runs every matrix cell at size = dim and words at "
-            f"no size; --size {size} does not fit every cell")
-    return configs
+        return default_all_configs(**options)
+    return [SuiteConfig(suite, **options) for suite in suites]
 
 
 def _run_check(args) -> int:

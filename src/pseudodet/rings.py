@@ -515,15 +515,18 @@ QPOLY = PolyRing()
 
 
 def ring_from_spec(spec: str) -> Ring:
-    """Parse ``rational`` or ``mod:<m>``; ConfigError for any other spec."""
+    """Parse ``rational`` or ``mod:<m>``, m in canonical ASCII decimal, so
+    that each ring has one spelling; ConfigError for any other spec."""
     if spec == "rational":
         return QQ
     if not spec.startswith("mod:"):
         raise ConfigError(f"unknown ring spec {spec!r}")
     try:
         m = int(spec[4:])
-    except ValueError:
-        raise ConfigError(f"bad modulus in ring spec {spec!r}") from None
+    except ValueError:  # not a number, or past int's digit limit
+        m = None
+    if not spec[4:].isdigit() or spec != f"mod:{m}":
+        raise ConfigError(f"bad modulus in ring spec {spec!r}")
     try:
         return ModRing(m)
     except ValueError as exc:

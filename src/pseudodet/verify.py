@@ -174,23 +174,20 @@ TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
 
 
 class SuiteConfig(FrozenValue):
-    """Parameters of one suite run; validation happens in ``validate``."""
+    """Parameters of one suite run; validation happens in ``validate``.
+    A matrix suite draws ``dim`` x ``dim`` matrices, whose trace is the
+    pseudocharacter of dimension ``dim``."""
 
-    __slots__ = _fields = ("suite", "ring", "size", "dim", "trials", "seed",
-                           "bound", "budget")
+    __slots__ = _fields = ("suite", "ring", "dim", "trials", "seed", "bound",
+                           "budget")
     _defaults = {
         "ring": "rational",         # rational | mod:<m> | words
-        "size": 2,                  # matrix size
-        "dim": None,                # declared dimension; defaults to size
+        "dim": 2,                   # declared dimension and matrix size
         "trials": 50,
         "seed": 0,
         "bound": 5,                 # entries drawn from [-bound, bound]
         "budget": DEFAULT_BUDGET,   # formal-product term budget
     }
-
-    @property
-    def dimension(self) -> int:
-        return self.size if self.dim is None else self.dim
 
     def ring_obj(self) -> Ring:
         return ring_from_spec(self.ring)
@@ -199,11 +196,9 @@ class SuiteConfig(FrozenValue):
         if self.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}; "
                               f"choose from {', '.join(SUITE_NAMES)}")
-        for name in ("trials", "bound", "budget"):
+        for name in ("trials", "bound", "budget", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.size < 1 or self.dimension < 1:
-            raise ConfigError("size and dim must be >= 1")
         if self.ring == "words":
             if self.suite != "assoc":
                 raise ConfigError(
@@ -213,30 +208,25 @@ class SuiteConfig(FrozenValue):
         ring = self.ring_obj()
         if self.suite in _PSEUDO_SUITES:
             try:
-                ring.inverse_of_factorial(self.dimension)
+                ring.inverse_of_factorial(self.dim)
             except NotInvertibleError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.suite == "degree-d" and self.dimension > ORACLE_CAP:
+        if self.suite == "degree-d" and self.dim > ORACLE_CAP:
             raise ConfigError(
-                f"degree-d needs dim! permutations; dim {self.dimension} "
+                f"degree-d needs dim! permutations; dim {self.dim} "
                 f"exceeds the cap of {ORACLE_CAP}")
-        if self.suite in ("det-mult", "charpoly") and self.size > _LEIBNIZ_CAP:
+        if self.suite in ("det-mult", "charpoly") and self.dim > _LEIBNIZ_CAP:
             raise ConfigError(
                 f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
-        if self.suite == "charpoly" and self.dimension != self.size:
+        # the vanishing axiom takes forms of dim + 1 arguments; det-mult's
+        # forms of dim arguments stop at the Leibniz cap first
+        if self.suite == "pseudochar-axioms" and self.dim + 1 > REC_CAP:
             raise ConfigError(
-                "charpoly compares against det(t-x) of the matrix itself, "
-                "so dim must equal size")
-        # only two suites can reach the cap: det (dim), vanishing (dim + 1)
-        args = {"det-mult": self.dimension,
-                "pseudochar-axioms": self.dimension + 1}.get(self.suite, 0)
-        if args > REC_CAP:
-            raise ConfigError(
-                f"{self.suite} evaluates forms of up to {args} arguments, "
-                f"more than the recursion cap of {REC_CAP}")
+                f"{self.suite} evaluates forms of up to {self.dim + 1} "
+                f"arguments, more than the recursion cap of {REC_CAP}")
 
     def echo(self) -> dict:
-        return {**self.fields(), "dim": self.dimension,
+        return {**self.fields(), "size": self.dim,
                 "rec_cap": REC_CAP, "oracle_cap": ORACLE_CAP,
                 "word_card": WORD_CARD, "pair_sum": PAIR_SUM,
                 "taylor_max_n": TAYLOR_MAX_N}
@@ -351,14 +341,16 @@ def _trials(cfg: SuiteConfig):
         yield trial, substream(cfg.seed, trial)
 
 
-def _trace(cfg: SuiteConfig, pseudocharacter: bool = True):
-    """The trace on ``cfg``'s matrices, declared with ``cfg``'s dimension."""
-    return matrix_trace(cfg.ring_obj(), cfg.size, cfg.dimension,
-                        pseudocharacter=pseudocharacter)
+def _trace(cfg: SuiteConfig):
+    """The trace on ``cfg``'s matrices, a pseudocharacter exactly in the
+    suites that assume one."""
+    return matrix_trace(cfg.ring_obj(), cfg.dim,
+                        pseudocharacter=cfg.suite in _PSEUDO_SUITES)
 
 
-def _draw(rng, cfg: SuiteConfig, ring: Ring, count: int) -> tuple:
-    return tuple(random_matrix(rng, ring, cfg.size, cfg.bound)
+def _draw(rng, cfg: SuiteConfig, count: int) -> tuple:
+    ring = cfg.ring_obj()
+    return tuple(random_matrix(rng, ring, cfg.dim, cfg.bound)
                  for _ in range(count))
 
 
@@ -388,32 +380,30 @@ def _assoc_sides(x, y, z, budget=DEFAULT_BUDGET):
             formal_product(x, formal_product(y, z, budget), budget))
 
 
-def _suite_assoc(cfg: SuiteConfig) -> list:
+def _suite_assoc(cfg: SuiteConfig):
     if cfg.ring == "words":
         span = range(WORD_CARD + 1)
         cases = [(f"assoc-words({n},{m},{k})", 0,
                   (_letters("x", n), _letters("y", m), _letters("z", k)))
                  for n in span for m in span for k in span]
     else:
-        ring = cfg.ring_obj()
         cases = []
         for trial, rng in _trials(cfg):
             cards = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
             cases.append((f"assoc-matrix{cards}", trial,
-                          [Multiset(_draw(rng, cfg, ring, c)) for c in cards]))
-    records = [_sum_record(name, trial, _renders(*xyz),
-                           *_assoc_sides(*xyz, cfg.budget))
-               for name, trial, xyz in cases]
+                          [Multiset(_draw(rng, cfg, c)) for c in cards]))
+    for name, trial, xyz in cases:
+        yield _sum_record(name, trial, _renders(*xyz),
+                          *_assoc_sides(*xyz, cfg.budget))
 
     # negative control: a corrupted right-hand side must be detected
     x = Multiset([Word(["a"]), Word(["b"])])
     y = Multiset([Word(["c"])])
     z = Multiset([Word(["d"])])
     lhs, rhs = _assoc_sides(x, y, z)
-    records.append(_sum_record(
-        "assoc-corrupted-control", 0, _renders(x, y, z), lhs,
-        rhs + FormalSum.unit(), True, " (one spurious term added)"))
-    return records
+    yield _sum_record("assoc-corrupted-control", 0, _renders(x, y, z), lhs,
+                      rhs + FormalSum.unit(), True,
+                      " (one spurious term added)")
 
 
 _HOM_ALPHABET = ("a", "b", "c", "d")
@@ -433,19 +423,17 @@ def _random_word_sum(rng) -> FormalSum:
     return acc
 
 
-def _suite_functoriality(cfg: SuiteConfig) -> list:
-    ring = cfg.ring_obj()
-    records = []
+def _suite_functoriality(cfg: SuiteConfig):
     for trial, rng in _trials(cfg):
         s = _random_word_sum(rng)
         t = _random_word_sum(rng)
-        hom = LetterHom({letter: random_matrix(rng, ring, cfg.size, cfg.bound)
-                         for letter in _HOM_ALPHABET})
-        records.append(_sum_record(
+        hom = LetterHom(dict(zip(_HOM_ALPHABET,
+                                 _draw(rng, cfg, len(_HOM_ALPHABET)))))
+        yield _sum_record(
             "functoriality", trial, _renders(s, t),
             formal_product(s, t, cfg.budget).map_elements(hom),
             formal_product(s.map_elements(hom), t.map_elements(hom),
-                           cfg.budget)))
+                           cfg.budget))
 
     # negative control: mapping the two factors through different
     # homomorphisms must break the identity
@@ -454,148 +442,131 @@ def _suite_functoriality(cfg: SuiteConfig) -> list:
     hom1 = LetterHom({"a": a})
     hom2 = LetterHom({"a": b})
     s = FormalSum.of(Multiset([Word(["a"])]))
-    records.append(_sum_record(
+    yield _sum_record(
         "functoriality-mixed-hom-control", 0, _renders(s),
         formal_product(s, s).map_elements(hom1),
-        formal_product(s.map_elements(hom1), s.map_elements(hom2)), True))
-    return records
+        formal_product(s.map_elements(hom1), s.map_elements(hom2)), True)
 
 
-def _suite_product_formula(cfg: SuiteConfig) -> list:
-    f = _trace(cfg, pseudocharacter=False)
-    ring = f.ring
+def _suite_product_formula(cfg: SuiteConfig):
+    f = _trace(cfg)
     pairs = [(n, s - n) for s in range(PAIR_SUM + 1) for n in range(s + 1)]
-    records = []
     for trial, rng in _trials(cfg):
         n, m = pairs[trial % len(pairs)]
-        x = Multiset(_draw(rng, cfg, ring, n))
-        y = Multiset(_draw(rng, cfg, ring, m))
-        records.append(_scalar_record(
-            ring, f"product-formula({n},{m})", trial, _renders(x, y),
-            *product_formula_check(f, x, y, budget=cfg.budget)))
+        x = Multiset(_draw(rng, cfg, n))
+        y = Multiset(_draw(rng, cfg, m))
+        yield _scalar_record(
+            f.ring, f"product-formula({n},{m})", trial, _renders(x, y),
+            *product_formula_check(f, x, y, budget=cfg.budget))
 
     # negative control: a non-central function must break the formula
     x = Multiset([Matrix(QQ, [[-1, 1], [1, 1]]),
                   Matrix(QQ, [[0, 3], [-1, 0]])])
     y = Multiset([Matrix(QQ, [[-3, 1], [-2, -3]])])
-    records.append(_scalar_record(
+    yield _scalar_record(
         QQ, "product-formula-noncentral-control", 0, _renders(x, y),
-        *product_formula_check(_CORNER, x, y), negative_control=True))
-    return records
+        *product_formula_check(_CORNER, x, y), negative_control=True)
 
 
-def _suite_degree_d(cfg: SuiteConfig) -> list:
+def _suite_degree_d(cfg: SuiteConfig):
     f = _trace(cfg)
-    records = []
     for trial, rng in _trials(cfg):
-        xs = _draw(rng, cfg, f.ring, f.dim)
-        ys = _draw(rng, cfg, f.ring, f.dim)
-        records.append(_scalar_record(
-            f.ring, "degree-d", trial, _renders(*xs, *ys),
-            *degree_product_check(f, xs, ys)))
+        xs = _draw(rng, cfg, cfg.dim)
+        ys = _draw(rng, cfg, cfg.dim)
+        yield _scalar_record(f.ring, "degree-d", trial, _renders(*xs, *ys),
+                             *degree_product_check(f, xs, ys))
 
     # negative control: trace on M2 declared with dimension 1
-    records.append(_scalar_record(
+    yield _scalar_record(
         QQ, "degree-d-wrong-dim-control", 0, _renders(_X, _Y),
         *degree_product_check(_WRONG_DIM, (_X,), (_Y,)),
-        negative_control=True))
-    return records
+        negative_control=True)
 
 
-def _suite_det_mult(cfg: SuiteConfig) -> list:
+def _suite_det_mult(cfg: SuiteConfig):
     f = _trace(cfg)
     ring = f.ring
-    identity = Matrix.identity(ring, cfg.size)
-    records = [_scalar_record(ring, "det-of-unit", 0, _renders(identity),
-                              determinant(f, identity), ring.one())]
+    identity = Matrix.identity(ring, cfg.dim)
+    yield _scalar_record(ring, "det-of-unit", 0, _renders(identity),
+                         determinant(f, identity), ring.one())
     for trial, rng in _trials(cfg):
-        x = random_matrix(rng, ring, cfg.size, cfg.bound)
-        y = random_matrix(rng, ring, cfg.size, cfg.bound)
-        records.append(_scalar_record(ring, "det-vs-leibniz", trial,
-                                      _renders(x), determinant(f, x),
-                                      leibniz_det(x)))
-        records.append(_scalar_record(ring, "det-multiplicative", trial,
-                                      _renders(x, y),
-                                      *multiplicativity_check(f, x, y)))
+        x, y = _draw(rng, cfg, 2)
+        yield _scalar_record(ring, "det-vs-leibniz", trial, _renders(x),
+                             determinant(f, x), leibniz_det(x))
+        yield _scalar_record(ring, "det-multiplicative", trial,
+                             _renders(x, y), *multiplicativity_check(f, x, y))
 
     # negative control: trace on M2 declared with dimension 1
-    records.append(_scalar_record(
+    yield _scalar_record(
         QQ, "det-mult-wrong-dim-control", 0, _renders(_X, _Y),
-        *multiplicativity_check(_WRONG_DIM, _X, _Y), negative_control=True))
-    return records
+        *multiplicativity_check(_WRONG_DIM, _X, _Y), negative_control=True)
 
 
-def _suite_charpoly(cfg: SuiteConfig) -> list:
+def _suite_charpoly(cfg: SuiteConfig):
     f = _trace(cfg)
     ring = f.ring
-    records = []
     for trial, rng in _trials(cfg):
-        x = random_matrix(rng, ring, cfg.size, cfg.bound)
+        (x,) = _draw(rng, cfg, 1)
         cp = char_poly(f, x)
         oracle = char_poly_leibniz(x)
-        records.append(CheckRecord(
+        yield CheckRecord(
             "charpoly-vs-leibniz", trial, _renders(x), cp.render(),
             " , ".join(ring.render(c) for c in oracle) + " (low to high)",
-            cp == CharPoly(ring, oracle)))
+            cp == CharPoly(ring, oracle))
         got = cp.trace()
         expected = f(x)
-        records.append(_scalar_record(
-            ring, "charpoly-trace-roundtrip", trial, _renders(x), got,
-            expected, cp.is_monic() and got == expected))
+        yield _scalar_record(ring, "charpoly-trace-roundtrip", trial,
+                             _renders(x), got, expected,
+                             cp.is_monic() and got == expected)
         interp = char_poly_interpolated(f, x)
-        records.append(CheckRecord(
-            "charpoly-vs-interpolation", trial, _renders(x),
-            cp.render(), interp.render(), cp == interp))
+        yield CheckRecord("charpoly-vs-interpolation", trial, _renders(x),
+                          cp.render(), interp.render(), cp == interp)
 
     # negative control: wrong declared dimension gives the wrong degree
     cp = char_poly(_WRONG_DIM, _X)
     oracle = char_poly_leibniz(_X)
-    records.append(CheckRecord(
+    yield CheckRecord(
         "charpoly-wrong-dim-control", 0, _renders(_X), cp.render(),
         " , ".join(QQ.render(c) for c in oracle),
-        cp == CharPoly(QQ, oracle), negative_control=True))
-    return records
+        cp == CharPoly(QQ, oracle), negative_control=True)
 
 
-def _suite_taylor_equiv(cfg: SuiteConfig) -> list:
-    f = _trace(cfg, pseudocharacter=False)
-    records = []
+def _suite_taylor_equiv(cfg: SuiteConfig):
+    f = _trace(cfg)
     for trial, rng in _trials(cfg):
         n = trial % TAYLOR_MAX_N + 1
-        args = _draw(rng, cfg, f.ring, n)
-        records.append(_scalar_record(
+        args = _draw(rng, cfg, n)
+        yield _scalar_record(
             f.ring, f"taylor-equiv(n={n})", trial, _renders(*args),
-            recursive_form(f, args), cycle_sum_form(f, args)))
+            recursive_form(f, args), cycle_sum_form(f, args))
 
     # negative control: a non-central function separates the two
     # definitions once cycle rotations matter (n = 4)
     args = (_X, _Y, Matrix(QQ, [[2, 1], [0, 1]]), Matrix(QQ, [[1, 0], [5, 2]]))
-    records.append(_scalar_record(
+    yield _scalar_record(
         QQ, "taylor-equiv-noncentral-control", 0, _renders(*args),
         recursive_form(_CORNER, args), cycle_sum_form(_CORNER, args),
-        negative_control=True))
-    return records
+        negative_control=True)
 
 
-def _suite_pseudochar_axioms(cfg: SuiteConfig) -> list:
+def _suite_pseudochar_axioms(cfg: SuiteConfig):
     f = _trace(cfg)
     rng = substream(cfg.seed, 0)
     count = min(cfg.trials, 12)  # axiom checks scan all pairs of samples
-    samples = _draw(rng, cfg, f.ring, count)
+    samples = _draw(rng, cfg, count)
     report = check_pseudocharacter(f, samples)
     inputs = _renders(*samples)
-    records = [CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
-                           "expected to hold", e.ok)
-               for e in report.entries]
+    for e in report.entries:
+        yield CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
+                          "expected to hold", e.ok)
 
     # negative control: declared dimension 3 for the 2x2 trace
     g = matrix_trace(QQ, 2, 3, pseudocharacter=False)
     bad = check_pseudocharacter(g, [_X, _Y])
-    records.append(CheckRecord(
+    yield CheckRecord(
         "axioms-wrong-dim-control", 0, ("trace on M2 declared dim 3",),
         bad.render().replace("\n", "; "), "expected to fail",
-        bad.passed, negative_control=True))
-    return records
+        bad.passed, negative_control=True)
 
 
 _SUITE_BODIES = {
@@ -623,16 +594,16 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     cfg.validate()
     start = time.perf_counter()
     try:
-        records, error = _SUITE_BODIES[cfg.suite](cfg), None
+        records, error = tuple(_SUITE_BODIES[cfg.suite](cfg)), None
     except BudgetExceededError as exc:
         records, error = (), str(exc)
     duration = time.perf_counter() - start
-    return SuiteReport(cfg.suite, cfg.echo(), tuple(records), duration, error)
+    return SuiteReport(cfg.suite, cfg.echo(), records, duration, error)
 
 
 def cell_configs(ring: str, dim: int, **shared) -> list:
-    """Every suite on the matrix cell (ring, dim), at size = dim."""
-    return [SuiteConfig(suite, ring=ring, size=dim, dim=dim, **shared)
+    """Every suite on the matrix cell (ring, dim)."""
+    return [SuiteConfig(suite, ring=ring, dim=dim, **shared)
             for suite in SUITE_NAMES]
 
 

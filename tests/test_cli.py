@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, outputs, JSON reports, config."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pseudodet.cli import load_config_file, main, read_matrix_file
+from pseudodet.cli import (_CONFIG_KEYS, build_parser, load_config_file, main,
+                           read_matrix_file)
 from pseudodet.errors import ConfigError
 from pseudodet.rings import ModRing, QQ
 from pseudodet.verify import SuiteConfig
@@ -191,11 +193,12 @@ class TestCheck:
 
     @pytest.mark.parametrize("argv", [
         ["check", "degree-d", "--dim", "0"],
-        ["check", "assoc", "--size", "0"],
+        ["check", "assoc", "--dim", "0"],
         ["check", "all", "--dim", "0", "--ring", "rational"],
     ])
     def test_zero_dim_or_size_is_exit_two(self, argv, capsys):
-        """0 is rejected, not replaced by the default of 2."""
+        """0 is rejected, not replaced by the default of 2 (dim is also
+        the matrix size)."""
         assert main(argv + ["--trials", "1", "--quiet"]) == 2
         captured = capsys.readouterr()
         assert_one_error_line(captured, "must be >= 1")
@@ -205,24 +208,31 @@ class TestCheck:
         ["check", "all", "--size", "3", "--dim", "2", "--ring", "mod:7"],
         ["check", "all", "--size", "2"],
         ["check", "all", "--size", "2", "--ring", "words"],
+        ["check", "det-mult", "--size", "2"],
     ])
-    def test_check_all_refuses_a_size_it_would_not_use(self, argv, capsys):
-        """check all runs each matrix cell at size = dim and words at no
-        size, so any other --size is an error, not silently ignored."""
-        assert main(argv + ["--trials", "1", "--quiet"]) == 2
+    def test_size_is_not_a_check_flag(self, argv, capsys):
+        """Every matrix suite runs at size = dim, so --size is a usage
+        error, even where it would equal dim."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", "1", "--quiet"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert_one_error_line(captured, "--size")
+        assert "usage" in captured.err and "--size" in captured.err
         assert captured.out == ""
 
-    def test_check_all_accepts_size_equal_to_dim(self, capsys):
-        assert main(["check", "all", "--size", "1", "--dim", "1", "--ring",
-                     "mod:7", "--trials", "1", "--quiet"]) == 0
-        assert "8 suite(s)" in capsys.readouterr().out
+    def test_size_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim = 2\nsize = 2\n")
+        assert main(["check", "det-mult", "--trials", "1", "--quiet",
+                     "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "unknown key 'size'")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["check", "all", "--dim", "9", "--ring", "rational"],
-        ["check", "det-mult", "--dim", "9", "--size", "2"],
-        ["check", "pseudochar-axioms", "--dim", "8", "--size", "1"],
+        ["check", "det-mult", "--dim", "9"],
+        ["check", "pseudochar-axioms", "--dim", "8"],
     ])
     def test_cap_errors_stop_before_any_suite(self, argv, tmp_path, capsys):
         """Every config is validated, caps included, before a suite runs:
@@ -279,12 +289,13 @@ class TestCheck:
 
     @pytest.mark.parametrize("argv", [
         ["check", "all", "--ring", "words", "--dim", "5"],
-        ["check", "assoc", "--ring", "words", "--dim", "5", "--size", "3"],
-        ["check", "assoc", "--ring", "words", "--size", "3"],
+        ["check", "assoc", "--ring", "words", "--dim", "5"],
+        ["check", "all", "--ring", "words", "--dim", "2"],
     ])
     def test_words_ring_takes_no_dim_or_size(self, argv, capsys):
-        """The exhaustive word suite has neither, so a given one is an
-        error, not a value the report misstates."""
+        """The exhaustive word suite has no dim (so no matrix size), so a
+        given one is an error, not a value the report misstates, even the
+        default of 2."""
         assert main(argv + ["--trials", "1", "--quiet"]) == 2
         captured = capsys.readouterr()
         assert_one_error_line(captured, "words")
@@ -427,3 +438,14 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("volume = 11\n")
         assert main(["check", "assoc", "--config", str(cfg)]) == 2
+
+    def test_flags_keys_and_fields_are_one_list(self):
+        """Each settable check value is a flag, a config-file key and a
+        ``SuiteConfig`` field, so none can be added in one place only."""
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        flags = {opt[2:] for action in subparsers.choices["check"]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        flags -= {"help", "config", "json", "quiet"}
+        fields = set(SuiteConfig._fields) - {"suite"}
+        assert flags == set(_CONFIG_KEYS) == fields

@@ -5,7 +5,7 @@
 The program runs in-process through ``cli.main``; an exception escaping
 ``main`` is what would print a traceback, so the test fails on any
 exception except ``SystemExit`` (argparse's usage errors and ``--help``).
-Sizes are kept small (trials <= 2, dim and size <= 3, matrices up to 3x3)
+Sizes are kept small (trials <= 2, dim <= 3, matrices up to 3x3)
 so that one example takes well under a second.
 """
 
@@ -41,8 +41,7 @@ _VALUES = {
     "budget": st.one_of(_int_text(-1, 100), _int_text(-1, 10**8)),
     "n": _int_text(-1, 4),
 }
-_CHECK_FLAGS = ("ring", "dim", "size", "seed", "bound", "budget", "quiet",
-                "json")
+_CHECK_FLAGS = ("ring", "dim", "seed", "bound", "budget", "quiet", "json")
 _EVAL_FLAGS = ("ring", "dim", "n", "json")
 _STRAY_FLAGS = ("size", "trials", "n", "quiet", "help", "junk")
 

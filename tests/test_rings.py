@@ -166,11 +166,22 @@ class TestErrors:
         assert ring_from_spec("rational") == QQ
         assert ring_from_spec("mod:101") == ModRing(101)
 
+    _LONG_SPEC = "mod:" + "7" * 5000  # past int()'s 4,300-digit limit
+
     @pytest.mark.parametrize("spec,message", [
         ("mod:1", "modulus must be >= 2, got 1"),
+        ("mod:0", "modulus must be >= 2, got 0"),
         ("mod:x", "bad modulus in ring spec 'mod:x'"),
-        ("Q", "unknown ring spec 'Q'")])
+        ("Q", "unknown ring spec 'Q'")] + [
+        (spec, f"bad modulus in ring spec {spec!r}")
+        for spec in ("mod: 7", "mod:7 ", "mod:+7", "mod:07", "mod:00",
+                     "mod:\u0667", "mod:\u00b2", "mod:7_0", "mod:-3", "mod:")
+    ] + [pytest.param(_LONG_SPEC, f"bad modulus in ring spec {_LONG_SPEC!r}",
+                      id="mod-past-the-digit-limit")])
     def test_bad_ring_spec_is_a_config_error(self, spec, message):
+        """mod 7 has the one spelling mod:7: a space, sign, leading zero,
+        non-ASCII digit or "_" would run mod 7 (or mod 70) under another
+        name in the report."""
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ring_from_spec(spec)
 

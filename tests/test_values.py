@@ -109,10 +109,10 @@ class TestFrozenRecord:
     class."""
 
     def test_fields_by_position_keyword_and_default(self):
-        cfg = SuiteConfig("charpoly", dim=3, size=3)
-        assert cfg == SuiteConfig("charpoly", "rational", 3, 3)
+        cfg = SuiteConfig("charpoly", dim=3)
+        assert cfg == SuiteConfig("charpoly", "rational", 3)
         assert cfg.fields() == {
-            "suite": "charpoly", "ring": "rational", "size": 3, "dim": 3,
+            "suite": "charpoly", "ring": "rational", "dim": 3,
             "trials": 50, "seed": 0, "bound": 5, "budget": 10**7}
         assert repr(CharPoly(QQ, (1,))) == \
             "CharPoly(ring=rational, coefficients=(1,))"

@@ -234,7 +234,7 @@ class TestSuiteRuns:
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_each_suite_passes_smoke(self, suite):
         ring = "words" if suite == "assoc" else "mod:7"
-        cfg = SuiteConfig(suite, ring=ring, size=2, dim=2, trials=6, seed=3)
+        cfg = SuiteConfig(suite, ring=ring, dim=2, trials=6, seed=3)
         report = run_suite(cfg)
         assert report.passed, report.text_lines()
         counts = report.counts()
@@ -242,14 +242,14 @@ class TestSuiteRuns:
         assert counts["misbehaved"] == 0
 
     def test_det_mult_two_hundred_trials(self):
-        cfg = SuiteConfig("det-mult", ring="rational", size=2, dim=2,
+        cfg = SuiteConfig("det-mult", ring="rational", dim=2,
                           trials=200, seed=17)
         report = run_suite(cfg)
         assert report.passed
         assert report.counts()["checks"] == 2 * 200 + 2
 
     def test_deterministic_reports(self):
-        cfg = SuiteConfig("det-mult", ring="rational", size=2, dim=2,
+        cfg = SuiteConfig("det-mult", ring="rational", dim=2,
                           trials=10, seed=99)
         first = run_suite(cfg).to_dict()
         second = run_suite(cfg).to_dict()
@@ -258,13 +258,13 @@ class TestSuiteRuns:
         assert first == second
 
     def test_different_seeds_differ(self):
-        base = dict(ring="rational", size=2, dim=2, trials=5)
+        base = dict(ring="rational", dim=2, trials=5)
         r1 = run_suite(SuiteConfig("det-mult", seed=1, **base)).to_dict()
         r2 = run_suite(SuiteConfig("det-mult", seed=2, **base)).to_dict()
         assert r1["checks"] != r2["checks"]
 
     def test_report_shape(self):
-        cfg = SuiteConfig("degree-d", ring="rational", size=2, dim=2,
+        cfg = SuiteConfig("degree-d", ring="rational", dim=2,
                           trials=4, seed=5)
         doc = run_suite(cfg).to_dict()
         assert set(doc) == {"suite", "config", "checks", "counts", "pass",
@@ -296,24 +296,38 @@ class TestNoncentralControls:
         ("taylor-equiv", "taylor-equiv-noncentral-control", "-36", "-21"),
     ])
     def test_record(self, suite, name, lhs, rhs):
-        report = run_suite(SuiteConfig(suite, ring="rational", size=2,
-                                       dim=2, trials=1, seed=42))
+        report = run_suite(SuiteConfig(suite, ring="rational", dim=2,
+                                       trials=1, seed=42))
         (record,) = [r for r in report.records if r.name == name]
         assert (record.lhs, record.rhs, record.ok) == (lhs, rhs, False)
         assert record.negative_control and record.behaved
 
 
 class TestConfigValidation:
-    def test_factorial_must_be_invertible(self):
-        cfg = SuiteConfig("degree-d", ring="mod:6", size=3, dim=3)
-        with pytest.raises(ConfigError, match="not invertible"):
+    #: the suites that assume a pseudocharacter, hence an invertible dim!
+    FACTORIAL_SUITES = ("degree-d", "det-mult", "charpoly", "pseudochar-axioms")
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_factorial_must_be_invertible(self, suite):
+        """3! = 6 is not invertible mod 6: exactly the four suites that
+        assume a pseudocharacter refuse the cell."""
+        cfg = SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
+        if suite in self.FACTORIAL_SUITES:
+            with pytest.raises(ConfigError, match="not invertible"):
+                cfg.validate()
+        else:
             cfg.validate()
 
-    def test_product_formula_allows_any_modulus(self):
-        # no pseudocharacter hypothesis, so mod 6 is fine
-        cfg = SuiteConfig("product-formula", ring="mod:6", size=2, dim=2,
-                          trials=4)
-        assert run_suite(cfg).passed
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_product_formula_allows_any_modulus(self, suite):
+        """The other four assume no pseudocharacter, so they run and pass
+        mod 6 at dim 3; run_suite refuses the four that do."""
+        cfg = SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
+        if suite in self.FACTORIAL_SUITES:
+            with pytest.raises(ConfigError, match="not invertible"):
+                run_suite(cfg)
+        else:
+            assert run_suite(cfg).passed
 
     def test_words_only_for_assoc(self):
         with pytest.raises(ConfigError):
@@ -331,28 +345,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SuiteConfig("assoc", ring="float").validate()
 
-    def test_charpoly_dim_must_match_size(self):
-        with pytest.raises(ConfigError):
-            SuiteConfig("charpoly", ring="rational", size=2, dim=3).validate()
-
     def test_leibniz_size_cap(self):
         with pytest.raises(ConfigError):
-            SuiteConfig("det-mult", ring="rational", size=7, dim=7).validate()
+            SuiteConfig("det-mult", ring="rational", dim=7).validate()
 
-    @pytest.mark.parametrize("suite,size,dim,args,extra", [
-        ("det-mult", 2, 9, 9, {}), ("degree-d", 2, 8, 8, {}),
-        ("pseudochar-axioms", 1, 8, 9, {})])
-    def test_recursion_cap(self, suite, size, dim, args, extra):
-        """det takes forms of dim arguments and the vanishing axiom
-        dim + 1, both under the recursion cap of 8; degree-d sums over
-        dim! permutations, under the cap of 7.  One dim less passes."""
-        cfg = SuiteConfig(suite, size=size, dim=dim, **extra)
-        with pytest.raises(ConfigError, match=f"cap of {args - 1}"):
-            cfg.validate()
-        SuiteConfig(**{**cfg.fields(), "dim": dim - 1}).validate()
+    @pytest.mark.parametrize("suite,dim,cap,largest", [
+        ("det-mult", 9, "Leibniz oracle is capped at size 6", 6),
+        ("degree-d", 8, "cap of 7", 7),
+        ("pseudochar-axioms", 8, "recursion cap of 8", 7)])
+    def test_recursion_cap(self, suite, dim, cap, largest):
+        """det takes forms of dim arguments, under the recursion cap of 8,
+        but its Leibniz oracle stops at size 6 first; the vanishing axiom
+        takes dim + 1 arguments; degree-d sums over dim! permutations,
+        under the cap of 7.  The largest dim under the cap passes."""
+        with pytest.raises(ConfigError, match=cap):
+            SuiteConfig(suite, dim=dim).validate()
+        SuiteConfig(suite, dim=largest).validate()
 
     def test_echo_pins_the_fixed_parameters(self):
-        """The report's config bytes: eight fields and five fixed values."""
+        """The report's config bytes: seven fields, size (always dim) and
+        five fixed values."""
         assert SuiteConfig("det-mult", dim=2).echo() == {
             "suite": "det-mult", "ring": "rational", "size": 2, "dim": 2,
             "trials": 50, "seed": 0, "bound": 5, "budget": 10**7,
@@ -367,6 +379,6 @@ def test_default_all_configs_matrix():
     assert suites.count("assoc") == 10  # words + 9 matrix cells
     assert len(configs) == 1 + 9 * 8
     assert all(c.seed == 1 and c.trials == 2 for c in configs)
-    cells = {(c.ring, c.dimension) for c in configs if c.ring != "words"}
+    cells = {(c.ring, c.dim) for c in configs if c.ring != "words"}
     assert cells == {(r, d) for r in ("rational", "mod:7", "mod:101")
                      for d in (1, 2, 3)}
