@@ -140,11 +140,13 @@ def _check_configs(args, options) -> list:
     so every default (ring rational, dim 2, ...) lives in ``SuiteConfig``
     alone.  ``check all`` runs the default matrix, or the one cell whose
     ring or dim is given; with ring words it runs the word suite, which
-    has no dim."""
+    has no dim and runs every case once, with no trials, bound or seed
+    to draw them."""
     words = options.get("ring") == "words"
-    if words and "dim" in options:
-        raise ConfigError("ring 'words' runs the exhaustive word suite, "
-                          "which takes no --dim")
+    for key in ("dim", "trials", "seed", "bound"):
+        if words and key in options:
+            raise ConfigError("ring 'words' runs the exhaustive word suite, "
+                              f"which takes no --{key}")
     if args.suite != "all":
         suites = (args.suite,)
     elif words:

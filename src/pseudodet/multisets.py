@@ -18,21 +18,26 @@ Partial bijections from [n] to [m] are enumerated deterministically: by
 matched size k = 0..min(n,m), then domain subsets of [n] in lexicographic
 order, then image subsets of [m] in lexicographic order, then the images as
 permutations in lexicographic order.  The total count is
-sum_k C(n,k)*C(m,k)*k!.  A product computes each entry product a*b once
-per distinct pair of entry objects, however many terms of the factors hold
-them, and shares it among all the bijections that match a with b.  It
-sorts the distinct entries once and works on their ranks, so all entries
-of one product, over every term of both factors, must come from one
-backend.  A formal sum keys its terms by sorted entry tuples, not by
-``Multiset`` objects.
+sum_k C(n,k)*C(m,k)*k!.
+
+A formal sum stores one ascending table of the distinct entries of its
+terms, and keys each term by the sorted tuple of its entries' ranks in
+that table; equal but distinct entry objects share a rank.  A product
+multiplies each pair of table elements once, shared among all the term
+pairs and bijections that match them, and sorts the two tables and the
+products into the result's table once, so its bijections work on tuples
+of ints.  As the table is sorted, the entries of one formal sum must all
+come from one backend (comparable under ``<``): building, adding or
+mapping into a sum that mixes, say, words and matrices, or matrices of
+two rings or sizes, raises ``MismatchError``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, MismatchError
 from .rings import FrozenValue
 
 #: Default ceiling on the number of intermediate multisets a single formal
@@ -79,11 +84,6 @@ _EMPTY = Multiset(())
 def _render_entry(e) -> str:
     render = getattr(e, "render", None)
     return render() if render is not None else str(e)
-
-
-def _render_term(entry_strs, coeff) -> str:
-    """One term of a rendered formal sum: ``coeff*{e1,e2,..}``."""
-    return f"{coeff}*{{{','.join(entry_strs)}}}"
 
 
 class PartialBijection(FrozenValue):
@@ -198,45 +198,49 @@ def multiset_product(x: Multiset, y: Multiset,
     return formal_product(FormalSum.of(x), FormalSum.of(y), budget)
 
 
-def _product(left: dict, right: dict) -> "FormalSum":
-    """The bilinear product of two formal sums given as their term dicts
-    (sorted entry tuple -> coefficient).
-
-    Every term of ``left`` meets every term of ``right``, so the entry
-    products needed are those of each distinct entry object of ``left``
-    with each of ``right``: each pair ``(id(a), id(b))`` is multiplied
-    once, into a flat table shared by all the term pairs and bijections
-    that match a with b (the entries stay alive for the call, so no id is
-    reused).  The distinct objects (entries and their products) are
-    sorted once by value and replaced by ranks, equal objects sharing
-    one, so each bijection sorts and hashes a short tuple of ints, and
-    the entries of each resulting multiset come out sorted.  Entries must
-    therefore all come from one backend (comparable under ``<``): mixing,
-    say, words and matrices raises ``MismatchError``.
-    """
-    lefts = {id(a): a for xs in left for a in xs}
-    rights = {id(b): b for ys in right for b in ys}
-    width = len(rights)
-    row = {ida: i * width for i, ida in enumerate(lefts)}
-    col = {idb: j for j, idb in enumerate(rights)}
-    table = [a * b for a in lefts.values() for b in rights.values()]
-    distinct = {id(e): e for e in table}
-    distinct.update(lefts)
-    distinct.update(rights)
-    rank = {}
+def _table(values: list):
+    """``(elems, ranks)``: the ascending tuple of the distinct ``values``
+    and the rank of each value in it, equal values sharing one.  One sort
+    by ``<``, which raises ``MismatchError`` across backends."""
+    if len(values) < 2:
+        return tuple(values), [0] * len(values)
+    ranks = [0] * len(values)
     elems = []
-    for e in sorted(distinct.values()):
-        if not elems or elems[-1] < e:
-            elems.append(e)
-        rank[id(e)] = len(elems) - 1
-    table = [rank[id(e)] for e in table]
-    right_terms = [([col[id(b)] for b in ys], [rank[id(b)] for b in ys], c)
-                   for ys, c in right.items()]
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if not elems or elems[-1] < values[i]:
+            elems.append(values[i])
+        ranks[i] = len(elems) - 1
+    return tuple(elems), ranks
+
+
+def _remap(terms: dict, ranks) -> dict:
+    """``terms`` with each rank r replaced by ``ranks[r]``, which must
+    increase with r so that rank tuples stay sorted."""
+    new = ranks.__getitem__
+    return {tuple(map(new, key)): coeff for key, coeff in terms.items()}
+
+
+def _product(left: "FormalSum", right: "FormalSum") -> "FormalSum":
+    """The bilinear product of two formal sums.
+
+    Every term of ``left`` meets every term of ``right``, so each element
+    of ``left``'s table is multiplied once by each of ``right``'s, into a
+    flat table shared by all the term pairs and bijections that match
+    them.  Both tables and the products are sorted once into the result's
+    table, so each bijection sorts a short tuple of ranks, which is
+    already its term's key.
+    """
+    xs, ys = left._elems, right._elems
+    n, m = len(xs), len(ys)
+    elems, ranks = _table([*xs, *ys, *[a * b for a in xs for b in ys]])
+    table = ranks[n + m:]
+    right_terms = [(cols, [ranks[n + j] for j in cols], c)
+                   for cols, c in right._terms.items()]
     acc: dict = {}
     get = acc.get
-    for xs, c1 in left.items():
-        rows = [row[id(a)] for a in xs]
-        xs_ranks = [rank[id(a)] for a in xs]
+    for row_key, c1 in left._terms.items():
+        rows = [i * m for i in row_key]
+        xs_ranks = [ranks[i] for i in row_key]
         for cols, ys_ranks, c2 in right_terms:
             ranked = ([table[r + j] for r in rows for j in cols]
                       + xs_ranks + ys_ranks).__getitem__
@@ -244,9 +248,7 @@ def _product(left: dict, right: dict) -> "FormalSum":
             for plan in _plans(len(rows), len(cols)):
                 key = tuple(sorted(map(ranked, plan)))
                 acc[key] = get(key, 0) + coeff
-    return FormalSum._of_entries(
-        {tuple(map(elems.__getitem__, key)): coeff
-         for key, coeff in acc.items()})
+    return FormalSum._make(elems, acc)
 
 
 class FormalSum:
@@ -256,33 +258,42 @@ class FormalSum:
     Coefficients are arbitrary-precision integers; zero coefficients are
     never stored.  ``+``/``-`` are the module operations, ``int * sum``
     rescales, and ``sum * sum`` is the ring product extended bilinearly.
-    Terms are stored keyed by each multiset's sorted entry tuple, which is
-    exactly what ``Multiset`` hashes and compares; ``terms()``,
+    ``_elems`` is the ascending table of exactly the distinct entries the
+    terms use, and ``_terms`` maps each multiset, as the sorted tuple of
+    its entries' ranks in the table, to its coefficient.  ``terms()``,
     ``multisets()`` and ``coefficient`` speak in ``Multiset``s, built only
     when they are called.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_elems", "_terms")
 
     def __init__(self, terms: dict):
-        clean = {}
         for ms, coeff in terms.items():
             if not isinstance(ms, Multiset):
                 raise TypeError(f"key {ms!r} is not a Multiset")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
-            if coeff != 0:
-                clean[ms.entries] = coeff
-        self._terms = clean
+        kept = [(ms.entries, coeff) for ms, coeff in terms.items() if coeff]
+        self._elems, ranks = _table([e for es, _ in kept for e in es])
+        ranks = iter(ranks)
+        self._terms = {tuple(islice(ranks, len(es))): coeff
+                       for es, coeff in kept}
 
     @classmethod
-    def _of_entries(cls, terms: dict) -> "FormalSum":
-        """The sum that takes over ``terms``, a dict from sorted entry
-        tuples to int coefficients, as the operations below build it; its
-        zero coefficients (terms that cancelled) are deleted."""
-        for key in [key for key, coeff in terms.items() if not coeff]:
+    def _make(cls, elems: tuple, terms: dict) -> "FormalSum":
+        """The sum that takes over ``terms``, rank tuples into ``elems``
+        to ints, as the operations below build it.  Its zero coefficients
+        (terms that cancelled) are deleted, and then the table elements no
+        term uses (as after a product with the zero sum)."""
+        zeros = [key for key, coeff in terms.items() if not coeff]
+        for key in zeros:
             del terms[key]
+        if zeros or not terms:
+            used = sorted(set().union(*terms))
+            elems = tuple(map(elems.__getitem__, used))
+            terms = _remap(terms, dict(zip(used, range(len(used)))))
         obj = object.__new__(cls)
+        obj._elems = elems
         obj._terms = terms
         return obj
 
@@ -300,21 +311,23 @@ class FormalSum:
         return cls({Multiset.empty(): 1})
 
     def coefficient(self, ms: Multiset) -> int:
-        return self._terms.get(ms.entries, 0)
+        return dict(zip(self.multisets(), self._terms.values())).get(ms, 0)
 
-    def entry_terms(self):
-        """``(entries, coeff)`` pairs, ``entries`` a multiset's sorted entry
-        tuple, in the canonical (cardinality, entries) order."""
-        return sorted(self._terms.items(),
-                      key=lambda kv: (len(kv[0]), kv[0]))
+    def ranked_terms(self):
+        """``(table, terms)``: the sum's table and its ``(ranks, coeff)``
+        pairs in the canonical (cardinality, entries) order."""
+        return self._elems, sorted(self._terms.items(),
+                                   key=lambda kv: (len(kv[0]), kv[0]))
 
     def terms(self):
         """Term pairs in the canonical (cardinality, entries) order."""
-        return [(Multiset._make(entries), coeff)
-                for entries, coeff in self.entry_terms()]
+        elems, terms = self.ranked_terms()
+        return [(Multiset._make(tuple(map(elems.__getitem__, key))), coeff)
+                for key, coeff in terms]
 
     def multisets(self):
-        return [Multiset._make(entries) for entries in self._terms]
+        entry = self._elems.__getitem__
+        return [Multiset._make(tuple(map(entry, key))) for key in self._terms]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -328,10 +341,12 @@ class FormalSum:
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        acc = dict(self._terms)
-        for entries, coeff in other._terms.items():
-            acc[entries] = acc.get(entries, 0) + coeff
-        return FormalSum._of_entries(acc)
+        n = len(self._elems)
+        elems, ranks = _table([*self._elems, *other._elems])
+        acc = _remap(self._terms, ranks[:n])
+        for key, coeff in _remap(other._terms, ranks[n:]).items():
+            acc[key] = acc.get(key, 0) + coeff
+        return FormalSum._make(elems, acc)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
@@ -342,8 +357,8 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, k: int) -> "FormalSum":
-        return FormalSum._of_entries(
-            {entries: k * c for entries, c in self._terms.items()})
+        return FormalSum._make(
+            self._elems, {key: k * c for key, c in self._terms.items()})
 
     def __rmul__(self, k):
         if isinstance(k, int) and not isinstance(k, bool):
@@ -357,43 +372,50 @@ class FormalSum:
 
     def map_elements(self, fn) -> "FormalSum":
         """Apply ``fn`` to every entry of every multiset, re-canonicalize,
-        and merge multisets that become equal (their coefficients add)."""
+        and merge multisets that become equal (their coefficients add).
+        ``fn`` runs once per table element."""
+        elems, ranks = _table([fn(e) for e in self._elems])
         acc: dict = {}
-        for entries, coeff in self._terms.items():
-            image = tuple(sorted(map(fn, entries)))
-            acc[image] = acc.get(image, 0) + coeff
-        return FormalSum._of_entries(acc)
+        for key, coeff in self._terms.items():
+            key = tuple(sorted(map(ranks.__getitem__, key)))
+            acc[key] = acc.get(key, 0) + coeff
+        return FormalSum._make(elems, acc)
 
     def __eq__(self, other):
+        """Equal terms over equal tables.  Equal sums have equal terms,
+        rank for rank, so their tables have one length and are compared
+        by ``<``, with no ``==`` on entries.  Sums of two backends are
+        unequal."""
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return self._terms == other._terms
+        try:
+            return self._terms == other._terms and not any(
+                a is not b and (a < b or b < a)
+                for a, b in zip(self._elems, other._elems))
+        except MismatchError:
+            return False
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        rendered = []
-        for entries, coeff in self._terms.items():
-            entry_strs = tuple(_render_entry(e) for e in entries)
-            rendered.append(((len(entries), entry_strs), coeff))
-        rendered.sort(key=lambda t: t[0])
-        return " + ".join(_render_term(key[1], coeff)
-                          for key, coeff in rendered)
+        strs = list(map(_render_entry, self._elems))
+        rendered = sorted((((len(key), tuple(map(strs.__getitem__, key))),
+                            coeff) for key, coeff in self._terms.items()),
+                          key=lambda t: t[0])
+        return " + ".join(f"{coeff}*{{{','.join(key[1])}}}"
+                          for key, coeff in rendered) or "0"
 
     def render_length_exceeds(self, limit: int) -> bool:
         """Whether ``len(self.render()) > limit``, without building the
         whole string: term lengths are summed until the total passes
-        ``limit``.  Term order does not change the length, so no sort is
-        needed."""
-        if not self._terms:
-            return len("0") > limit
-        total = -len(" + ")
-        for entries, coeff in self._terms.items():
-            total += len(" + ") + len(
-                _render_term(map(_render_entry, entries), coeff))
+        ``limit``.  Term order does not change the length."""
+        # each table element's rendered length, and a comma
+        size = [len(_render_entry(e)) + 1 for e in self._elems]
+        total = -len(" + ") if self._terms else len("0")
+        for key, coeff in self._terms.items():
+            total += (len(f" + {coeff}*{{}}") - bool(key)
+                      + sum(map(size.__getitem__, key)))
             if total > limit:
                 return True
-        return False
+        return total > limit
 
     def __repr__(self):
         return f"FormalSum({self.render()})"
@@ -401,10 +423,8 @@ class FormalSum:
 
 def formal_product(left: FormalSum, right: FormalSum,
                    budget: int = DEFAULT_BUDGET) -> FormalSum:
-    """Bilinear extension of the multiset product.  Each distinct pair of
-    entry objects is multiplied once, however many term pairs hold it
-    (the terms of a product result share their entry objects).  The
-    entries of every term of both factors must come from one backend.
+    """Bilinear extension of the multiset product.  Each pair of table
+    elements is multiplied once, however many term pairs hold it.
 
     Refuses to start when the predicted number of intermediate multisets
     (summed over all term pairs) exceeds ``budget``.
@@ -417,4 +437,4 @@ def formal_product(left: FormalSum, right: FormalSum,
                 raise BudgetExceededError(
                     f"formal product predicts more than {budget} "
                     f"intermediate multisets")
-    return _product(left._terms, right._terms)
+    return _product(left, right)

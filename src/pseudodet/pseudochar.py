@@ -160,15 +160,22 @@ class _FormEvaluator:
             self.value(tuple(map(self.intern, map(self.arg, entries))))))
 
     def on_sum(self, s: FormalSum):
-        """``form_on_sum`` of ``s``, through this evaluator's caches."""
+        """``form_on_sum`` of ``s``, through this evaluator's caches: each
+        element of the sum's table is interned once, and the ids of a
+        term's ranks, which list its entries in element order, are its
+        memo key."""
         ring = self.ring
+        table, terms = s.ranked_terms()
+        ids = [self.intern(self.arg(e)) for e in table]
         total = ring.zero()
         one = ring.one()
-        for entries, coeff in s.entry_terms():
-            if not entries:
+        for ranks, coeff in terms:
+            if not ranks:
                 total = total + coeff * one
                 continue
-            total = total + coeff * self.form(entries)
+            _check_rec_cap(len(ranks))
+            total = total + coeff * ring.cell_to_scalar(ring.reduce(
+                self.value(tuple(map(ids.__getitem__, ranks)))))
         return total
 
     def value(self, key: tuple):

@@ -301,9 +301,27 @@ class TestCheck:
         assert_one_error_line(captured, "words")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--trials", "--bound", "--seed"])
+    def test_words_ring_takes_no_draw_flag(self, flag, capsys):
+        """The word suite runs every case once and draws nothing, so a
+        trial count, bound or seed it would ignore is an error, not a
+        value its report echoes."""
+        assert main(["check", "assoc", "--ring", "words", flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, flag)
+        assert "words" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key", ["trials", "bound", "seed"])
+    def test_words_ring_takes_no_draw_key(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ring = words\n{key} = 3\n")
+        assert main(["check", "all", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "words")
+        assert key in captured.err and captured.out == ""
+
     def test_check_all_words_only(self, capsys):
-        rc = main(["check", "all", "--ring", "words", "--trials", "1",
-                   "--quiet"])
+        rc = main(["check", "all", "--ring", "words", "--quiet"])
         assert rc == 0
         assert "1 suite(s)" in capsys.readouterr().out
 

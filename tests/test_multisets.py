@@ -11,6 +11,7 @@ from pseudodet import (BudgetExceededError, FormalSum, LetterHom, Matrix,
                        formal_product, multiset_product,
                        partial_bijection_count, partial_bijections,
                        product_along, word)
+from pseudodet.rings import FrozenValue
 from pseudodet.verify import random_matrix, random_word, substream
 
 
@@ -504,13 +505,42 @@ class TestEqualEntriesShareARank:
         assert formal_product(w, w) == reference_formal_product(w, w)
 
     def test_one_backend_per_product(self):
-        """Entries of different backends have no common order."""
-        mixed = FormalSum.of(Multiset([word("a")])) \
-            + FormalSum.of(Multiset([Matrix.identity(QQ, 2)]))
+        """Entries of different backends have no common order, so no sum,
+        and hence no product, holds both."""
+        words = FormalSum.of(Multiset([word("a")]))
+        matrices = FormalSum.of(Multiset([Matrix.identity(QQ, 2)]))
         with pytest.raises(MismatchError):
-            formal_product(mixed, FormalSum.unit())
+            words + matrices
         with pytest.raises(MismatchError):
-            formal_product(FormalSum.unit(), mixed)
+            matrices + words
+
+
+class TestOneBackendPerSum:
+    """A sum's entries sit in one sorted table, so they must share a
+    backend, and a ring and size for matrices."""
+
+    PAIRS = pytest.mark.parametrize("a,b", [
+        (word("a"), Matrix.identity(QQ, 2)),
+        (Matrix.identity(ModRing(7), 2), Matrix.identity(ModRing(11), 2)),
+        (Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)),
+    ], ids=["word-matrix", "mod7-mod11", "2x2-3x3"])
+
+    @PAIRS
+    def test_building_adding_or_mapping_into_two_backends_raises(self, a, b):
+        with pytest.raises(MismatchError):
+            FormalSum({Multiset([a]): 1, Multiset([b]): 2})
+        with pytest.raises(MismatchError):
+            FormalSum.of(Multiset([a])) + FormalSum.of(Multiset([b]))
+        s = FormalSum.of(Multiset([word("x"), word("y")]))
+        with pytest.raises(MismatchError):
+            s.map_elements(lambda w: a if w == word("x") else b)
+
+    @PAIRS
+    def test_sums_of_two_backends_are_unequal(self, a, b):
+        s, t = FormalSum.of(Multiset([a])), FormalSum.of(Multiset([b]))
+        assert s != t and not s == t
+        assert s.coefficient(Multiset([b])) == 0
+        assert (s - s) + t == t  # the cancelled entry leaves no trace
 
 
 class TestRenderLengthExceeds:
@@ -630,3 +660,187 @@ class TestFormalSumPublicBehaviour:
         assert t.num_terms() == 3
         assert Multiset([word("a")]) not in t.multisets()
         assert t.render() == "3*{} + -2*{b} + 1*{x1,x2}"
+
+
+# ---------------------------------------------------------------------------
+# FormalSum against a plain model: a dict from sorted entry tuples to
+# nonzero int coefficients, written out here with no FormalSum code.
+
+def model_clean(acc):
+    return {key: c for key, c in acc.items() if c}
+
+
+def model_add(a, b):
+    acc = dict(a)
+    for key, c in b.items():
+        acc[key] = acc.get(key, 0) + c
+    return model_clean(acc)
+
+
+def model_scale(a, k):
+    return model_clean({key: k * c for key, c in a.items()})
+
+
+def model_map(a, fn):
+    acc = {}
+    for key, c in a.items():
+        image = tuple(sorted(fn(e) for e in key))
+        acc[image] = acc.get(image, 0) + c
+    return model_clean(acc)
+
+
+def model_product(a, b):
+    """Every (I, J, alpha), by brute force, for every pair of terms."""
+    acc = {}
+    for xs, c1 in a.items():
+        for ys, c2 in b.items():
+            for pairs in brute_force_partial_bijections(len(xs), len(ys)):
+                used_i = {i for i, _ in pairs}
+                used_j = {j for _, j in pairs}
+                out = [xs[i - 1] * ys[j - 1] for i, j in pairs]
+                out += [e for i, e in enumerate(xs, 1) if i not in used_i]
+                out += [e for j, e in enumerate(ys, 1) if j not in used_j]
+                key = tuple(sorted(out))
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return model_clean(acc)
+
+
+def model_terms(a):
+    return sorted(a.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def model_render(a):
+    if not a:
+        return "0"
+    terms = sorted(((len(key), tuple(e.render() for e in key)), c)
+                   for key, c in a.items())
+    return " + ".join(f"{c}*{{{','.join(strs)}}}" for (_, strs), c in terms)
+
+
+def as_model(s):
+    """The model of ``s``, read through its public ``terms()``."""
+    return {ms.entries: c for ms, c in s.terms()}
+
+
+def _word_pool(rng):
+    return [random_word(rng, ("a", "b"), 2) for _ in range(4)]
+
+
+def _matrix_pool(ring):
+    def pool(rng):
+        return [random_matrix(rng, ring, 2, 1) for _ in range(4)]
+    return pool
+
+
+class TestAgainstADictModel:
+    """Seeded sums over a small pool of values, each drawn as a fresh
+    object (so equal entries are mostly distinct objects), checked
+    operation by operation against the model."""
+
+    @staticmethod
+    def draw(rng, pool):
+        """A sum built by ``+`` from 0 to 3 terms, and its model."""
+        s, model = FormalSum.zero(), {}
+        for _ in range(rng.randint(0, 3)):
+            # rebuilt from the letters or rows: a new object per entry
+            entries = [type(v)._make(*v.fields().values())
+                       for v in (rng.choice(pool)
+                                 for _ in range(rng.randint(0, 3)))]
+            coeff = rng.randint(-3, 3)
+            s = s + FormalSum.of(Multiset(entries), coeff)
+            model = model_add(model, {tuple(sorted(entries)): coeff})
+        return s, model
+
+    @pytest.mark.parametrize("make_pool,image", [
+        (_word_pool, lambda w: Word(w.letters[:1])),
+        (_matrix_pool(QQ), lambda m: m * m),
+        (_matrix_pool(ModRing(7)), lambda m: m * m),
+    ], ids=["words", "QQ", "mod7"])
+    def test_operations_match_the_model(self, make_pool, image):
+        for trial in range(40):
+            rng = substream(1717, trial)
+            pool = make_pool(rng)
+            (s, ms), (t, mt) = self.draw(rng, pool), self.draw(rng, pool)
+            k = rng.randint(-2, 2)
+            for got, model in [
+                    (s, ms), (s + t, model_add(ms, mt)),
+                    (s - t, model_add(ms, model_scale(mt, -1))),
+                    (s.scale(k), model_scale(ms, k)),
+                    (s.map_elements(image), model_map(ms, image)),
+                    (formal_product(s, t), model_product(ms, mt)),
+                    (s + t - t, ms)]:
+                assert [(m.entries, c) for m, c in got.terms()] == \
+                    model_terms(model)
+                assert got.render() == model_render(model)
+                assert got == FormalSum({Multiset(key): c
+                                         for key, c in model.items()})
+            assert (s == t) == (ms == mt)
+            assert s + t - t == s and (s - s).is_zero()
+            assert (formal_product(s, t) == formal_product(t, s)) == \
+                (model_product(ms, mt) == model_product(mt, ms))
+
+
+class TestTableWork:
+    """A sum's operations work once per distinct entry value, however
+    many terms or equal objects hold it."""
+
+    @staticmethod
+    def repeated():
+        """Four terms over two values, each entry a distinct object."""
+        a, b = (lambda: word("a")), (lambda: word("b*a"))
+        return (FormalSum.of(Multiset([a(), a(), b()]), 1)
+                + FormalSum.of(Multiset([a()]), 2)
+                + FormalSum.of(Multiset([b(), b()]), -1)
+                + FormalSum.of(Multiset([a(), b()]), 3))
+
+    def test_map_elements_calls_fn_once_per_value(self):
+        calls = []
+
+        def fn(w):
+            calls.append(w.letters)
+            return Word(w.letters[::-1])
+
+        got = self.repeated().map_elements(fn)
+        assert sorted(calls) == [("a",), ("b", "a")]
+        assert got.coefficient(Multiset([word("a*b"), word("a*b")])) == -1
+
+    def test_render_renders_each_value_once(self, monkeypatch):
+        s = self.repeated()
+        calls = []
+        render = Word.render
+
+        def counting_render(w):
+            calls.append(w.letters)
+            return render(w)
+
+        monkeypatch.setattr(Word, "render", counting_render)
+        text = s.render()
+        assert sorted(calls) == [("a",), ("b", "a")]
+        calls.clear()
+        assert not s.render_length_exceeds(len(text))
+        assert sorted(calls) == [("a",), ("b", "a")]
+
+    @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
+    def test_equal_products_compare_without_entry_eq(self, ring,
+                                                     monkeypatch):
+        """(x X y) X z and x X (y X z) hold equal entry products as
+        distinct objects; comparing them takes no ``==`` on entries."""
+        rng = substream(1718, 0)
+        x, y, z = (FormalSum.of(Multiset(random_matrix(rng, ring, 2, 3)
+                                         for _ in range(2)))
+                   for _ in range(3))
+        lhs = formal_product(formal_product(x, y), z)
+        rhs = formal_product(x, formal_product(y, z))
+        ids = [{id(e) for ms in side.multisets() for e in ms.entries}
+               for side in (lhs, rhs)]
+        assert ids[0] != ids[1]
+        calls = []
+        eq = FrozenValue.__eq__
+
+        def counting_eq(a, b):
+            calls.append(1)
+            return eq(a, b)
+
+        monkeypatch.setattr(FrozenValue, "__eq__", counting_eq)
+        assert lhs == rhs and lhs.num_terms() == 87
+        assert calls == []
