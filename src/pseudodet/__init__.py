@@ -23,9 +23,9 @@ from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, PartialBijection,
 from .pseudochar import (CentralFunction, CharPoly, char_poly,
                          char_poly_interpolated, check_pseudocharacter,
                          cycle_sum_form, degree_product_check, determinant,
-                         form_on_sum, identity_padding_check, matrix_trace,
-                         multiplicativity_check, product_formula_check,
-                         recursive_form, regular_trace)
+                         form_on_sum, identity_padding_check, literal_form,
+                         matrix_trace, multiplicativity_check,
+                         product_formula_check, recursive_form, regular_trace)
 from .rings import ModRing, Poly, PolyRing, QPOLY, QQ, RationalRing, Residue, \
     Ring, ring_from_spec
 from .verify import (SplitMix64, SuiteConfig, SuiteReport, char_poly_leibniz,

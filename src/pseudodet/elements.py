@@ -359,16 +359,15 @@ class LetterHom:
         mapping = dict(mapping)
         if not mapping:
             raise ValueError("a letter assignment must be nonempty")
-        images = list(mapping.values())
-        first = images[0]
-        for img in images[1:]:
-            if isinstance(first, (Matrix, GroupAlgebraElement)):
+        first, *rest = mapping.values()
+        if isinstance(first, Word):
+            if not all(isinstance(img, Word) for img in rest):
+                raise MismatchError("mixed image backends")
+        elif isinstance(first, (Matrix, GroupAlgebraElement)):
+            for img in rest:
                 first._check_peer(img)
-            elif isinstance(first, Word):
-                if not isinstance(img, Word):
-                    raise MismatchError("mixed image backends")
-            else:
-                raise MismatchError(f"unsupported image {first!r}")
+        else:
+            raise MismatchError(f"unsupported image {first!r}")
         self.mapping = mapping
 
     def __call__(self, w: Word):

@@ -72,18 +72,13 @@ class Multiset(FrozenValue):
         return a < b
 
     def render(self) -> str:
-        return "{" + ",".join(_render_entry(e) for e in self.entries) + "}"
+        return "{" + ",".join(e.render() for e in self.entries) + "}"
 
     def __repr__(self):
         return f"Multiset({self.render()})"
 
 
 _EMPTY = Multiset(())
-
-
-def _render_entry(e) -> str:
-    render = getattr(e, "render", None)
-    return render() if render is not None else str(e)
 
 
 class PartialBijection(FrozenValue):
@@ -110,10 +105,6 @@ class PartialBijection(FrozenValue):
             seen_i.add(i)
             seen_j.add(j)
             prev_i = i
-
-    @property
-    def matched(self) -> int:
-        return len(self.pairs)
 
 
 #: Shapes (n, m) with at most this many partial bijections keep their plans
@@ -156,6 +147,8 @@ def _generate_plans(n: int, m: int):
 def partial_bijections(n: int, m: int) -> tuple:
     """Every partial bijection from [n] to [m], exactly once, in the
     documented deterministic order."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
     nm = n * m
     return tuple(
         PartialBijection(n, m, tuple((c // m + 1, c % m + 1)
@@ -329,9 +322,6 @@ class FormalSum:
         entry = self._elems.__getitem__
         return [Multiset._make(tuple(map(entry, key))) for key in self._terms]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def num_terms(self) -> int:
         return len(self._terms)
 
@@ -396,7 +386,7 @@ class FormalSum:
             return False
 
     def render(self) -> str:
-        strs = list(map(_render_entry, self._elems))
+        strs = [e.render() for e in self._elems]
         rendered = sorted((((len(key), tuple(map(strs.__getitem__, key))),
                             coeff) for key, coeff in self._terms.items()),
                           key=lambda t: t[0])
@@ -408,7 +398,7 @@ class FormalSum:
         whole string: term lengths are summed until the total passes
         ``limit``.  Term order does not change the length."""
         # each table element's rendered length, and a comma
-        size = [len(_render_entry(e)) + 1 for e in self._elems]
+        size = [len(e.render()) + 1 for e in self._elems]
         total = -len(" + ") if self._terms else len("0")
         for key, coeff in self._terms.items():
             total += (len(f" + {coeff}*{{}}") - bool(key)

@@ -292,9 +292,6 @@ class Poly(FrozenValue):
             return Poly.constant(other)
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:

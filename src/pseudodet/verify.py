@@ -189,9 +189,6 @@ class SuiteConfig(FrozenValue):
         "budget": DEFAULT_BUDGET,   # formal-product term budget
     }
 
-    def ring_obj(self) -> Ring:
-        return ring_from_spec(self.ring)
-
     def validate(self) -> None:
         if self.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}; "
@@ -205,7 +202,7 @@ class SuiteConfig(FrozenValue):
                     f"ring 'words' only supports the assoc suite, "
                     f"not {self.suite!r}")
             return
-        ring = self.ring_obj()
+        ring = ring_from_spec(self.ring)
         if self.suite in _PSEUDO_SUITES:
             try:
                 ring.inverse_of_factorial(self.dim)
@@ -344,12 +341,12 @@ def _trials(cfg: SuiteConfig):
 def _trace(cfg: SuiteConfig):
     """The trace on ``cfg``'s matrices, a pseudocharacter exactly in the
     suites that assume one."""
-    return matrix_trace(cfg.ring_obj(), cfg.dim,
+    return matrix_trace(ring_from_spec(cfg.ring), cfg.dim,
                         pseudocharacter=cfg.suite in _PSEUDO_SUITES)
 
 
 def _draw(rng, cfg: SuiteConfig, count: int) -> tuple:
-    ring = cfg.ring_obj()
+    ring = ring_from_spec(cfg.ring)
     return tuple(random_matrix(rng, ring, cfg.dim, cfg.bound)
                  for _ in range(count))
 
@@ -601,17 +598,12 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     return SuiteReport(cfg.suite, cfg.echo(), records, duration, error)
 
 
-def cell_configs(ring: str, dim: int, **shared) -> list:
-    """Every suite on the matrix cell (ring, dim)."""
-    return [SuiteConfig(suite, ring=ring, dim=dim, **shared)
-            for suite in SUITE_NAMES]
-
-
 def default_all_configs(**shared) -> list:
     """The default verification matrix: every matrix suite on each
     (dimension, ring) cell, plus the exhaustive word associativity suite."""
     configs = [SuiteConfig("assoc", ring="words", **shared)]
     for ring in ("rational", "mod:7", "mod:101"):
         for dim in (1, 2, 3):
-            configs += cell_configs(ring, dim, **shared)
+            configs += [SuiteConfig(suite, ring=ring, dim=dim, **shared)
+                        for suite in SUITE_NAMES]
     return configs

@@ -1,5 +1,6 @@
 """Element backends: products, total orders, homomorphisms, group tables."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,21 @@ class TestApplyHom:
     def test_unknown_letter(self):
         with pytest.raises(UnknownLetterError):
             LetterHom({"x1": Matrix(QQ, [[1]])})(word("x1*zz"))
+
+    @pytest.mark.parametrize("images,message", [
+        ((3,), "unsupported image 3"),
+        ((3, 4), "unsupported image 3"),
+        ((word("x"), Matrix(QQ, [[1]])), "mixed image backends"),
+        ((Matrix(QQ, [[1]]), word("x")), "expected a matrix, got Word(x)"),
+        ((Matrix(QQ, [[1]]), Matrix(ModRing(7), [[1]])),
+         "ring mismatch: rational vs mod 7"),
+        ((Matrix(QQ, [[1]]), Matrix(QQ, [[1, 0], [0, 1]])),
+         "size mismatch: 1 vs 2"),
+    ], ids=["lone-int", "two-ints", "word-then-matrix", "matrix-then-word",
+            "two-rings", "two-sizes"])
+    def test_images_of_no_single_backend_are_refused(self, images, message):
+        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+            LetterHom(dict(zip("abc", images)))
 
     def test_multiplicative_on_random_words(self):
         letters = ("a", "b", "c")

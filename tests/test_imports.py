@@ -1,7 +1,8 @@
-"""Source hygiene: every name a src module imports is used in that module.
+"""Source hygiene: every name a src module imports is used in that module,
+and every private module-level name is used somewhere in src.
 
-``__init__.py`` is skipped, since its imports are the package's
-re-exports, and so is ``from __future__ import annotations``."""
+``__init__.py`` is skipped by the import check, since its imports are the
+package's re-exports, and so is ``from __future__ import annotations``."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,59 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\n"
               "import math\nfrom os import path, sep as s\nprint(path)\n")
     assert unused_imports(source) == [(2, "math"), (3, "s")]
+
+
+def _private_defined(stmt) -> set:
+    """The ``_name``s (one leading underscore) a top-level statement
+    defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target])
+        names = {node.id for t in targets for node in ast.walk(t)
+                 if isinstance(node, ast.Name)}
+    else:
+        return set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _referenced(stmt) -> set:
+    """Every name a statement reads, as a name, an attribute or an
+    imported name."""
+    used = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def dead_private_names(sources: list) -> list:
+    """``(source index, line, name)`` of each module-level ``_name`` that no
+    top-level statement of ``sources`` references, other than the one
+    that defines it (so a helper that only calls itself is dead)."""
+    stmts = [(i, stmt) for i, source in enumerate(sources)
+             for stmt in ast.parse(source).body]
+    refs = [(_private_defined(stmt), _referenced(stmt)) for _, stmt in stmts]
+    return sorted((i, stmt.lineno, name) for i, stmt in stmts
+                  for name in _private_defined(stmt)
+                  if not any(name in used and name not in defined
+                             for defined, used in refs))
+
+
+def test_no_dead_private_names():
+    paths = sorted(SRC.glob("*.py"))
+    dead = dead_private_names([p.read_text(encoding="utf-8") for p in paths])
+    assert [(paths[i].name, line, name) for i, line, name in dead] == []
+
+
+def test_a_dead_private_name_is_found():
+    source = ("_A = 1\n_B: int = _A\n__all__ = []\n"
+              "def _f(n):\n    return _f(n - 1)\n"
+              "def g():\n    return _B\n")
+    assert dead_private_names([source]) == [(0, 4, "_f")]
+    assert dead_private_names([source, "from m import _f\n"]) == []

@@ -13,8 +13,8 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        UnitlessError, Word, char_poly,
                        char_poly_interpolated, check_pseudocharacter,
                        cycle_sum_form, degree_product_check, determinant,
-                       form_on_sum, identity_padding_check, matrix_trace,
-                       multiset_product, multiplicativity_check,
+                       form_on_sum, identity_padding_check, literal_form,
+                       matrix_trace, multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
 from pseudodet.verify import _CORNER, leibniz_det, random_matrix, substream
@@ -64,14 +64,14 @@ def rand_mats(seed, count, ring=QQ, size=2, bound=5):
 class TestRecursiveForm:
     def test_formal_footnote_degree_2(self):
         f = symbolic_word_function()
-        got = recursive_form(f, (word("x1"), word("x2")), memoized=False)
+        got = literal_form(f, (word("x1"), word("x2")))
         expected = form2_oracle(f, word("x1"), word("x2"))
         assert got == expected
 
     def test_formal_footnote_degree_3(self):
         f = symbolic_word_function()
         args = (word("x1"), word("x2"), word("x3"))
-        assert recursive_form(f, args, memoized=False) == form3_oracle(f, *args)
+        assert literal_form(f, args) == form3_oracle(f, *args)
 
     def test_formal_cycle_sum_matches_footnote(self):
         f = symbolic_word_function()
@@ -97,8 +97,7 @@ class TestRecursiveForm:
         f = matrix_trace(QQ, 2)
         for t in range(10):
             args = tuple(rand_mats(200 + t, 4))
-            assert recursive_form(f, args) == \
-                recursive_form(f, args, memoized=False)
+            assert recursive_form(f, args) == literal_form(f, args)
 
     def test_empty_arguments_rejected(self):
         f = matrix_trace(QQ, 2)
@@ -113,7 +112,7 @@ class TestRecursiveForm:
         with pytest.raises(CapExceededError, match="recursion cap of 8"):
             recursive_form(f, (eye,) * 9)
         with pytest.raises(CapExceededError, match="recursion cap of 8"):
-            recursive_form(f, (eye,) * 9, memoized=False)
+            literal_form(f, (eye,) * 9)
 
     def test_cap_holds_on_every_entry(self):
         """char_poly evaluates forms of dim arguments without
@@ -129,18 +128,18 @@ class TestSymmetry:
         f = matrix_trace(QQ, 2)
         for n in (2, 3, 4):
             args = tuple(rand_mats(300 + n, n))
-            baseline = recursive_form(f, args, memoized=False)
+            baseline = literal_form(f, args)
             for perm in permutations(range(n)):
                 shuffled = tuple(args[i] for i in perm)
-                assert recursive_form(f, shuffled, memoized=False) == baseline
+                assert literal_form(f, shuffled) == baseline
 
     def test_word_forms_symmetric_for_central_f(self):
         f = necklace_function()
         args = (word("a"), word("b"), word("a*b"))
-        baseline = recursive_form(f, args, memoized=False)
+        baseline = literal_form(f, args)
         for perm in permutations(range(3)):
             shuffled = tuple(args[i] for i in perm)
-            assert recursive_form(f, shuffled, memoized=False) == baseline
+            assert literal_form(f, shuffled) == baseline
 
     def test_group_algebra_forms_symmetric(self, s3):
         f = regular_trace(s3, QQ)
@@ -148,10 +147,10 @@ class TestSymmetry:
         args = tuple(
             GroupAlgebraElement(s3, QQ, [rng.randint(-2, 2) for _ in range(6)])
             for _ in range(3))
-        baseline = recursive_form(f, args, memoized=False)
+        baseline = literal_form(f, args)
         for perm in permutations(range(3)):
             shuffled = tuple(args[i] for i in perm)
-            assert recursive_form(f, shuffled, memoized=False) == baseline
+            assert literal_form(f, shuffled) == baseline
 
     def test_sampled_symmetry_n6(self):
         f = matrix_trace(QQ, 2)
@@ -164,7 +163,7 @@ class TestSymmetry:
                 j = rng.randint(0, i)
                 order[i], order[j] = order[j], order[i]
             shuffled = tuple(args[i] for i in order)
-            assert recursive_form(f, shuffled, memoized=False) == baseline
+            assert literal_form(f, shuffled) == baseline
 
 
 class TestMultilinearity:
@@ -306,7 +305,7 @@ def assert_once_per_distinct(seen):
 def plain_form_on_sum(f, s):
     total = f.ring.zero()
     for ms, coeff in s.terms():
-        value = (recursive_form(f, ms.entries, memoized=False) if len(ms)
+        value = (literal_form(f, ms.entries) if len(ms)
                  else f.ring.one())
         total = total + coeff * value
     return total
@@ -327,7 +326,7 @@ class TestFMemo:
         args[-1] = args[0]
         got = recursive_form(f, args)
         assert_once_per_distinct(seen)
-        assert got == recursive_form(f, args, memoized=False)
+        assert got == literal_form(f, args)
 
     @RINGS
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2), (1, 4)])
@@ -339,8 +338,8 @@ class TestFMemo:
         assert ok
         assert_once_per_distinct(seen)
         assert lhs == plain_form_on_sum(f, multiset_product(x, y))
-        assert rhs == (recursive_form(f, x.entries, memoized=False)
-                       * recursive_form(f, y.entries, memoized=False))
+        assert rhs == (literal_form(f, x.entries)
+                       * literal_form(f, y.entries))
 
     @RINGS
     @pytest.mark.parametrize("d", range(1, 6))
@@ -353,7 +352,7 @@ class TestFMemo:
         args = [(-x,) * (d - k) + (x.one(),) * k for k in range(d + 1)]
         assert got.coefficients == tuple(
             inv * (math.comb(d, k)
-                   * recursive_form(f, args[k], memoized=False))
+                   * literal_form(f, args[k]))
             for k in range(d + 1))
 
 
@@ -428,7 +427,7 @@ class TestCellEvaluator:
             for args in (pool[:n], pool[:n - 1] + pool[:1], [pool[1]] * n,
                          pool[-n:][::-1]):
                 got = recursive_form(f, args)
-                want = recursive_form(f, args, memoized=False)
+                want = literal_form(f, args)
                 assert got == want, (case, n)
                 assert f.ring.render(got) == f.ring.render(want)
 
@@ -437,7 +436,7 @@ class TestCellEvaluator:
         for n in (1, 2, 3, 4):
             args = rand_mats(670 + n, n, ring=ModRing(7))
             got = recursive_form(f, args)
-            assert got == recursive_form(f, args, memoized=False)
+            assert got == literal_form(f, args)
             assert got.modulus == 7 and 0 <= got.value < 7
 
     def test_mixed_rings_raise(self):
@@ -472,7 +471,7 @@ class TestRowPath:
             args = rand_mats(700 + 10 * n + t, n, ring=ring, size=size)
             args[::2] = args[:1] * len(args[::2])  # some repeats
             got = recursive_form(f, args)
-            for want in (recursive_form(f, args, memoized=False),
+            for want in (literal_form(f, args),
                          cycle_sum_form(f, args), recursive_form(g, args)):
                 assert got == want and type(got) is type(want)
 
@@ -485,7 +484,7 @@ class TestRowPath:
         got = recursive_form(f, args)
         want = recursive_form(g, args)
         assert got == want and type(got) is type(want)
-        assert got == recursive_form(f, args, memoized=False)
+        assert got == literal_form(f, args)
         assert got == cycle_sum_form(f, args)
 
     @pytest.mark.parametrize("other", [
@@ -759,14 +758,14 @@ class TestPseudocharacterReport:
         f = matrix_trace(QQ, 2, 3, pseudocharacter=False)
         report = check_pseudocharacter(f, rand_mats(560, 4))
         assert not report.passed
-        names = {e.name for e in report.failures()}
+        names = {e.name for e in report.entries if not e.ok}
         assert "unit-value" in names
 
     def test_noncentral_function_detected(self):
         g = CentralFunction(lambda m: m.entry(0, 1), 2, QQ, name="corner")
         report = check_pseudocharacter(g, rand_mats(570, 5))
         assert not report.passed
-        assert "central" in {e.name for e in report.failures()}
+        assert "central" in {e.name for e in report.entries if not e.ok}
 
     def test_regular_trace_on_cyclic_groups(self):
         for n in (2, 3):

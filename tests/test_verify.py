@@ -11,7 +11,7 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
 from pseudodet.errors import CapExceededError
 from pseudodet.rings import ring_from_spec
 from pseudodet.verify import (_SIGNED_PERMS, SUITE_NAMES, SplitMix64,
-                              _signed_perms, cell_configs, substream)
+                              _signed_perms, substream)
 
 
 class TestPrng:
@@ -97,20 +97,20 @@ def cofactor_det(matrix):
 
 def forbid_form_recursion(monkeypatch):
     """Make every route into the recursive forms raise: ``form``, the
-    memoized evaluator's only entry point, and the literal recursion of
-    ``recursive_form(..., memoized=False)``."""
+    memoized evaluator's only entry point, and the literal recursion,
+    ``literal_form``."""
     import pseudodet.pseudochar as pc
 
     def boom(*a, **k):
         raise AssertionError("oracle called the recursion")
 
     monkeypatch.setattr(pc._FormEvaluator, "form", boom)
-    monkeypatch.setattr(pc, "_recursive_form_plain", boom)
+    monkeypatch.setattr(pc, "literal_form", boom)
     f = pc.matrix_trace(QQ, 2)
     x = Matrix(QQ, [[1, 2], [3, 4]])
-    for memoized in (True, False):
+    for form in (pc.recursive_form, pc.literal_form):
         with pytest.raises(AssertionError, match="oracle called"):
-            pc.recursive_form(f, (x,), memoized=memoized)
+            form(f, (x,))
 
 
 class TestLeibnizDet:
@@ -374,7 +374,8 @@ class TestConfigValidation:
 
 def test_default_all_configs_matrix():
     configs = default_all_configs(seed=1, trials=2)
-    assert configs[1:9] == cell_configs("rational", 1, seed=1, trials=2)
+    assert configs[1:9] == [SuiteConfig(suite, ring="rational", dim=1, seed=1,
+                                        trials=2) for suite in SUITE_NAMES]
     suites = [c.suite for c in configs]
     assert suites.count("assoc") == 10  # words + 9 matrix cells
     assert len(configs) == 1 + 9 * 8
