@@ -249,9 +249,6 @@ class GroupTable(FrozenValue):
     def cyclic(cls, n: int) -> "GroupTable":
         return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def __repr__(self):
         return f"GroupTable(order={self.order})"
 
@@ -278,10 +275,6 @@ class GroupAlgebraElement(FrozenValue):
         coeffs = [ring.cell(0)] * group.order
         coeffs[index] = ring.cell(1)
         return cls._make(group, ring, tuple(coeffs))
-
-    @classmethod
-    def unit(cls, group, ring) -> "GroupAlgebraElement":
-        return cls.basis(group, ring, 0)
 
     def _check_peer(self, other):
         if not isinstance(other, GroupAlgebraElement):
@@ -329,7 +322,7 @@ class GroupAlgebraElement(FrozenValue):
             self.group, ring, tuple(ring.reduce(c * a) for a in self.coeffs))
 
     def one(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.unit(self.group, self.ring)
+        return GroupAlgebraElement.basis(self.group, self.ring, 0)
 
     def coefficient(self, index: int):
         return self.ring.cell_to_scalar(self.coeffs[index])

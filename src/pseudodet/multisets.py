@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, islice, permutations
 
+from .elements import GroupAlgebraElement, Matrix, Word
 from .errors import BudgetExceededError, MismatchError
 from .rings import FrozenValue
 
@@ -56,11 +57,11 @@ class Multiset(FrozenValue):
     __slots__ = _fields = ("entries",)
 
     def __new__(cls, entries):
+        entries = tuple(entries)
+        for e in entries:
+            if not isinstance(e, (Matrix, Word, GroupAlgebraElement)):
+                raise MismatchError(f"not a semigroup element: {e!r}")
         return cls._make(tuple(sorted(entries)))
-
-    @classmethod
-    def empty(cls) -> "Multiset":
-        return _EMPTY
 
     def __len__(self):
         return len(self.entries)
@@ -76,9 +77,6 @@ class Multiset(FrozenValue):
 
     def __repr__(self):
         return f"Multiset({self.render()})"
-
-
-_EMPTY = Multiset(())
 
 
 class PartialBijection(FrozenValue):
@@ -301,7 +299,7 @@ class FormalSum:
     @classmethod
     def unit(cls) -> "FormalSum":
         """The multiplicative unit: the empty multiset with coefficient 1."""
-        return cls({Multiset.empty(): 1})
+        return cls({Multiset(()): 1})
 
     def coefficient(self, ms: Multiset) -> int:
         return dict(zip(self.multisets(), self._terms.values())).get(ms, 0)
@@ -322,11 +320,10 @@ class FormalSum:
         entry = self._elems.__getitem__
         return [Multiset._make(tuple(map(entry, key))) for key in self._terms]
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def __len__(self):
         return len(self._terms)
+
+    num_terms = __len__
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):
@@ -361,9 +358,9 @@ class FormalSum:
         return NotImplemented
 
     def map_elements(self, fn) -> "FormalSum":
-        """Apply ``fn`` to every entry of every multiset, re-canonicalize,
-        and merge multisets that become equal (their coefficients add).
-        ``fn`` runs once per table element."""
+        """Apply ``fn`` to every entry, once per table element, into one
+        backend; re-canonicalize, and merge multisets that become equal
+        (their coefficients add)."""
         elems, ranks = _table([fn(e) for e in self._elems])
         acc: dict = {}
         for key, coeff in self._terms.items():

@@ -98,19 +98,19 @@ class _FormEvaluator:
     to the id, ``elems`` maps the id back and, as elements of one backend
     sort by ``<``, gives the element order.  f runs at intern time (every
     interned element is evaluated, and ``evaluate`` is pure) and enters
-    once through ``f.ring.cell`` into ``f_cells``.  The
-    recursion works on plain cells: form_1 is read from ``f_cells``, form_2
-    is written out as f(a)·f(b) − f(a·b), and from n = 3 on each value is
-    reduced once into the memo, keyed on id tuples in the element order, so
-    a key stands for the sorted argument multiset and the largest element
-    is the one peeled.  ``products`` caches pair products on id pairs.
-    Fresh per top-level call, so evaluations never share mutable state.
+    once through ``f.ring.cell`` into ``f_cells``.  The recursion works on
+    plain cells: form_1 is read from ``f_cells``, form_2 is written out as
+    f(a)·f(b) − f(a·b), and from n = 3 on each value is reduced once into
+    the memo, keyed on id tuples in the element order, so a key stands for
+    the sorted argument multiset and the largest element is the one
+    peeled.  ``products`` caches pair products on id pairs.  Fresh per
+    top-level call, so evaluations never share mutable state.
 
-    For ``matrix_trace``'s f the elements are the matrices' row tuples,
-    which sort as the matrices do: each argument is checked against f's
+    For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
+    are the matrices' row tuples: each argument is checked against f's
     ring and size as it enters, and products and f-cells come from the
-    (ring, size) kernels, so no ``Matrix`` or scalar is built in the
-    recursion.  Any other f runs on the elements themselves."""
+    (ring, size) kernels, so no ``Matrix`` or scalar is built or compared.
+    Any other f runs on the elements themselves."""
 
     __slots__ = ("ring", "memo", "ids", "elems", "f_cells", "products",
                  "arg", "mul", "f_cell")
@@ -151,32 +151,30 @@ class _FormEvaluator:
                 self.mul(elems[a], elems[b]))
         return p
 
-    def form(self, entries):
-        """form_n of an argument tuple already in element order, as a
-        scalar."""
-        _check_arity(len(entries))
+    def form(self, args):
+        """form_n of the arguments, in any order, as a scalar."""
+        keys = sorted(map(self.arg, args))
+        _check_arity(len(keys))
         ring = self.ring
         return ring.cell_to_scalar(ring.reduce(
-            self.value(tuple(map(self.intern, map(self.arg, entries))))))
+            self.value(tuple(map(self.intern, keys)))))
 
     def on_sum(self, s: FormalSum):
         """``form_on_sum`` of ``s``, through this evaluator's caches: each
-        element of the sum's table is interned once, and the ids of a
-        term's ranks, which list its entries in element order, are its
-        memo key."""
+        element of the sum's table is interned once, the ids of a term's
+        ranks (its entries in element order) are its memo key, and the
+        terms are summed as cells, in the sum's order."""
         ring = self.ring
         table, terms = s.ranked_terms()
         ids = [self.intern(self.arg(e)) for e in table]
-        total = ring.zero()
-        one = ring.one()
+        total = ring.cell(0)
         for ranks, coeff in terms:
             if not ranks:
-                total = total + coeff * one
+                total += coeff
                 continue
             _check_arity(len(ranks))
-            total = total + coeff * ring.cell_to_scalar(ring.reduce(
-                self.value(tuple(map(ids.__getitem__, ranks)))))
-        return total
+            total += coeff * self.value(tuple(map(ids.__getitem__, ranks)))
+        return ring.cell_to_scalar(ring.reduce(total))
 
     def value(self, key: tuple):
         """The cell of form_n on the multiset with memo key ``key``
@@ -256,7 +254,7 @@ def recursive_form(f: CentralFunction, args):
     ``MismatchError`` for another ring's.  Zero arguments raise
     ``ValueError``, more than ``REC_CAP`` ``CapExceededError``.
     """
-    return _FormEvaluator(f).form(sorted(args))
+    return _FormEvaluator(f).form(args)
 
 
 def form_on_sum(f: CentralFunction, s: FormalSum):
@@ -421,11 +419,11 @@ def degree_product_check(f: CentralFunction, xs, ys):
         raise CapExceededError(
             f"dimension {d} exceeds the permutation cap of {ORACLE_CAP}")
     ev = _FormEvaluator(f)
-    lhs = ev.form(sorted(xs)) * ev.form(sorted(ys))
+    lhs = ev.form(xs) * ev.form(ys)
     rhs = f.ring.zero()
     for perm in permutations(range(d)):
         mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
-        rhs = rhs + ev.form(sorted(mixed))
+        rhs = rhs + ev.form(mixed)
     return lhs, rhs, lhs == rhs
 
 
@@ -433,6 +431,7 @@ def determinant(f: CentralFunction, x):
     """(1/dim!) * form_dim(x, .., x): the multiplicative determinant
     attached to a pseudocharacter."""
     d = f.dim
+    _check_arity(d)
     inv = f.ring.inverse_of_factorial(d)
     return inv * recursive_form(f, (x,) * d)
 
@@ -499,14 +498,14 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     """
     d = f.dim
     ring = f.ring
+    _check_arity(d)
     inv = ring.inverse_of_factorial(d)
     one = x.one()
     neg = -x
     ev = _FormEvaluator(f)
     coeffs = []
     for k in range(d + 1):
-        args = (neg,) * (d - k) + (one,) * k
-        value = ev.form(sorted(args))
+        value = ev.form((neg,) * (d - k) + (one,) * k)
         coeffs.append(inv * (math.comb(d, k) * value))
     return CharPoly(ring, tuple(coeffs))
 
@@ -520,6 +519,7 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     """
     d = f.dim
     ring = f.ring
+    _check_arity(d)
     inv = ring.inverse_of_factorial(d)
     points = [ring.from_int(j) for j in range(d + 1)]
     identity = x.one()

@@ -480,9 +480,7 @@ class ModRing(Ring):
         return value % self.modulus
 
     def render(self, scalar) -> str:
-        if isinstance(scalar, Residue):
-            return repr(scalar)
-        return f"{scalar % self.modulus} mod {self.modulus}"
+        return f"{self.cell(scalar)} mod {self.modulus}"
 
     def describe(self) -> str:
         return f"mod {self.modulus}"

@@ -203,11 +203,6 @@ class SuiteConfig(FrozenValue):
                     f"not {self.suite!r}")
             return
         ring = ring_from_spec(self.ring)
-        if self.suite in _PSEUDO_SUITES:
-            try:
-                ring.inverse_of_factorial(self.dim)
-            except NotInvertibleError as exc:
-                raise ConfigError(str(exc)) from None
         if self.suite == "degree-d" and self.dim > ORACLE_CAP:
             raise ConfigError(
                 f"degree-d needs dim! permutations; dim {self.dim} "
@@ -221,6 +216,11 @@ class SuiteConfig(FrozenValue):
             raise ConfigError(
                 f"{self.suite} evaluates forms of up to {self.dim + 1} "
                 f"arguments, more than the recursion cap of {REC_CAP}")
+        if self.suite in _PSEUDO_SUITES:
+            try:
+                ring.inverse_of_factorial(self.dim)
+            except NotInvertibleError as exc:
+                raise ConfigError(str(exc)) from None
 
     def echo(self) -> dict:
         return {**self.fields(), "size": self.dim,

@@ -100,7 +100,7 @@ def test_criterion_02_multiset_ring_structure():
     merge_failures = []
     transpose_failures = []
     control_failures = []
-    empty = Multiset.empty()
+    empty = Multiset(())
 
     for n, m, k in word_multisets:
         x, y, z = _letters("x", n), _letters("y", m), _letters("z", k)

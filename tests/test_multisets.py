@@ -1,11 +1,14 @@
 """The multiset ring: enumeration, products, functoriality, rendering."""
 
+import re
+from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import pytest
 
 from pseudodet import multisets
-from pseudodet import (BudgetExceededError, FormalSum, LetterHom, Matrix,
+from pseudodet import (BudgetExceededError, FormalSum, GroupAlgebraElement,
+                       GroupTable, LetterHom, Matrix,
                        MismatchError, ModRing, Multiset, PartialBijection, QQ,
                        Word,
                        formal_product, multiset_product,
@@ -139,7 +142,7 @@ class TestMultisetProduct:
 
     def test_empty_is_unit(self):
         x = letters("x", 3)
-        empty = Multiset.empty()
+        empty = Multiset(())
         assert multiset_product(x, empty) == FormalSum.of(x)
         assert multiset_product(empty, x) == FormalSum.of(x)
 
@@ -192,7 +195,7 @@ class TestMultisetProduct:
         # empty multiset: {1} x {x} = {1,x} + {x}, not {x}
         eye = Matrix.identity(QQ, 2)
         x = Matrix(QQ, [[1, 2], [3, 4]])
-        assert Multiset([eye]) != Multiset.empty()
+        assert Multiset([eye]) != Multiset(())
         got = multiset_product(Multiset([eye]), Multiset([x]))
         assert got == FormalSum({Multiset([eye, x]): 1, Multiset([x]): 1})
         assert got != FormalSum.of(Multiset([x]))
@@ -306,7 +309,7 @@ class TestMapFormal:
 
     def test_empty_multiset_maps_to_itself(self):
         hom = LetterHom({"x1": Matrix(QQ, [[1]])})
-        s = FormalSum.of(Multiset.empty(), 4)
+        s = FormalSum.of(Multiset(()), 4)
         assert s.map_elements(hom) == s
 
     @pytest.mark.parametrize("ring,size", [(QQ, 2), (ModRing(7), 3)])
@@ -334,7 +337,7 @@ class TestRendering:
     def test_term_order_by_cardinality_then_entries(self):
         s = (FormalSum.of(letters("x", 2), 1)
              + FormalSum.of(Multiset([word("a")]), -2)
-             + FormalSum.of(Multiset.empty(), 1))
+             + FormalSum.of(Multiset(()), 1))
         assert s.render() == "1*{} + -2*{a} + 1*{x1,x2}"
 
     def test_entries_render_in_canonical_order(self):
@@ -376,6 +379,21 @@ def counting_letters(prefix, n):
     return Multiset(CountingWord([f"{prefix}{i}"]) for i in range(1, n + 1))
 
 
+def test_entries_must_be_semigroup_elements():
+    """Matrices, words (a subclass too) and group-algebra elements are
+    entries; anything else is refused as the multiset is built."""
+    for bad in (1, "a", Fraction(1, 2)):
+        message = re.escape(f"not a semigroup element: {bad!r}")
+        with pytest.raises(MismatchError, match=message):
+            Multiset([bad])
+    c3 = GroupTable.cyclic(3)
+    for entries in ([], [word("a*b"), Word(["a"])], [CountingWord(["b"])],
+                    [Matrix.identity(QQ, 2), Matrix.zero(QQ, 2)],
+                    [GroupAlgebraElement.basis(c3, QQ, 1)]):
+        ms = Multiset(entries)
+        assert len(ms) == len(entries) and repr(ms)
+
+
 class TestProductMatchesDefinition:
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize("m", range(4))
@@ -383,7 +401,7 @@ class TestProductMatchesDefinition:
         x, y = letters("x", n), letters("y", m)
         assert multiset_product(x, y) == reference_product(x, y)
         s = FormalSum.of(x, 2) + FormalSum.of(letters("a", 1), -1)
-        t = FormalSum.of(y, 3) + FormalSum.of(Multiset.empty(), 1)
+        t = FormalSum.of(y, 3) + FormalSum.of(Multiset(()), 1)
         assert formal_product(s, t) == reference_formal_product(s, t)
 
     @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
@@ -506,7 +524,7 @@ class TestEqualEntriesShareARank:
              + FormalSum.of(Multiset([one, one, zero]), 1))
         t = (FormalSum.of(Multiset([a, zero]), 1)
              + FormalSum.of(Multiset([a * a]), 3)
-             + FormalSum.of(Multiset.empty(), -2))
+             + FormalSum.of(Multiset(()), -2))
         assert formal_product(s, t) == reference_formal_product(s, t)
         w = FormalSum.of(Multiset([word("a"), word("b")]), 1) \
             + FormalSum.of(Multiset([word("a")]), -1)
@@ -555,8 +573,8 @@ class TestRenderLengthExceeds:
     @pytest.mark.parametrize("s", [
         FormalSum.zero(),
         FormalSum.of(letters("x", 2), -12),
-        FormalSum.of(Multiset.empty(), 3),
-        FormalSum.of(Multiset.empty(), -1) + FormalSum.of(letters("y", 3), 7)
+        FormalSum.of(Multiset(()), 3),
+        FormalSum.of(Multiset(()), -1) + FormalSum.of(letters("y", 3), 7)
         + FormalSum.of(Multiset([word("x1*y2*z3")]), -250),
         FormalSum.of(Multiset([Matrix(QQ, [[1, -2], [3, 4]]),
                                Matrix(QQ, [[0, 1], [1, 0]])]), 5),
@@ -621,7 +639,7 @@ class TestFormalSumPublicBehaviour:
     def sample(self):
         return (FormalSum.of(letters("x", 2), 1)
                 + FormalSum.of(Multiset([word("b")]), -2)
-                + FormalSum.of(Multiset.empty(), 3)
+                + FormalSum.of(Multiset(()), 3)
                 + FormalSum.of(Multiset([word("a")]), 5))
 
     def test_terms_are_multisets_in_canonical_order(self):

@@ -1,0 +1,54 @@
+"""Pinned mutants that ``check all`` must kill.
+
+Each mutant is one exact text replacement in a copy of the package.  The
+copy runs ``check all --seed 42 --trials 2`` in a child process, one
+mutant at a time, and some suite must FAIL (exit 1).  A mutant that
+changes no value a suite compares (as dropping ``_FormEvaluator.form``'s
+sort, which is equivalent for a central f) does not belong here; the
+tests of the library catch those.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pseudodet"
+
+MUTANTS = [
+    pytest.param(
+        "pseudochar.py",
+        "                total += coeff\n",
+        "",
+        id="on_sum-skips-the-empty-multiset"),
+    pytest.param(
+        "pseudochar.py",
+        "lhs = ev.form(xs) * ev.form(ys)",
+        "lhs = ev.form(xs) * ev.form(xs)",
+        id="degree_product-squares-the-left-form"),
+    pytest.param(
+        "pseudochar.py",
+        "value = ev.form((neg,) * (d - k) + (one,) * k)",
+        "value = ev.form((neg,) * k + (one,) * (d - k))",
+        id="char_poly-swaps-the-powers"),
+]
+
+
+@pytest.mark.parametrize("module,old,new", MUTANTS)
+def test_check_all_kills_the_mutant(tmp_path, module, old, new):
+    package = tmp_path / "pseudodet"
+    shutil.copytree(SRC, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"{old!r} must occur once in {module}"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudodet.cli", "check", "all", "--seed",
+         "42", "--trials", "2", "--quiet"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, (proc.stdout[-2000:], proc.stderr[-2000:])

@@ -17,6 +17,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        matrix_trace, multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
+from pseudodet.rings import RationalRing
 from pseudodet.verify import _CORNER, leibniz_det, random_matrix, substream
 
 
@@ -206,7 +207,7 @@ class TestFormOnSum:
     def test_empty_multiset_gives_one(self):
         f = matrix_trace(QQ, 2)
         assert form_on_sum(f, FormalSum.unit()) == 1
-        assert form_on_sum(f, FormalSum.of(Multiset.empty(), 5)) == 5
+        assert form_on_sum(f, FormalSum.of(Multiset(()), 5)) == 5
 
     def test_linearity_single_entry(self):
         f = matrix_trace(QQ, 2)
@@ -243,6 +244,42 @@ class TestFormOnSum:
             s, u = rand_sum(380 + t), rand_sum(380 + 1000 + t)
             assert form_on_sum(f, s * u) == form_on_sum(f, s) * form_on_sum(f, u)
 
+    @pytest.mark.parametrize("case", ["rational", "mod:7", "C3"])
+    def test_linear(self, case):
+        """form_on_sum(s + t) and form_on_sum(k s) against the scalar sum
+        and product: the two sides share no formal-sum addition, so a
+        wrong ``+`` or ``scale`` of formal sums shows."""
+        if case == "C3":
+            c3 = GroupTable.cyclic(3)
+            f = regular_trace(c3, QQ)
+
+            def draw(rng):
+                return GroupAlgebraElement(
+                    c3, QQ, [rng.randint(-2, 2) for _ in range(3)])
+        else:
+            ring = ring_from_spec(case)
+            f = matrix_trace(ring, 2, pseudocharacter=False)
+
+            def draw(rng):
+                return random_matrix(rng, ring, 2, 3)
+
+        def rand_sum(seed):
+            rng = substream(seed, 0)
+            # every sum holds an empty-multiset term
+            acc = FormalSum.of(Multiset(()), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)):
+                ms = Multiset(draw(rng) for _ in range(rng.randint(0, 3)))
+                acc = acc + FormalSum.of(ms, rng.randint(-3, 3))
+            return acc
+
+        for t in range(15):
+            s, u = rand_sum(700 + t), rand_sum(800 + t)
+            for left, right in ((s, u), (s, -s), (s, u - s)):
+                assert (form_on_sum(f, left + right)
+                        == form_on_sum(f, left) + form_on_sum(f, right))
+            for k in (-2, 0, 1, 3):
+                assert form_on_sum(f, k * s) == k * form_on_sum(f, s)
+
 
 class TestProductFormula:
     def test_reduces_to_recursion_for_singleton(self):
@@ -257,7 +294,7 @@ class TestProductFormula:
     def test_empty_by_empty(self):
         f = matrix_trace(QQ, 2)
         lhs, rhs, ok = product_formula_check(
-            f, Multiset.empty(), Multiset.empty())
+            f, Multiset(()), Multiset(()))
         assert ok and lhs == 1 and rhs == 1
 
     @pytest.mark.parametrize("make_f", [
@@ -354,6 +391,41 @@ class TestFMemo:
             inv * (math.comb(d, k)
                    * literal_form(f, args[k]))
             for k in range(d + 1))
+
+
+class TestArgumentOrder:
+    """The evaluator sorts its arguments itself, so ``recursive_form``
+    gives one value on every order of them.  Under a matrix trace it sorts
+    their row tuples and compares no ``Matrix``."""
+
+    def test_trace_n3(self):
+        f = matrix_trace(QQ, 2)
+        args = rand_mats(720, 3)
+        assert ({recursive_form(f, p) for p in permutations(args)}
+                == {literal_form(f, args)})
+
+    def test_noncentral_corner_n4(self):
+        # the corner's literal value depends on the order; the evaluator's
+        # does not, because it sorts before it recurses
+        args = (Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[0, 1], [1, 0]]),
+                Matrix(QQ, [[2, 1], [0, 1]]), Matrix(QQ, [[1, 0], [5, 2]]))
+        orders = list(permutations(args))
+        assert {recursive_form(_CORNER, p) for p in orders} == {-36}
+        assert len({literal_form(_CORNER, p) for p in orders}) == 21
+
+    @RINGS
+    def test_no_matrix_comparison_under_a_trace(self, monkeypatch, ring):
+        f = matrix_trace(ring, 2)
+        xs, ys = rand_mats(730, 2, ring=ring), rand_mats(740, 2, ring=ring)
+        want = (recursive_form(f, xs + ys), determinant(f, xs[0]),
+                char_poly(f, xs[0]), degree_product_check(f, xs, ys))
+
+        def boom(self, other):
+            raise AssertionError("a Matrix was compared")
+
+        monkeypatch.setattr(Matrix, "__lt__", boom)
+        assert (recursive_form(f, xs + ys), determinant(f, xs[0]),
+                char_poly(f, xs[0]), degree_product_check(f, xs, ys)) == want
 
 
 class TestMemoKeysInElementOrder:
@@ -591,6 +663,19 @@ class TestDeterminant:
         _, _, ok = multiplicativity_check(f, x, eye)
         assert ok
         assert determinant(f, eye) == 1
+
+    @pytest.mark.parametrize("fn", [determinant, char_poly,
+                                    char_poly_interpolated])
+    def test_cap_comes_before_the_factorial(self, monkeypatch, fn):
+        """A huge dimension is refused by the recursion cap before d! is
+        computed."""
+        def boom(self, d):
+            raise AssertionError(f"{d}! was computed")
+
+        monkeypatch.setattr(RationalRing, "inverse_of_factorial", boom)
+        f = matrix_trace(QQ, 2, 100_000, pseudocharacter=False)
+        with pytest.raises(CapExceededError, match="recursion cap of 8"):
+            fn(f, Matrix(QQ, [[1, 2], [3, 4]]))
 
     def test_requires_invertible_factorial(self):
         with pytest.raises(NotInvertibleError):

@@ -286,6 +286,16 @@ def test_ring_descriptions():
     assert ModRing(7).render(Residue(3, 7)) == "3 mod 7"
 
 
+def test_mod_render_takes_its_own_scalars():
+    """A residue of the ring or an int renders; a bool or another
+    modulus's residue is refused, not printed."""
+    m7 = ModRing(7)
+    assert m7.render(10) == "3 mod 7" and m7.render(-1) == "6 mod 7"
+    for bad in (True, Residue(3, 5)):
+        with pytest.raises(MismatchError):
+            m7.render(bad)
+
+
 # --- canonical form of Poly results -----------------------------------------
 
 monomials = st.lists(

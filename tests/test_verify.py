@@ -349,6 +349,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SuiteConfig("det-mult", ring="rational", dim=7).validate()
 
+    def test_caps_come_before_the_factorial(self):
+        """A huge dim is refused by its cap before dim! is computed, so
+        mod 101 the cap is named, not 100000! being 0 mod 101."""
+        with pytest.raises(ConfigError, match="Leibniz oracle is capped"):
+            SuiteConfig("det-mult", ring="mod:101", dim=100_000).validate()
+
     @pytest.mark.parametrize("suite,dim,cap,largest", [
         ("det-mult", 9, "Leibniz oracle is capped at size 6", 6),
         ("degree-d", 8, "cap of 7", 7),
