@@ -13,18 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 
 from .elements import Matrix
 from .errors import ConfigError, PseudodetError
-from .pseudochar import char_poly, determinant, matrix_trace, recursive_form
+from .pseudochar import (_check_arity, char_poly, determinant, matrix_trace,
+                         recursive_form)
 from .rings import ring_from_spec
 from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
 
 #: ``check``'s settable values and their types: ``SuiteConfig``'s defaults
 _CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig._defaults.items()}
+#: a matrix-file entry: an integer or a fraction p/q, in ASCII digits
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _read_text(path: str) -> str:
@@ -79,9 +83,12 @@ def read_matrix_file(path: str, ring):
     rows = tokens_by_line[1:]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ConfigError(f"{path}: expected {d} rows of {d} entries")
+    for tok in (tok for row in rows for tok in row):
+        if not _ENTRY.fullmatch(tok):
+            raise ConfigError(f"{path}: bad entry ({tok!r} is not p or p/q)")
     try:
         entries = [[Fraction(tok) for tok in row] for row in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ConfigError(f"{path}: bad entry ({exc})") from None
     return Matrix(ring, entries)
 
@@ -203,6 +210,7 @@ def _run_eval(args) -> int:
         n = args.n if args.n is not None else dim
         if n < 1:
             raise ConfigError("--n must be >= 1")
+        _check_arity(n)  # before n arguments are built
         rendered = ring.render(recursive_form(f, (x,) * n))
     elif args.what == "det":
         rendered = ring.render(determinant(f, x))

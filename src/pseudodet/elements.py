@@ -18,7 +18,7 @@ threads.
 from __future__ import annotations
 
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
-from .rings import FrozenValue, ModRing, Ring, _set_hash
+from .rings import FrozenValue, ModRing, Ring
 
 
 class Matrix(FrozenValue):
@@ -58,13 +58,8 @@ class Matrix(FrozenValue):
     def __mul__(self, other):
         self._check_peer(other)
         ring, n = self.ring, self.n
-        # writing the slots here, not through _make, saves a call and a loop
-        obj = object.__new__(Matrix)
-        _set_hash(obj, None)
-        _set_ring(obj, ring)
-        _set_n(obj, n)
-        _set_rows(obj, _kernels(ring, n)[0](self.rows, other.rows))
-        return obj
+        rows = _kernels(ring, n)[0](self.rows, other.rows)
+        return Matrix._make(ring, n, rows)
 
     def __add__(self, other):
         self._check_peer(other)
@@ -108,11 +103,6 @@ class Matrix(FrozenValue):
 
     def __repr__(self):
         return f"Matrix({self.ring.describe()}, {self.render()})"
-
-
-_set_ring = Matrix.ring.__set__
-_set_n = Matrix.n.__set__
-_set_rows = Matrix.rows.__set__
 
 
 def _matrix_rows(ring: Ring, n: int, other):

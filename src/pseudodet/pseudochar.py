@@ -512,35 +512,26 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
 
 def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     """Cross-check path for ``char_poly``: evaluate det on the pencil t - x
-    at the d+1 points t = 0..d and Lagrange-interpolate the coefficients.
+    at the d+1 points t = 0..d and interpolate in Newton form.
 
-    The j-th Lagrange denominator is (-1)^(d-j) j! (d-j)!, so its inverse
-    is (-1)^(d-j) C(d, j) (d!)^-1 and no other division is needed.
+    The k-th forward difference of the values at 0, times (k!)^-1, is the
+    coefficient of t(t-1)..(t-k+1), and (k!)^-1 is (d!)^-1 times the
+    integer d!/k! = perm(d, d - k), so no other division is needed.
+    Horner's rule expands that Newton basis.
     """
     d = f.dim
     ring = f.ring
     _check_arity(d)
     inv = ring.inverse_of_factorial(d)
-    points = [ring.from_int(j) for j in range(d + 1)]
     identity = x.one()
     neg = -x
-    values = [determinant(f, identity.scale(t) + neg) for t in points]
-
-    zero, one = ring.zero(), ring.one()
-    coeffs = [zero] * (d + 1)
-    for j, vj in enumerate(values):
-        # prod_{k != j} (T - t_k); scale holds 1 / prod_{k != j} (t_j - t_k)
-        basis = [one]
-        for k, tk in enumerate(points):
-            if k == j:
-                continue
-            new = [zero] * (len(basis) + 1)
-            for deg, c in enumerate(basis):
-                new[deg] = new[deg] + c * (-tk)
-                new[deg + 1] = new[deg + 1] + c
-            basis = new
-        scale = inv * ((-1) ** (d - j) * math.comb(d, j) * vj)
-        for deg, c in enumerate(basis):
-            coeffs[deg] = coeffs[deg] + scale * c
-    return CharPoly(ring, tuple(coeffs))
-
+    diffs = [determinant(f, identity.scale(ring.from_int(t)) + neg)
+             for t in range(d + 1)]
+    for k in range(d):  # diffs[j] becomes the j-th forward difference at 0
+        for j in range(d, k, -1):
+            diffs[j] = diffs[j] - diffs[j - 1]
+    poly = []
+    for k in range(d, -1, -1):  # poly * (t - k) + diffs[k] / k!
+        newton = inv * (math.perm(d, d - k) * diffs[k])
+        poly = [a - k * b for a, b in zip([newton] + poly, poly + [0])]
+    return CharPoly(ring, tuple(poly))

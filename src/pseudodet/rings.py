@@ -45,24 +45,24 @@ class FrozenValue:
     A subclass names its attributes in ``_fields``, which is also its
     ``__slots__``.  Calling the class builds a value from the fields, by
     position or keyword; ``_defaults`` fills the ones left out, and
-    ``_validate`` may refuse the new value.  ``_make`` sets the fields in
-    order without validation; a subclass with its own constructor
-    validates, then calls it.  Any later assignment or deletion raises.
+    ``_validate`` may refuse the new value.  Every value is built by
+    ``_make``, which sets the fields in order without validation; a
+    subclass with its own constructor validates, then calls it.  Any later
+    assignment or deletion raises.
 
     Two values are equal when they are of the same class and their
-    ``_key``s are equal; the hash is that of ``_key``, computed once and
-    cached in the ``_hash`` slot.  ``_key`` is the field (one field) or
-    the tuple of fields, read by a per-class ``operator.attrgetter``
-    property.  A subclass that defines ``__eq__`` must bind ``__hash__``
-    too (``Ring`` binds both to ``object``'s): defining ``__eq__`` alone
-    sets ``__hash__`` to None.
+    ``_key``s are equal; the hash is that of ``_key``, computed on each
+    call.  ``_key`` is the field (one field) or the tuple of fields, read
+    by a per-class ``operator.attrgetter`` property.  A subclass that
+    defines ``__eq__`` must bind ``__hash__`` too (``Ring`` binds both to
+    ``object``'s): defining ``__eq__`` alone sets ``__hash__`` to None.
 
     It stands in for ``dataclasses``, whose import (with ``inspect``,
     ``ast`` and ``dis``) adds about 0.8 MB to every process that imports
     the package; the values need none of its other features.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _fields = ()
     _defaults: dict = {}
 
@@ -88,7 +88,6 @@ class FrozenValue:
     @classmethod
     def _make(cls, *values):
         obj = object.__new__(cls)
-        _set_hash(obj, None)
         for i, setter in cls._setters:
             setter(obj, values[i])
         return obj
@@ -112,18 +111,11 @@ class FrozenValue:
         return self._key == other._key
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._key)
-            _set_hash(self, h)
-        return h
+        return hash(self._key)
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
         return f"{type(self).__name__}({fields})"
-
-
-_set_hash = FrozenValue._hash.__set__
 
 
 def _check_modulus(modulus) -> None:
@@ -147,13 +139,7 @@ class Residue(FrozenValue):
         if type(modulus) is not int or modulus < 2 or type(value) is not int:
             _check_modulus(modulus)
             raise MismatchError(f"not a mod-{modulus} scalar: {value!r}")
-        # Every modular scalar operation builds a residue: writing the
-        # slots here, not through a second call to _make, saves a third.
-        obj = object.__new__(cls)
-        _set_hash(obj, None)
-        _set_value(obj, value % modulus)
-        _set_modulus(obj, modulus)
-        return obj
+        return cls._make(value % modulus, modulus)
 
     def _coerce(self, other) -> "Residue":
         if isinstance(other, Residue):
@@ -218,10 +204,6 @@ class Residue(FrozenValue):
 
     def __repr__(self):
         return f"{self.value} mod {self.modulus}"
-
-
-_set_value = Residue.value.__set__
-_set_modulus = Residue.modulus.__set__
 
 
 def _monomial_mul(a, b):

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pseudodet import cli
 from pseudodet.cli import (_CONFIG_KEYS, build_parser, load_config_file, main,
                            read_matrix_file)
 from pseudodet.errors import ConfigError
@@ -124,6 +126,22 @@ class TestEval:
         assert len(errors) == 1 and flag[0] in errors[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--n", "--dim"])
+    def test_fn_over_the_cap_builds_no_arguments(self, matrix_file, flag,
+                                                 monkeypatch, capsys):
+        """``eval fn`` checks the recursion cap before it builds its n
+        arguments (n is --n, or --dim without it).  It used to build the
+        tuple first, about 15 bytes an argument, and then exit 2."""
+        def no_form(f, args):
+            raise AssertionError("the arguments were built")
+        monkeypatch.setattr(cli, "recursive_form", no_form)
+        rc = main(["eval", "fn", "--matrix", matrix_file, flag, "1000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(
+            captured, "1000000 arguments exceed the recursion cap of 8")
+        assert captured.out == ""
+
     def test_config_key_eval_does_not_read_is_exit_two(self, matrix_file,
                                                        tmp_path, capsys):
         cfg = tmp_path / "eval.cfg"
@@ -160,6 +178,26 @@ class TestMatrixFile:
         bad.write_text("x\n")
         with pytest.raises(ConfigError):
             read_matrix_file(str(bad), QQ)
+
+    @pytest.mark.parametrize("tok", ["1e5000", "1.5", "1_0", "\u0663"])
+    def test_entry_outside_the_grammar_is_exit_two(self, tok, tmp_path,
+                                                   capsys):
+        """An entry is an integer or a fraction p/q in ASCII digits.
+        ``Fraction`` also took decimals, exponents, underscores and other
+        scripts' digits: ``1e5000`` printed a ValueError traceback and
+        ``1.5`` was read as 3/2."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1\n{tok}\n", encoding="utf-8")
+        assert main(["eval", "det", "--matrix", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, f"bad entry ({tok!r}")
+        assert captured.out == ""
+
+    def test_signed_integers_and_fractions_parse(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1/2 -3\n+4 0\n")
+        assert read_matrix_file(str(path), QQ).rows == (
+            (Fraction(1, 2), -3), (4, 0))
 
     @pytest.mark.parametrize("text", ["0\n", "-1\n"])
     def test_size_below_one_is_exit_two(self, text, tmp_path, capsys):

@@ -34,6 +34,16 @@ MUTANTS = [
         "value = ev.form((neg,) * (d - k) + (one,) * k)",
         "value = ev.form((neg,) * k + (one,) * (d - k))",
         id="char_poly-swaps-the-powers"),
+    pytest.param(
+        "pseudochar.py",
+        "diffs[j] = diffs[j] - diffs[j - 1]",
+        "diffs[j] = diffs[j] + diffs[j - 1]",
+        id="interpolated-adds-the-forward-difference"),
+    pytest.param(
+        "pseudochar.py",
+        "newton = inv * (math.perm(d, d - k) * diffs[k])",
+        "newton = inv * (math.comb(d, k) * diffs[k])",
+        id="interpolated-scales-by-comb"),
 ]
 
 

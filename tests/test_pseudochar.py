@@ -796,17 +796,38 @@ class TestCharPoly:
                 assert char_poly(f, x).is_monic()
 
     def test_interpolated_path_agrees(self):
-        for ring in (QQ, ModRing(7)):
-            for d in (1, 2, 3):
-                f = matrix_trace(ring, d)
-                for t in range(5):
-                    x = rand_mats(520 + 10 * d + t, 1, ring=ring, size=d)[0]
-                    assert char_poly(f, x) == char_poly_interpolated(f, x)
-        for d in (2, 3):
+        """The Newton-form interpolation gives ``char_poly``'s coefficients,
+        each of the same Python type: over Q and mod:101 up to d = 6, over
+        mod:5 in the paper's regime (d! invertible, (2d)! not), on
+        ``Fraction`` cells, on generic polynomial matrices and for traces
+        declared with the wrong dimension."""
+        def agree(f, x):
+            want, got = char_poly(f, x), char_poly_interpolated(f, x)
+            assert got == want
+            assert ([type(c) for c in got.coefficients]
+                    == [type(c) for c in want.coefficients])
+        cells = [(ring, d) for ring in (QQ, ModRing(7)) for d in (1, 2, 3)]
+        cells += [(ring, d) for ring in (QQ, ModRing(101))
+                  for d in (4, 5, 6)]
+        cells += [(ModRing(5), 3), (ModRing(5), 4)]
+        for ring, d in cells:
+            f = matrix_trace(ring, d)
+            for t in range(5 if d <= 4 else 2):
+                agree(f, rand_mats(520 + 10 * d + t, 1, ring=ring, size=d)[0])
+        # at d = 1, (1!)^-1 is the int 1 and char_poly's t coefficient
+        # stays an int, so Fraction cells start at d = 2
+        for d in (2, 3, 4):
+            agree(matrix_trace(QQ, d), Matrix(QQ, [
+                [Fraction(i - 2 * j + 1, 3 + i) for j in range(d)]
+                for i in range(d)]))
+        for d in (1, 2, 3):
             x = Matrix(QPOLY, [[Poly.variable(f"x{i}{j}") for j in range(d)]
                                for i in range(d)])
-            f = matrix_trace(QPOLY, d)
-            assert char_poly(f, x) == char_poly_interpolated(f, x)
+            agree(matrix_trace(QPOLY, d), x)
+        for ring in (QQ, ModRing(7)):
+            for dim in (1, 3):
+                for x in rand_mats(600 + dim, 3, ring=ring):
+                    agree(matrix_trace(ring, 2, dim), x)
 
     def test_trace_roundtrip_report(self):
         f = matrix_trace(QQ, 3)

@@ -1,6 +1,6 @@
 """Immutable values: every value class refuses attribute assignment and
-deletion, keeps its cached hash, and hashes equal values built by different
-paths equally."""
+deletion, keeps its hash (computed from the fields on each call), and
+hashes equal values built by different paths equally."""
 
 from fractions import Fraction
 
@@ -59,7 +59,8 @@ def test_deletion_is_refused(name, value, attr):
 @pytest.mark.parametrize("name,value,attr", samples(),
                          ids=[s[0] for s in samples()])
 def test_cached_hash_cannot_be_overwritten(name, value, attr):
-    """Every value class caches its hash once, in the ``_hash`` slot."""
+    """No value stores its hash: assigning ``_hash`` is refused, as for
+    any attribute, and the hash stays the one of the fields."""
     h = hash(value)
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         value._hash = h + 1
