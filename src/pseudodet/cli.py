@@ -11,6 +11,7 @@ Exit codes: 0 when everything requested passed, 1 when a suite failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -27,7 +28,8 @@ from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
 
 #: ``check``'s settable values and their types: ``SuiteConfig``'s defaults
 _CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig._defaults.items()}
-#: a matrix-file entry: an integer or a fraction p/q, in ASCII digits
+#: matrix-file numbers in ASCII digits: the size is p, an entry p or p/q
+_SIZE = re.compile(r"[+-]?[0-9]+")
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -67,30 +69,29 @@ def load_config_file(path: str, keys=_CONFIG_KEYS) -> dict:
     return values
 
 
+def _read_number(path: str, what: str, tok: str, grammar) -> Fraction:
+    """``tok`` as a Fraction, if it matches ``grammar`` and ``Fraction``
+    takes it (q != 0, under int()'s digit limit); else a ConfigError."""
+    if grammar.fullmatch(tok):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(tok)
+    raise ConfigError(f"{path}: bad {what} {tok!r}")
+
+
 def read_matrix_file(path: str, ring):
     """Matrix file: first line is the size d, then d rows of d entries,
-    each an integer or a fraction p/q, whitespace separated."""
-    tokens_by_line = [ln.split() for ln in _read_text(path).splitlines()
-                      if ln.strip()]
-    if not tokens_by_line or len(tokens_by_line[0]) != 1:
+    each an ASCII integer or fraction p/q, whitespace separated."""
+    lines = [ln.split() for ln in _read_text(path).splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 1:
         raise ConfigError(f"{path}: first line must be the matrix size")
-    try:
-        d = int(tokens_by_line[0][0])
-    except ValueError:
-        raise ConfigError(f"{path}: bad size {tokens_by_line[0][0]!r}") from None
+    d = int(_read_number(path, "size", lines[0][0], _SIZE))
     if d < 1:
         raise ConfigError(f"{path}: matrix size must be >= 1")
-    rows = tokens_by_line[1:]
+    rows = lines[1:]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ConfigError(f"{path}: expected {d} rows of {d} entries")
-    for tok in (tok for row in rows for tok in row):
-        if not _ENTRY.fullmatch(tok):
-            raise ConfigError(f"{path}: bad entry ({tok!r} is not p or p/q)")
-    try:
-        entries = [[Fraction(tok) for tok in row] for row in rows]
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"{path}: bad entry ({exc})") from None
-    return Matrix(ring, entries)
+    return Matrix(ring, [[_read_number(path, "entry", tok, _ENTRY)
+                          for tok in row] for row in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:

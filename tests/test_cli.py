@@ -179,18 +179,21 @@ class TestMatrixFile:
         with pytest.raises(ConfigError):
             read_matrix_file(str(bad), QQ)
 
-    @pytest.mark.parametrize("tok", ["1e5000", "1.5", "1_0", "\u0663"])
+    @pytest.mark.parametrize("tok", [
+        "1e5000", "1.5", "1_0", "\u0663", "1/0",
+        pytest.param("1" * 5000, id="5000-digits")])
     def test_entry_outside_the_grammar_is_exit_two(self, tok, tmp_path,
                                                    capsys):
         """An entry is an integer or a fraction p/q in ASCII digits.
         ``Fraction`` also took decimals, exponents, underscores and other
         scripts' digits: ``1e5000`` printed a ValueError traceback and
-        ``1.5`` was read as 3/2."""
+        ``1.5`` was read as 3/2.  An integer past ``int()``'s 4,300-digit
+        limit, or a zero denominator, is a bad entry too."""
         bad = tmp_path / "bad.txt"
         bad.write_text(f"1\n{tok}\n", encoding="utf-8")
         assert main(["eval", "det", "--matrix", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert_one_error_line(captured, f"bad entry ({tok!r}")
+        assert_one_error_line(captured, f"bad entry {tok!r}")
         assert captured.out == ""
 
     def test_signed_integers_and_fractions_parse(self, tmp_path):
@@ -207,6 +210,19 @@ class TestMatrixFile:
         bad.write_text(text)
         assert main(["eval", "det", "--matrix", str(bad)]) == 2
         assert_one_error_line(capsys.readouterr(), "size must be >= 1")
+
+    @pytest.mark.parametrize("size", [
+        "1_0", "\u0663", "2.0", "4/2",
+        pytest.param("1" * 5000, id="5000-digits")])
+    def test_size_outside_the_grammar_is_exit_two(self, size, tmp_path,
+                                                  capsys):
+        """The size line follows the entries' ASCII grammar, without p/q:
+        ``int()`` read ``1_0`` as 10 and ``\u0663`` as 3, and a size past
+        its 4,300-digit limit is refused rather than a traceback."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{size}\n1\n", encoding="utf-8")
+        assert main(["eval", "det", "--matrix", str(bad)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"bad size {size!r}")
 
     def test_non_utf8_file_is_exit_two(self, tmp_path, capsys):
         """A byte that is not UTF-8 used to escape as a UnicodeDecodeError
