@@ -26,8 +26,8 @@ from .pseudochar import (CentralFunction, CharPoly, char_poly,
                          form_on_sum, identity_padding_check, literal_form,
                          matrix_trace, multiplicativity_check,
                          product_formula_check, recursive_form, regular_trace)
-from .rings import ModRing, Poly, PolyRing, QPOLY, QQ, RationalRing, Residue, \
-    Ring, ring_from_spec
+from .rings import (ModRing, Poly, PolyRing, QPOLY, QQ, RationalRing, Ring,
+                    ring_from_spec)
 from .verify import (SplitMix64, SuiteConfig, SuiteReport, char_poly_leibniz,
                      default_all_configs, leibniz_det, random_matrix,
                      random_word, run_suite, substream)

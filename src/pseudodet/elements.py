@@ -87,11 +87,10 @@ class Matrix(FrozenValue):
         return Matrix.identity(self.ring, self.n)
 
     def trace(self):
-        ring = self.ring
-        return ring.cell_to_scalar(_kernels(ring, self.n)[1](self.rows))
+        return _kernels(self.ring, self.n)[1](self.rows)
 
     def entry(self, i: int, j: int):
-        return self.ring.cell_to_scalar(self.rows[i][j])
+        return self.rows[i][j]
 
     def __lt__(self, other):
         self._check_peer(other)
@@ -315,7 +314,7 @@ class GroupAlgebraElement(FrozenValue):
         return GroupAlgebraElement.basis(self.group, self.ring, 0)
 
     def coefficient(self, index: int):
-        return self.ring.cell_to_scalar(self.coeffs[index])
+        return self.coeffs[index]
 
     def __lt__(self, other):
         self._check_peer(other)

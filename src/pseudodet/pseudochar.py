@@ -87,7 +87,7 @@ def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
     the coefficient of the identity.  A pseudocharacter of dimension n."""
     n = group.order
     return CentralFunction(
-        lambda a: n * a.coefficient(0), n, ring,
+        lambda a: ring.reduce(n * a.coefficient(0)), n, ring,
         domain=f"Q[G], |G|={n}", name="regular-trace")
 
 
@@ -155,9 +155,7 @@ class _FormEvaluator:
         """form_n of the arguments, in any order, as a scalar."""
         keys = sorted(map(self.arg, args))
         _check_arity(len(keys))
-        ring = self.ring
-        return ring.cell_to_scalar(ring.reduce(
-            self.value(tuple(map(self.intern, keys)))))
+        return self.ring.reduce(self.value(tuple(map(self.intern, keys))))
 
     def on_sum(self, s: FormalSum):
         """``form_on_sum`` of ``s``, through this evaluator's caches: each
@@ -174,7 +172,7 @@ class _FormEvaluator:
                 continue
             _check_arity(len(ranks))
             total += coeff * self.value(tuple(map(ids.__getitem__, ranks)))
-        return ring.cell_to_scalar(ring.reduce(total))
+        return ring.reduce(total)
 
     def value(self, key: tuple):
         """The cell of form_n on the multiset with memo key ``key``
@@ -228,18 +226,19 @@ def _check_arity(n: int) -> None:
 def literal_form(f: CentralFunction, args):
     """form_n(args) by the defining recursion, run verbatim on the
     sequence as given: no reordering and no cache.  The reference that
-    ``recursive_form`` is tested against."""
+    ``recursive_form`` is tested against; f values enter through
+    ``f.ring.cell`` there as here."""
     seq = tuple(args)
     _check_arity(len(seq))
     if len(seq) == 1:
-        return f(seq[0])
+        return f.ring.cell(f(seq[0]))
     last = seq[-1]
     head = seq[:-1]
-    total = f(last) * literal_form(f, head)
+    total = f.ring.cell(f(last)) * literal_form(f, head)
     for i in range(len(head)):
         merged = head[:i] + (head[i] * last,) + head[i + 1:]
         total = total - literal_form(f, merged)
-    return total
+    return f.ring.reduce(total)
 
 
 def recursive_form(f: CentralFunction, args):
@@ -291,9 +290,10 @@ def cycle_sum_form(f: CentralFunction, args):
 
     For each permutation, multiply the arguments along every cycle (starting
     at the cycle's smallest index, following the permutation) and apply f to
-    each cycle product; the permutation contributes sign * product of those
-    values, where sign = (-1)^(n - #cycles).  Shares no code with
-    ``recursive_form``; their agreement is a test target, not an assumption.
+    each cycle product, through ``f.ring.cell``; the permutation contributes
+    sign * product of those values, where sign = (-1)^(n - #cycles).
+    Shares no code with ``recursive_form``; their agreement is a test
+    target, not an assumption.
     """
     seq = tuple(args)
     n = len(seq)
@@ -312,10 +312,10 @@ def cycle_sum_form(f: CentralFunction, args):
             prod = seq[cycle[0]]
             for idx in cycle[1:]:
                 prod = prod * seq[idx]
-            fv = f(prod)
+            fv = f.ring.cell(f(prod))
             term = fv if term is None else term * fv
         total = total + sign * term
-    return total
+    return f.ring.reduce(total)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
     value = f(samples[0].one())
     entries.append(CheckEntry(
         "unit-value", f"f(1) = {ring.render(value)}, declared dim {d}",
-        value == ring.from_int(d)))
+        value == ring.cell(d)))
 
     try:
         inv = ring.inverse_of_factorial(d)
@@ -372,12 +372,11 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
     entries.append(CheckEntry(
         "central", f"f(xy) = f(yx) on {len(pairs)} sample pairs", central_ok))
 
-    additive_ok = all(f(x + y) == f(x) + f(y) for x, y in pairs)
+    additive_ok = all(f(x + y) == ring.reduce(f(x) + f(y)) for x, y in pairs)
     entries.append(CheckEntry(
         "additive", f"f(x+y) = f(x)+f(y) on {len(pairs)} sample pairs",
         additive_ok))
-    two = ring.from_int(2)
-    homog_ok = all(f(x.scale(two)) == two * f(x) for x in samples)
+    homog_ok = all(f(x.scale(2)) == ring.reduce(2 * f(x)) for x in samples)
     entries.append(CheckEntry(
         "homogeneous", "f(2x) = 2 f(x) on all samples", homog_ok))
 
@@ -403,7 +402,7 @@ def product_formula_check(f: CentralFunction, x: Multiset, y: Multiset,
     ev = _FormEvaluator(f)
     sx, sy = FormalSum.of(x), FormalSum.of(y)
     lhs = ev.on_sum(formal_product(sx, sy, budget))
-    rhs = ev.on_sum(sx) * ev.on_sum(sy)
+    rhs = f.ring.reduce(ev.on_sum(sx) * ev.on_sum(sy))
     return lhs, rhs, lhs == rhs
 
 
@@ -419,11 +418,12 @@ def degree_product_check(f: CentralFunction, xs, ys):
         raise CapExceededError(
             f"dimension {d} exceeds the permutation cap of {ORACLE_CAP}")
     ev = _FormEvaluator(f)
-    lhs = ev.form(xs) * ev.form(ys)
+    lhs = f.ring.reduce(ev.form(xs) * ev.form(ys))
     rhs = f.ring.zero()
     for perm in permutations(range(d)):
         mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
         rhs = rhs + ev.form(mixed)
+    rhs = f.ring.reduce(rhs)
     return lhs, rhs, lhs == rhs
 
 
@@ -433,13 +433,13 @@ def determinant(f: CentralFunction, x):
     d = f.dim
     _check_arity(d)
     inv = f.ring.inverse_of_factorial(d)
-    return inv * recursive_form(f, (x,) * d)
+    return f.ring.reduce(inv * recursive_form(f, (x,) * d))
 
 
 def multiplicativity_check(f: CentralFunction, x, y):
     """Compare det(xy) with det(x) * det(y) (exact)."""
     lhs = determinant(f, x * y)
-    rhs = determinant(f, x) * determinant(f, y)
+    rhs = f.ring.reduce(determinant(f, x) * determinant(f, y))
     return lhs, rhs, lhs == rhs
 
 
@@ -455,6 +455,7 @@ def identity_padding_check(f: CentralFunction, x, n: int):
     rhs = f(x)
     for i in range(1, n):
         rhs = rhs * (f1 - i)
+    rhs = f.ring.reduce(rhs)
     return lhs, rhs, lhs == rhs
 
 
@@ -477,7 +478,7 @@ class CharPoly(FrozenValue):
         """-c_{d-1}: the trace read off the characteristic polynomial."""
         if self.degree < 1:
             raise ValueError("degree-0 polynomial has no trace coefficient")
-        return -self.coefficients[-2]
+        return self.ring.reduce(-self.coefficients[-2])
 
     def render(self) -> str:
         parts = []
@@ -506,7 +507,7 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     coeffs = []
     for k in range(d + 1):
         value = ev.form((neg,) * (d - k) + (one,) * k)
-        coeffs.append(inv * (math.comb(d, k) * value))
+        coeffs.append(ring.reduce(inv * (math.comb(d, k) * value)))
     return CharPoly(ring, tuple(coeffs))
 
 
@@ -525,13 +526,13 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     inv = ring.inverse_of_factorial(d)
     identity = x.one()
     neg = -x
-    diffs = [determinant(f, identity.scale(ring.from_int(t)) + neg)
-             for t in range(d + 1)]
+    diffs = [determinant(f, identity.scale(t) + neg) for t in range(d + 1)]
     for k in range(d):  # diffs[j] becomes the j-th forward difference at 0
         for j in range(d, k, -1):
-            diffs[j] = diffs[j] - diffs[j - 1]
+            diffs[j] = ring.reduce(diffs[j] - diffs[j - 1])
     poly = []
     for k in range(d, -1, -1):  # poly * (t - k) + diffs[k] / k!
         newton = inv * (math.perm(d, d - k) * diffs[k])
-        poly = [a - k * b for a, b in zip([newton] + poly, poly + [0])]
+        poly = [ring.reduce(a - k * b)
+                for a, b in zip([newton] + poly, poly + [0])]
     return CharPoly(ring, tuple(poly))

@@ -7,13 +7,13 @@ package.  Three backends are provided:
   ``fractions.Fraction``; integers are rationals in lowest terms with
   denominator 1, and ``Fraction`` keeps lowest terms with a positive
   denominator by construction.
-* mod m      -- residues stored canonically in ``[0, m)`` (:class:`Residue`).
+* mod m      -- residues, plain ``int``s in canonical form ``[0, m)``.
 * polynomial -- sparse multivariate commutative polynomials with rational
   coefficients (:class:`Poly`).
 
-A :class:`Ring` descriptor per backend supplies construction, canonical
-"cell" values used inside matrices, and the few batched operations that sit
-on hot paths.  All values are immutable and all operations are pure, so
+A :class:`Ring` descriptor per backend supplies the canonical scalar of a
+value (also the "cell" a matrix holds), and the few batched operations that
+sit on hot paths.  All values are immutable and all operations are pure, so
 everything here is safe to share between threads.
 """
 
@@ -124,86 +124,6 @@ def _check_modulus(modulus) -> None:
         raise ValueError(f"modulus must be an int, got {modulus!r}")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-
-
-class Residue(FrozenValue):
-    """An element of Z/mZ, stored as its canonical representative in [0, m).
-
-    Arithmetic with plain integers coerces them into the same modulus;
-    arithmetic between residues requires equal moduli.
-    """
-
-    __slots__ = _fields = ("value", "modulus")
-
-    def __new__(cls, value: int, modulus: int):
-        if type(modulus) is not int or modulus < 2 or type(value) is not int:
-            _check_modulus(modulus)
-            raise MismatchError(f"not a mod-{modulus} scalar: {value!r}")
-        return cls._make(value % modulus, modulus)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise MismatchError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return Residue(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Residue(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        return Residue(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        g = math.gcd(self.value, self.modulus)
-        if g != 1:
-            raise NotInvertibleError(
-                f"{self.value} is not invertible mod {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.value == o.value
-
-    __hash__ = FrozenValue.__hash__
-
-    def __repr__(self):
-        return f"{self.value} mod {self.modulus}"
 
 
 def _monomial_mul(a, b):
@@ -354,10 +274,9 @@ class Ring(FrozenValue):
     """Descriptor of a scalar backend: an immutable value, and the one
     object of its backend (and modulus), so rings compare by identity.
 
-    ``cell`` values are the internal representation used for matrix and
-    group-algebra entries; for the rational and polynomial backends they are
-    the scalars themselves, for the modular backend they are plain canonical
-    integers (wrapped into :class:`Residue` only at the scalar boundary).
+    A scalar is its own cell: ``cell`` turns a value into the canonical
+    scalar, and ``reduce`` canonicalizes a sum, difference or product of
+    scalars (over mod m, a plain int in [0, m); elsewhere the identity).
     """
 
     __slots__ = ()
@@ -371,31 +290,26 @@ class Ring(FrozenValue):
         ring = FrozenValue.__new__(cls, *args, **kwargs)
         return _RINGS.setdefault((cls, ring._key), ring)
 
-    def from_int(self, n: int):
-        return self.cell_to_scalar(self.cell(n))
-
     def zero(self):
-        return self.from_int(0)
+        return self.cell(0)
 
     def one(self):
-        return self.from_int(1)
+        return self.cell(1)
 
     def inverse_of_factorial(self, d: int):
         """Return (d!)^-1 as a scalar, or raise NotInvertibleError."""
-        return self.cell_to_scalar(self.cell(Fraction(1, math.factorial(d))))
+        return self.cell(Fraction(1, math.factorial(d)))
 
-    # matrix-cell protocol ------------------------------------------------
+    # scalar protocol ----------------------------------------------------
     def cell(self, value):
         raise NotImplementedError
-
-    def cell_to_scalar(self, cell):
-        return cell
 
     def dot(self, row, col):
         return sum(map(mul, row, col))
 
     def reduce(self, value):
-        """The canonical cell of a sum, difference or product of cells."""
+        """The canonical scalar of a sum, difference or product of
+        scalars."""
         return value
 
     def render(self, scalar) -> str:
@@ -419,7 +333,8 @@ class RationalRing(Ring):
 
 
 class ModRing(Ring):
-    """Integers mod m; cells are canonical representatives in [0, m)."""
+    """Integers mod m; a scalar is its canonical representative, an int
+    in [0, m)."""
 
     __slots__ = _fields = ("modulus",)
     kind = "mod"
@@ -432,15 +347,10 @@ class ModRing(Ring):
         if math.gcd(fact, self.modulus) != 1:
             raise NotInvertibleError(
                 f"{d}! not invertible mod {self.modulus}")
-        return Residue(pow(fact, -1, self.modulus), self.modulus)
+        return pow(fact, -1, self.modulus)
 
     def cell(self, value):
         m = self.modulus
-        if isinstance(value, Residue):
-            if value.modulus != m:
-                raise MismatchError(
-                    f"modulus mismatch: {m} vs {value.modulus}")
-            return value.value
         if isinstance(value, bool):
             raise MismatchError(f"not a mod-{m} scalar: {value!r}")
         if isinstance(value, int):
@@ -451,9 +361,6 @@ class ModRing(Ring):
                 raise NotInvertibleError(f"1/{den} does not exist mod {m}")
             return num * pow(den, -1, m) % m
         raise MismatchError(f"not a mod-{m} scalar: {value!r}")
-
-    def cell_to_scalar(self, cell):
-        return Residue(cell, self.modulus)
 
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.modulus

@@ -57,10 +57,14 @@ class SplitMix64:
         return _mix64(self._state)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi] via modulo reduction (the bias is
-        irrelevant here; reproducibility is what matters)."""
+        """Uniform-ish integer in [lo, hi] via modulo reduction of one
+        64-bit draw (the bias is irrelevant here; reproducibility is what
+        matters).  A range of more than 2**64 values raises ValueError:
+        one draw cannot reach all of it."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
+        if hi - lo > _MASK64:
+            raise ValueError("range of more than 2**64 values")
         return lo + self.next_u64() % (hi - lo + 1)
 
     def choice(self, seq):
@@ -124,7 +128,7 @@ def leibniz_det(matrix: Matrix):
             prod = prod * rows[i][perm[i]]
         term = prod if sign > 0 else -prod
         acc = term if acc is None else acc + term
-    return ring.cell_to_scalar(ring.reduce(acc))
+    return ring.reduce(acc)
 
 
 def char_poly_leibniz(matrix: Matrix) -> tuple:
@@ -157,7 +161,7 @@ def char_poly_leibniz(matrix: Matrix) -> tuple:
                       + [coeffs[-1]])
         for k, c in enumerate(coeffs):
             acc[k] = acc[k] + c
-    return tuple(ring.cell_to_scalar(ring.cell(c)) for c in acc)
+    return tuple(map(ring.cell, acc))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,9 @@ class SuiteConfig(FrozenValue):
         for name in ("trials", "bound", "budget", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # [-bound, bound] must fit the one 64-bit draw of randint
+        if self.bound > 2**63 - 1:
+            raise ConfigError("bound must be <= 2**63 - 1")
         if self.ring == "words":
             if self.suite != "assoc":
                 raise ConfigError(

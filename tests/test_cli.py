@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, outputs, JSON reports, config."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +27,8 @@ def matrix_file(tmp_path):
 
 
 def stripped_json(path):
-    """Report body with the duration fields removed, for byte comparison."""
+    """Report body with the duration fields removed, for byte comparison:
+    compact and key-sorted, as acceptance criterion 10 serializes it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -38,7 +40,7 @@ def stripped_json(path):
             return [strip(v) for v in node]
         return node
 
-    return json.dumps(strip(doc), sort_keys=True)
+    return json.dumps(strip(doc), sort_keys=True, separators=(",", ":"))
 
 
 def assert_one_error_line(captured, needle):
@@ -333,6 +335,49 @@ class TestCheck:
         assert main(args + ["--json", str(a)]) == 0
         assert main(args + ["--json", str(b)]) == 0
         assert stripped_json(a) == stripped_json(b)
+
+    @pytest.mark.parametrize("ring,dim,trials,digest", [
+        ("mod:25", 4, 5, "6fa8f21bbe4b2612db49f898e2e83ebe"
+                         "8b80d71595f7bf7bc530f2def024dbbc"),
+        ("mod:35", 4, 5, "cf1f10881bec299561b428ec53b63fae"
+                         "cfda5a1e401e8a65db1b9415deb4c657"),
+        ("mod:9", 2, 10, "e9eb61778a4b1adf623e4f4a0aeedf2f"
+                         "80b58c5a21ba6498659004262fa6e4d3"),
+        ("mod:5", 3, 10, "638e9c5e7466f27245513fc7765b32dc"
+                         "26684ffaf20561b3192b23cbd04f2a1f"),
+    ])
+    def test_mod_cell_report_digest(self, ring, dim, trials, digest,
+                                    tmp_path, capsys):
+        """Pinned reports of `check all` on composite moduli and on cells
+        where d! is invertible but (2d)! is not, which the seed-42 digest
+        does not reach."""
+        out = tmp_path / "report.json"
+        assert main(["check", "all", "--ring", ring, "--dim", str(dim),
+                     "--trials", str(trials), "--quiet", "--json",
+                     str(out)]) == 0
+        got = hashlib.sha256(stripped_json(out).encode()).hexdigest()
+        assert got == digest
+
+    def test_largest_bound_runs(self, capsys):
+        assert main(["check", "det-mult", "--bound", str(2**63 - 1),
+                     "--trials", "2", "--quiet"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", [2**63, 10**3000 - 1],
+                             ids=["2**63", "3000-nines"])
+    def test_bound_past_one_draw_is_exit_two(self, bound, tmp_path, capsys):
+        """One 64-bit draw covers [-bound, bound] only up to 2**63 - 1; a
+        larger bound, from the flag or the config file, is refused in one
+        line, not drawn from a shifted range or printed past str's digit
+        limit."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bound = {bound}\n")
+        for source in (["--bound", str(bound)], ["--config", str(cfg)]):
+            assert main(["check", "det-mult", "--trials", "1", "--quiet",
+                         *source]) == 2
+            captured = capsys.readouterr()
+            assert_one_error_line(captured, "bound must be <= 2**63 - 1")
+            assert captured.out == ""
 
     def test_check_all_restricted_cell(self, capsys):
         rc = main(["check", "all", "--dim", "1", "--ring", "rational",

@@ -18,7 +18,8 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
 from pseudodet.rings import RationalRing
-from pseudodet.verify import _CORNER, leibniz_det, random_matrix, substream
+from pseudodet.verify import (_CORNER, char_poly_leibniz, leibniz_det,
+                              random_matrix, substream)
 
 
 # --- hand-coded oracles -----------------------------------------------------
@@ -272,13 +273,14 @@ class TestFormOnSum:
                 acc = acc + FormalSum.of(ms, rng.randint(-3, 3))
             return acc
 
+        reduce = f.ring.reduce
         for t in range(15):
             s, u = rand_sum(700 + t), rand_sum(800 + t)
             for left, right in ((s, u), (s, -s), (s, u - s)):
-                assert (form_on_sum(f, left + right)
-                        == form_on_sum(f, left) + form_on_sum(f, right))
+                assert (form_on_sum(f, left + right) == reduce(
+                    form_on_sum(f, left) + form_on_sum(f, right)))
             for k in (-2, 0, 1, 3):
-                assert form_on_sum(f, k * s) == k * form_on_sum(f, s)
+                assert form_on_sum(f, k * s) == reduce(k * form_on_sum(f, s))
 
 
 class TestProductFormula:
@@ -345,7 +347,7 @@ def plain_form_on_sum(f, s):
         value = (literal_form(f, ms.entries) if len(ms)
                  else f.ring.one())
         total = total + coeff * value
-    return total
+    return f.ring.reduce(total)
 
 
 RINGS = pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
@@ -375,8 +377,8 @@ class TestFMemo:
         assert ok
         assert_once_per_distinct(seen)
         assert lhs == plain_form_on_sum(f, multiset_product(x, y))
-        assert rhs == (literal_form(f, x.entries)
-                       * literal_form(f, y.entries))
+        assert rhs == ring.reduce(literal_form(f, x.entries)
+                                  * literal_form(f, y.entries))
 
     @RINGS
     @pytest.mark.parametrize("d", range(1, 6))
@@ -388,8 +390,8 @@ class TestFMemo:
         inv = ring.inverse_of_factorial(d)
         args = [(-x,) * (d - k) + (x.one(),) * k for k in range(d + 1)]
         assert got.coefficients == tuple(
-            inv * (math.comb(d, k)
-                   * literal_form(f, args[k]))
+            ring.reduce(inv * (math.comb(d, k)
+                               * literal_form(f, args[k])))
             for k in range(d + 1))
 
 
@@ -509,7 +511,7 @@ class TestCellEvaluator:
             args = rand_mats(670 + n, n, ring=ModRing(7))
             got = recursive_form(f, args)
             assert got == literal_form(f, args)
-            assert got.modulus == 7 and 0 <= got.value < 7
+            assert type(got) is int and 0 <= got < 7
 
     def test_mixed_rings_raise(self):
         f = matrix_trace(ModRing(7), 2)
@@ -578,7 +580,7 @@ class TestRowPath:
         f = matrix_trace(ModRing(7), 2)
         x = Matrix(ModRing(7), [[1, 2], [3, 4]])
         assert x.ring is f.ring
-        assert recursive_form(f, (x, x)) == ModRing(7).from_int(25 - 29)
+        assert recursive_form(f, (x, x)) == ModRing(7).cell(25 - 29)
 
 
 class TestDegreeProduct:
@@ -912,3 +914,55 @@ def test_concurrent_evaluations_are_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: recursive_form(f, args), range(32)))
     assert all(r == expected for r in results)
+
+
+@pytest.mark.parametrize("m", [7, 25, 101])
+def test_mod_m_scalars_are_canonical_ints(m):
+    """Over mod:m a scalar is its canonical int: every public function
+    that returns one returns a plain ``int`` in [0, m), so each reduces
+    what it combines (d = 3, whose 3! is invertible for each m)."""
+    ring = ModRing(m)
+    f = matrix_trace(ring, 3)
+    # f values that ring.cell accepts: ints past m, fractions
+    g = CentralFunction(lambda a: a.trace() + m, 3, ring)
+    h = CentralFunction(lambda a: Fraction(a.trace(), 2), 3, ring)
+    c3 = GroupTable.cyclic(3)
+    for t in range(5):
+        x, y, z, w = rand_mats(900 + t, 4, ring=ring, size=3)
+        cp = char_poly(f, x)
+        results = {
+            "recursive_form": (recursive_form(f, (x, y)),
+                               recursive_form(f, (x, y, z))),
+            "literal_form": literal_form(f, (x, y, z)),
+            "cycle_sum_form": cycle_sum_form(f, (x, y, z)),
+            "form_on_sum": form_on_sum(
+                f, FormalSum.of(Multiset([x, y]), 3)
+                + FormalSum.of(Multiset([z]), -2)),
+            "determinant": determinant(f, x),
+            "char_poly": cp.coefficients,
+            "char_poly_interpolated":
+                char_poly_interpolated(f, x).coefficients,
+            "char_poly_leibniz": char_poly_leibniz(x),
+            "leibniz_det": leibniz_det(x),
+            "CharPoly.trace": cp.trace(),
+            "Matrix.trace": x.trace(),
+            "Matrix.entry": x.entry(0, 1),
+            "inverse_of_factorial": ring.inverse_of_factorial(3),
+            "regular_trace": regular_trace(c3, ring)(
+                GroupAlgebraElement(c3, ring, [m - 1 - t, 1, 2])),
+            "product_formula_check": product_formula_check(
+                f, Multiset([x, y]), Multiset([z]))[:2],
+            "degree_product_check": degree_product_check(
+                f, (x, y, z), (w, x * y, z))[:2],
+            "multiplicativity_check": multiplicativity_check(f, x, y)[:2],
+            # rhs -3 * 2 * 1 before reduction
+            "identity_padding_check": identity_padding_check(
+                f, -x.one(), 3)[:2],
+            "forms of g and h": tuple(
+                form(fn, args) for fn in (g, h)
+                for form in (recursive_form, literal_form, cycle_sum_form)
+                for args in ((x,), (x, y))),
+        }
+        for name, got in results.items():
+            for value in got if isinstance(got, tuple) else (got,):
+                assert type(value) is int and 0 <= value < m, (name, value)

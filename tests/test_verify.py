@@ -44,6 +44,22 @@ class TestPrng:
         with pytest.raises(ValueError):
             SplitMix64(1).randint(3, 2)
 
+    def test_range_wider_than_one_draw_rejected(self):
+        # 2**64 values are the most one 64-bit draw reaches
+        rng = SplitMix64(1)
+        assert 0 <= rng.randint(0, 2**64 - 1) < 2**64
+        with pytest.raises(ValueError, match="more than 2\\*\\*64 values"):
+            rng.randint(0, 2**64)
+        with pytest.raises(ValueError):
+            rng.randint(-2**63, 2**63)
+
+    def test_largest_bound_draws_both_signs(self):
+        bound = 2**63 - 1
+        rng = substream(42, 0)
+        values = [rng.randint(-bound, bound) for _ in range(64)]
+        assert all(-bound <= v <= bound for v in values)
+        assert min(values) < 0 < max(values)
+
 
 class TestRandomElements:
     def test_zero_bound_gives_zero_matrix(self):
@@ -133,7 +149,7 @@ class TestLeibnizDet:
         for t in range(25):
             m = random_matrix(substream(7, t), ring, 3, 10)
             lifted = Matrix(QQ, [list(row) for row in m.rows])
-            assert leibniz_det(m) == ring.from_int(leibniz_det(lifted))
+            assert leibniz_det(m) == ring.cell(leibniz_det(lifted))
 
     def test_size_cap(self):
         with pytest.raises(CapExceededError):
@@ -169,10 +185,7 @@ def symbolic_char_poly(matrix):
     coeffs = [0] * (n + 1)
     for mono, coeff in leibniz_det(Matrix(QPOLY, cells)).terms:
         coeffs[mono[0][1] if mono else 0] = coeff
-    ring = matrix.ring
-    if isinstance(ring, ModRing):
-        return tuple(ring.from_int(c) for c in coeffs)
-    return tuple(coeffs)
+    return tuple(map(matrix.ring.cell, coeffs))
 
 
 def _fraction_matrix(rng, size):
@@ -189,12 +202,12 @@ class TestCharPolyLeibniz:
         ring = ModRing(7)
         m = Matrix(ring, [[1, 2], [3, 4]])
         got = char_poly_leibniz(m)
-        assert got == (ring.from_int(-2), ring.from_int(-5), ring.from_int(1))
+        assert got == (5, 2, 1) == tuple(map(ring.cell, (-2, -5, 1)))
 
     @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
                                       "mod:101"])
     def test_matches_symbolic_reference(self, spec):
-        """Same value and same type (int, Fraction, Residue) in every
+        """Same value and same type (int or Fraction) in every
         coefficient as the symbolic expansion, for d = 1..6."""
         for d in range(1, 7):
             for t in range(3):
