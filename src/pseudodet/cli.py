@@ -27,7 +27,8 @@ from .rings import ring_from_spec
 from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
 
 #: ``check``'s settable values and their types: ``SuiteConfig``'s defaults
-_CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig._defaults.items()}
+_CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig("").fields().items()
+                if k != "suite"}
 #: matrix-file numbers in ASCII digits: the size is p, an entry p or p/q
 _SIZE = re.compile(r"[+-]?[0-9]+")
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -212,11 +213,19 @@ def _run_eval(args) -> int:
         if n < 1:
             raise ConfigError("--n must be >= 1")
         _check_arity(n)  # before n arguments are built
-        rendered = ring.render(recursive_form(f, (x,) * n))
+        value = recursive_form(f, (x,) * n)
     elif args.what == "det":
-        rendered = ring.render(determinant(f, x))
+        value = determinant(f, x)
     else:
-        rendered = char_poly(f, x).render()
+        value = char_poly(f, x)
+    try:
+        rendered = (value.render() if args.what == "charpoly"
+                    else ring.render(value))
+    except ValueError:  # an int past the int-to-str digit limit
+        raise ConfigError(
+            f"{args.what}: the result has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
     _say(rendered)
     if args.json_path:
         document = {"command": "eval", "what": args.what,

@@ -88,13 +88,13 @@ class PartialBijection(FrozenValue):
 
     __slots__ = _fields = ("n", "m", "pairs")
 
-    def _validate(self):
-        if self.n < 0 or self.m < 0:
+    def __new__(cls, n, m, pairs):
+        if n < 0 or m < 0:
             raise ValueError("n and m must be >= 0")
         seen_i, seen_j = set(), set()
         prev_i = 0
-        for i, j in self.pairs:
-            if not (1 <= i <= self.n and 1 <= j <= self.m):
+        for i, j in pairs:
+            if not (1 <= i <= n and 1 <= j <= m):
                 raise ValueError(f"pair ({i},{j}) out of range")
             if i in seen_i or j in seen_j:
                 raise ValueError("pairs must define a bijection")
@@ -103,6 +103,7 @@ class PartialBijection(FrozenValue):
             seen_i.add(i)
             seen_j.add(j)
             prev_i = i
+        return cls._make(n, m, pairs)
 
 
 #: Shapes (n, m) with at most this many partial bijections keep their plans

@@ -43,12 +43,11 @@ class FrozenValue:
     descriptors.
 
     A subclass names its attributes in ``_fields``, which is also its
-    ``__slots__``.  Calling the class builds a value from the fields, by
-    position or keyword; ``_defaults`` fills the ones left out, and
-    ``_validate`` may refuse the new value.  Every value is built by
-    ``_make``, which sets the fields in order without validation; a
-    subclass with its own constructor validates, then calls it.  Any later
-    assignment or deletion raises.
+    ``__slots__``.  Calling the class builds a value from exactly the
+    fields, by position.  Every value is built by ``_make``, which sets the
+    fields in order without validation; a subclass that validates,
+    converts or takes keywords does so in its own ``__new__``, then calls
+    ``_make``.  Any later assignment or deletion raises.
 
     Two values are equal when they are of the same class and their
     ``_key``s are equal; the hash is that of ``_key``, computed on each
@@ -64,7 +63,6 @@ class FrozenValue:
 
     __slots__ = ()
     _fields = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         # (position, slot setter) pairs: the setters write past __setattr__,
@@ -74,16 +72,11 @@ class FrozenValue:
         cls._key = property(attrgetter(*cls._fields) if cls._fields
                             else lambda self: ())
 
-    def __new__(cls, *args, **kwargs):
-        values = dict(cls._defaults)
-        values.update(zip(cls._fields, args))
-        values.update(kwargs)
-        if len(args) > len(cls._fields) or values.keys() != set(cls._fields):
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes the fields "
                             f"{', '.join(cls._fields)}")
-        obj = cls._make(*(values[name] for name in cls._fields))
-        obj._validate()
-        return obj
+        return cls._make(*values)
 
     @classmethod
     def _make(cls, *values):
@@ -91,9 +84,6 @@ class FrozenValue:
         for i, setter in cls._setters:
             setter(obj, values[i])
         return obj
-
-    def _validate(self) -> None:
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -285,10 +275,8 @@ class Ring(FrozenValue):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __new__(cls, *args, **kwargs):
-        # validated first: ModRing(7.0) must raise, not find ModRing(7)
-        ring = FrozenValue.__new__(cls, *args, **kwargs)
-        return _RINGS.setdefault((cls, ring._key), ring)
+    def __new__(cls, *key):
+        return _RINGS.setdefault((cls, key), FrozenValue.__new__(cls, *key))
 
     def zero(self):
         return self.cell(0)
@@ -339,8 +327,10 @@ class ModRing(Ring):
     __slots__ = _fields = ("modulus",)
     kind = "mod"
 
-    def _validate(self):
-        _check_modulus(self.modulus)
+    def __new__(cls, modulus):
+        # checked first: ModRing(7.0) must raise, not find ModRing(7)
+        _check_modulus(modulus)
+        return Ring.__new__(cls, modulus)
 
     def inverse_of_factorial(self, d: int):
         fact = math.factorial(d) % self.modulus

@@ -167,10 +167,6 @@ def char_poly_leibniz(matrix: Matrix) -> tuple:
 # ---------------------------------------------------------------------------
 # configuration and reports
 
-#: Suites that require the pseudocharacter hypothesis (and hence an
-#: invertible dim! in the scalar ring).
-_PSEUDO_SUITES = {"degree-d", "det-mult", "charpoly", "pseudochar-axioms"}
-
 #: Fixed suite parameters, echoed in every report's config.
 WORD_CARD = 3       # exhaustive word-multiset cardinality cap
 PAIR_SUM = 4        # product-formula: max |x| + |y|
@@ -179,19 +175,17 @@ TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
 
 class SuiteConfig(FrozenValue):
     """Parameters of one suite run; validation happens in ``validate``.
-    A matrix suite draws ``dim`` x ``dim`` matrices, whose trace is the
-    pseudocharacter of dimension ``dim``."""
+    ``ring`` is rational, mod:<m> or words.  A matrix suite draws ``dim``
+    x ``dim`` matrices with entries in [-bound, bound], whose trace is the
+    pseudocharacter of dimension ``dim``; ``budget`` bounds each formal
+    product's terms."""
 
     __slots__ = _fields = ("suite", "ring", "dim", "trials", "seed", "bound",
                            "budget")
-    _defaults = {
-        "ring": "rational",         # rational | mod:<m> | words
-        "dim": 2,                   # declared dimension and matrix size
-        "trials": 50,
-        "seed": 0,
-        "bound": 5,                 # entries drawn from [-bound, bound]
-        "budget": DEFAULT_BUDGET,   # formal-product term budget
-    }
+
+    def __new__(cls, suite, ring="rational", dim=2, trials=50, seed=0,
+                bound=5, budget=DEFAULT_BUDGET):
+        return cls._make(suite, ring, dim, trials, seed, bound, budget)
 
     def validate(self) -> None:
         if self.suite not in SUITE_NAMES:
@@ -210,20 +204,11 @@ class SuiteConfig(FrozenValue):
                     f"not {self.suite!r}")
             return
         ring = ring_from_spec(self.ring)
-        if self.suite == "degree-d" and self.dim > ORACLE_CAP:
-            raise ConfigError(
-                f"degree-d needs dim! permutations; dim {self.dim} "
-                f"exceeds the cap of {ORACLE_CAP}")
-        if self.suite in ("det-mult", "charpoly") and self.dim > _LEIBNIZ_CAP:
-            raise ConfigError(
-                f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
-        # the vanishing axiom takes forms of dim + 1 arguments; det-mult's
-        # forms of dim arguments stop at the Leibniz cap first
-        if self.suite == "pseudochar-axioms" and self.dim + 1 > REC_CAP:
-            raise ConfigError(
-                f"{self.suite} evaluates forms of up to {self.dim + 1} "
-                f"arguments, more than the recursion cap of {REC_CAP}")
-        if self.suite in _PSEUDO_SUITES:
+        _, (cap, why), pseudo = _SUITES[self.suite]
+        if self.dim > cap:
+            raise ConfigError(f"dim {self.dim} is past the cap of {cap} "
+                              f"for {self.suite}: {why}")
+        if pseudo:
             try:
                 ring.inverse_of_factorial(self.dim)
             except NotInvertibleError as exc:
@@ -239,7 +224,6 @@ class SuiteConfig(FrozenValue):
 class CheckRecord(FrozenValue):
     __slots__ = _fields = ("name", "trial", "inputs", "lhs", "rhs", "ok",
                            "negative_control")
-    _defaults = {"negative_control": False}
 
     @property
     def behaved(self) -> bool:
@@ -251,13 +235,11 @@ class CheckRecord(FrozenValue):
 
 
 class SuiteReport(FrozenValue):
-    """One suite's records; ``error`` is the text of a budget overrun that
-    stopped the suite (its records are then lost and it fails), else
-    None."""
+    """One suite's records under its ``config``; ``error`` is the text of a
+    budget overrun that stopped the suite (its records are then lost and
+    it fails), else None."""
 
-    __slots__ = _fields = ("suite", "config", "records", "duration_seconds",
-                           "error")
-    _defaults = {"error": None}
+    __slots__ = _fields = ("config", "records", "duration_seconds", "error")
 
     @property
     def passed(self) -> bool:
@@ -273,13 +255,13 @@ class SuiteReport(FrozenValue):
         }
 
     def reproductions(self) -> list:
-        return [{"seed": self.config["seed"], "trial": r.trial, "name": r.name}
+        return [{"seed": self.config.seed, "trial": r.trial, "name": r.name}
                 for r in self.records if not r.behaved]
 
     def to_dict(self) -> dict:
         body = {
-            "suite": self.suite,
-            "config": self.config,
+            "suite": self.config.suite,
+            "config": self.config.echo(),
             "checks": [r.to_dict() for r in self.records],
             "counts": self.counts(),
             "pass": self.passed,
@@ -293,8 +275,8 @@ class SuiteReport(FrozenValue):
     def text_lines(self, quiet: bool = False) -> list:
         counts = self.counts()
         status = "PASS" if self.passed else "FAIL"
-        ring = self.config["ring"]
-        head = (f"suite {self.suite} [ring={ring} dim={self.config['dim']}]: "
+        cfg = self.config
+        head = (f"suite {cfg.suite} [ring={cfg.ring} dim={cfg.dim}]: "
                 f"{status} ({counts['behaved']}/{counts['checks']} checks, "
                 f"{counts['negative_controls']} negative controls) "
                 f"in {self.duration_seconds:.2f}s")
@@ -305,7 +287,7 @@ class SuiteReport(FrozenValue):
             for r in self.records:
                 if not r.behaved:
                     lines.append(f"  MISBEHAVED {r.name} (trial {r.trial}, "
-                                 f"seed {self.config['seed']})")
+                                 f"seed {cfg.seed})")
                     for inp in r.inputs:
                         lines.append(f"    input: {inp}")
                     lines.append(f"    lhs: {r.lhs}")
@@ -349,7 +331,7 @@ def _trace(cfg: SuiteConfig):
     """The trace on ``cfg``'s matrices, a pseudocharacter exactly in the
     suites that assume one."""
     return matrix_trace(ring_from_spec(cfg.ring), cfg.dim,
-                        pseudocharacter=cfg.suite in _PSEUDO_SUITES)
+                        pseudocharacter=_SUITES[cfg.suite][2])
 
 
 def _draw(rng, cfg: SuiteConfig, count: int) -> tuple:
@@ -516,7 +498,7 @@ def _suite_charpoly(cfg: SuiteConfig):
         yield CheckRecord(
             "charpoly-vs-leibniz", trial, _renders(x), cp.render(),
             " , ".join(ring.render(c) for c in oracle) + " (low to high)",
-            cp == CharPoly(ring, oracle))
+            cp == CharPoly(ring, oracle), False)
         got = cp.trace()
         expected = f(x)
         yield _scalar_record(ring, "charpoly-trace-roundtrip", trial,
@@ -524,7 +506,7 @@ def _suite_charpoly(cfg: SuiteConfig):
                              cp.is_monic() and got == expected)
         interp = char_poly_interpolated(f, x)
         yield CheckRecord("charpoly-vs-interpolation", trial, _renders(x),
-                          cp.render(), interp.render(), cp == interp)
+                          cp.render(), interp.render(), cp == interp, False)
 
     # negative control: wrong declared dimension gives the wrong degree
     cp = char_poly(_WRONG_DIM, _X)
@@ -532,7 +514,7 @@ def _suite_charpoly(cfg: SuiteConfig):
     yield CheckRecord(
         "charpoly-wrong-dim-control", 0, _renders(_X), cp.render(),
         " , ".join(QQ.render(c) for c in oracle),
-        cp == CharPoly(QQ, oracle), negative_control=True)
+        cp == CharPoly(QQ, oracle), True)
 
 
 def _suite_taylor_equiv(cfg: SuiteConfig):
@@ -562,7 +544,7 @@ def _suite_pseudochar_axioms(cfg: SuiteConfig):
     inputs = _renders(*samples)
     for e in report.entries:
         yield CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
-                          "expected to hold", e.ok)
+                          "expected to hold", e.ok, False)
 
     # negative control: declared dimension 3 for the 2x2 trace
     g = matrix_trace(QQ, 2, 3, pseudocharacter=False)
@@ -570,20 +552,28 @@ def _suite_pseudochar_axioms(cfg: SuiteConfig):
     yield CheckRecord(
         "axioms-wrong-dim-control", 0, ("trace on M2 declared dim 3",),
         bad.render().replace("\n", "; "), "expected to fail",
-        bad.passed, negative_control=True)
+        bad.passed, True)
 
 
-_SUITE_BODIES = {
-    "assoc": _suite_assoc,
-    "functoriality": _suite_functoriality,
-    "product-formula": _suite_product_formula,
-    "degree-d": _suite_degree_d,
-    "det-mult": _suite_det_mult,
-    "charpoly": _suite_charpoly,
-    "taylor-equiv": _suite_taylor_equiv,
-    "pseudochar-axioms": _suite_pseudochar_axioms,
+_DRAWN = (32, "each trial draws dim x dim matrices")
+_LEIBNIZ = (_LEIBNIZ_CAP,
+            f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
+#: suite -> (body, (largest dim, why), whether it needs the pseudocharacter
+#: hypothesis and hence an invertible dim! in the scalar ring)
+_SUITES = {
+    "assoc": (_suite_assoc, _DRAWN, False),
+    "functoriality": (_suite_functoriality, _DRAWN, False),
+    "product-formula": (_suite_product_formula, _DRAWN, False),
+    "degree-d": (_suite_degree_d, (ORACLE_CAP, "it sums over dim! "
+                                   "permutations"), True),
+    "det-mult": (_suite_det_mult, _LEIBNIZ, True),
+    "charpoly": (_suite_charpoly, _LEIBNIZ, True),
+    "taylor-equiv": (_suite_taylor_equiv, _DRAWN, False),
+    "pseudochar-axioms": (_suite_pseudochar_axioms, (
+        REC_CAP - 1, "it takes forms of dim + 1 arguments, under the "
+        f"recursion cap of {REC_CAP}"), True),
 }
-SUITE_NAMES = tuple(_SUITE_BODIES)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -598,11 +588,11 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     cfg.validate()
     start = time.perf_counter()
     try:
-        records, error = tuple(_SUITE_BODIES[cfg.suite](cfg)), None
+        records, error = tuple(_SUITES[cfg.suite][0](cfg)), None
     except BudgetExceededError as exc:
         records, error = (), str(exc)
     duration = time.perf_counter() - start
-    return SuiteReport(cfg.suite, cfg.echo(), records, duration, error)
+    return SuiteReport(cfg, records, duration, error)
 
 
 def default_all_configs(**shared) -> list:

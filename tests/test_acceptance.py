@@ -7,10 +7,12 @@ are no tolerances anywhere.  Run with ``pytest tests/test_acceptance.py -v``
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from itertools import chain, combinations, permutations
+from pathlib import Path
 
 from pseudodet import (FormalSum, LetterHom, Matrix, ModRing, Multiset, QQ,
                        Word, char_poly, cycle_sum_form, degree_product_check,
@@ -354,11 +356,14 @@ def test_criterion_10_reproducibility(tmp_path):
     """Two `check all --seed 42` runs give byte-identical report bodies,
     and the body is the recorded seed-42 report."""
     paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    # this tree's package, not another installed copy
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for path in paths:
         result = subprocess.run(
             [sys.executable, "-m", "pseudodet.cli", "check", "all",
              "--seed", "42", "--quiet", "--json", str(path)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=env)
         assert result.returncode == 0, result.stderr
 
     def stripped_bytes(path):

@@ -106,6 +106,27 @@ class TestEval:
         assert rc == 2
         assert_one_error_line(capsys.readouterr(), "")
 
+    @pytest.mark.parametrize("what", ["fn", "det", "charpoly"])
+    @pytest.mark.parametrize("rows", [
+        ["9" * 3000 + " 0", "0 " + "9" * 3000],
+        [" ".join("9" * 600 if i == j else "1" for j in range(8))
+         for i in range(8)]], ids=["2x2-3000-nines", "8x8-600-digit-diagonal"])
+    def test_result_past_the_digit_limit_is_exit_two(self, what, rows,
+                                                     tmp_path, capsys):
+        """Each entry is under int()'s digit limit, so the file is read;
+        the result is not, so it cannot be printed: exit 2, one line that
+        names the limit, no result and no JSON."""
+        path, out = tmp_path / "big.txt", tmp_path / "eval.json"
+        path.write_text("\n".join([str(len(rows))] + rows) + "\n")
+        rc = main(["eval", what, "--matrix", str(path), "--json", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured,
+                              f"more than {sys.get_int_max_str_digits()} "
+                              "digits")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_charpoly_over_the_cap_is_exit_two(self, matrix_file, capsys):
         """charpoly takes forms of dim arguments, like det: over the
         recursion cap of 8 it prints no polynomial."""
@@ -289,6 +310,10 @@ class TestCheck:
         ["check", "all", "--dim", "9", "--ring", "rational"],
         ["check", "det-mult", "--dim", "9"],
         ["check", "pseudochar-axioms", "--dim", "8"],
+        ["check", "assoc", "--dim", "33"],
+        ["check", "functoriality", "--dim", "33"],
+        ["check", "product-formula", "--dim", "33"],
+        ["check", "taylor-equiv", "--dim", "33"],
     ])
     def test_cap_errors_stop_before_any_suite(self, argv, tmp_path, capsys):
         """Every config is validated, caps included, before a suite runs:

@@ -8,9 +8,10 @@ import pytest
 
 from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, Matrix,
                        ModRing, Multiset, Poly, QPOLY, QQ, RationalRing,
-                       SuiteConfig, Word, ring_from_spec, word)
+                       SuiteConfig, Word, check_pseudocharacter,
+                       matrix_trace, ring_from_spec, run_suite, word)
 from pseudodet.multisets import PartialBijection
-from pseudodet.rings import FrozenValue
+from pseudodet.rings import FrozenValue, Ring
 from pseudodet.verify import CheckRecord
 
 C3 = GroupTable.cyclic(3)
@@ -27,7 +28,8 @@ def samples():
          "coeffs"),
         ("Multiset", Multiset([word("a"), word("b")]), "entries"),
         ("SuiteConfig", SuiteConfig("det-mult", dim=2), "seed"),
-        ("CheckRecord", CheckRecord("c", 0, ("x",), "1", "1", True), "ok"),
+        ("CheckRecord", CheckRecord("c", 0, ("x",), "1", "1", True, False),
+         "ok"),
         ("CharPoly", CharPoly(QQ, (1, 0, 1)), "coefficients"),
         ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
         ("ModRing", ModRing(7), "modulus"),
@@ -108,6 +110,7 @@ class TestFrozenRecord:
     class."""
 
     def test_fields_by_position_keyword_and_default(self):
+        """``SuiteConfig``'s own ``__new__`` takes keywords and defaults."""
         cfg = SuiteConfig("charpoly", dim=3)
         assert cfg == SuiteConfig("charpoly", "rational", 3)
         assert cfg.fields() == {
@@ -115,16 +118,23 @@ class TestFrozenRecord:
             "trials": 50, "seed": 0, "bound": 5, "budget": 10**7}
         assert repr(CharPoly(QQ, (1,))) == \
             "CharPoly(ring=rational, coefficients=(1,))"
+        with pytest.raises(TypeError, match="'suite'"):
+            SuiteConfig(dim=3)
+        with pytest.raises(TypeError, match="'bogus'"):
+            SuiteConfig("charpoly", bogus=1)
 
     @pytest.mark.parametrize("args,kwargs", [
         ((), {}), (("a",), {"bogus": 1}), (tuple(range(9)), {})])
     def test_missing_unknown_or_extra_fields_are_refused(self, args, kwargs):
-        with pytest.raises(TypeError, match="^SuiteConfig takes the fields"):
-            SuiteConfig(*args, **kwargs)
+        """A class without its own ``__new__`` takes exactly its fields,
+        by position: no default and no keyword."""
+        match = ("'bogus'" if kwargs else "^CheckRecord takes the fields "
+                 "name, trial, inputs, lhs, rhs, ok, negative_control$")
+        with pytest.raises(TypeError, match=match):
+            CheckRecord(*args, **kwargs)
 
     def test_equal_only_within_one_class(self):
-        a = CheckRecord("c", 0, (), "1", "1", True)
-        assert a == CheckRecord("c", 0, (), "1", "1", True, False)
+        a = CheckRecord("c", 0, (), "1", "1", True, False)
         assert a != CheckRecord("c", 0, (), "1", "1", True, True)
         assert a != ("c", 0, (), "1", "1", True, False)
 
@@ -163,11 +173,19 @@ class TestEqualityRule:
     may override ``__eq__`` only together with ``__hash__``."""
 
     def test_every_value_class_is_hashable(self):
-        classes = list(_value_classes())
+        """A built value of every class hashes, a ``run_suite`` report
+        included."""
+        classes = set(_value_classes()) - {Ring}  # Ring: no backend
         assert {"ModRing", "Matrix", "PartialBijection",
                 "CharPoly", "SuiteReport"} <= {c.__name__ for c in classes}
-        for cls in classes:
-            assert cls.__hash__ is not None, cls.__name__
+        report = check_pseudocharacter(matrix_trace(QQ, 1),
+                                       [Matrix(QQ, [[2]])])
+        built = [value for _, value, _ in samples()] + [
+            QQ, QPOLY, report, report.entries[0],
+            run_suite(SuiteConfig("det-mult", trials=1))]
+        assert {type(value) for value in built} == classes
+        for value in built:
+            assert type(hash(value)) is int, type(value).__name__
 
     def test_own_eq_comes_with_own_hash(self):
         own_eq = [c for c in _value_classes() if "__eq__" in vars(c)]

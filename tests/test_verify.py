@@ -371,12 +371,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("suite,dim,cap,largest", [
         ("det-mult", 9, "Leibniz oracle is capped at size 6", 6),
         ("degree-d", 8, "cap of 7", 7),
-        ("pseudochar-axioms", 8, "recursion cap of 8", 7)])
+        ("pseudochar-axioms", 8, "recursion cap of 8", 7)] + [
+        (suite, 33, "^dim 33 is past the cap of 32 for " + suite, 32)
+        for suite in ("assoc", "functoriality", "product-formula",
+                      "taylor-equiv")])
     def test_recursion_cap(self, suite, dim, cap, largest):
         """det takes forms of dim arguments, under the recursion cap of 8,
         but its Leibniz oracle stops at size 6 first; the vanishing axiom
         takes dim + 1 arguments; degree-d sums over dim! permutations,
-        under the cap of 7.  The largest dim under the cap passes."""
+        under the cap of 7; the other suites draw dim x dim matrices in
+        each trial, up to 32.  The largest dim under the cap passes."""
         with pytest.raises(ConfigError, match=cap):
             SuiteConfig(suite, dim=dim).validate()
         SuiteConfig(suite, dim=largest).validate()
