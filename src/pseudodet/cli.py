@@ -26,12 +26,22 @@ from .pseudochar import (_check_arity, char_poly, determinant, matrix_trace,
 from .rings import ring_from_spec
 from .verify import SUITE_NAMES, SuiteConfig, default_all_configs, run_suite
 
-#: ``check``'s settable values and their types: ``SuiteConfig``'s defaults
-_CONFIG_KEYS = {k: type(v) for k, v in SuiteConfig("").fields().items()
-                if k != "suite"}
-#: matrix-file numbers in ASCII digits: the size is p, an entry p or p/q
-_SIZE = re.compile(r"[+-]?[0-9]+")
+#: what the user types, in ASCII digits: an integer is p, an entry p or p/q
+_INT = re.compile(r"[+-]?[0-9]+")
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _integer(text: str) -> int:
+    """``text`` as an int, if it is one in ASCII digits (``_INT``)."""
+    if _INT.fullmatch(text):
+        with contextlib.suppress(ValueError):  # past int()'s digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}")
+
+
+#: ``check``'s settable values, each with its parser
+_CONFIG_KEYS = {k: _integer if type(v) is int else str
+                for k, v in SuiteConfig("").fields().items() if k != "suite"}
 
 
 def _read_text(path: str) -> str:
@@ -64,7 +74,7 @@ def load_config_file(path: str, keys=_CONFIG_KEYS) -> dict:
                               f"(expected one of {', '.join(keys)})")
         try:
             values[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
@@ -85,7 +95,7 @@ def read_matrix_file(path: str, ring):
     lines = [ln.split() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines or len(lines[0]) != 1:
         raise ConfigError(f"{path}: first line must be the matrix size")
-    d = int(_read_number(path, "size", lines[0][0], _SIZE))
+    d = int(_read_number(path, "size", lines[0][0], _INT))
     if d < 1:
         raise ConfigError(f"{path}: matrix size must be >= 1")
     rows = lines[1:]
@@ -110,21 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
             ("--seed", "base PRNG seed (default 0)"),
             ("--bound", "matrix entries drawn from [-bound, bound] (default 5)"),
             ("--budget", "formal-product term budget (default 10^7)")):
-        check.add_argument(flag, type=int, default=None, help=text)
+        check.add_argument(flag, type=_integer, default=None, help=text)
     check.add_argument("--quiet", action="store_true",
                        help="only print the summary lines")
 
     ev = sub.add_parser("eval", help="evaluate forms on a matrix from a file")
     ev.add_argument("what", choices=("fn", "det", "charpoly"))
     ev.add_argument("--matrix", required=True, help="matrix file path")
-    ev.add_argument("--n", type=int, default=None,
+    ev.add_argument("--n", type=_integer, default=None,
                     help="argument count for fn (default: the dimension)")
     _add_common_flags(ev)
     return parser
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=_integer, default=None,
                    help="declared dimension, for check also the matrix "
                         "size (default 2; for eval, the file's size)")
     p.add_argument("--ring", default=None,

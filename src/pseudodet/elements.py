@@ -64,13 +64,13 @@ class Matrix(FrozenValue):
     def __add__(self, other):
         self._check_peer(other)
         ring = self.ring
-        rows = tuple(tuple(ring.reduce(a + b) for a, b in zip(ra, rb))
+        rows = tuple(tuple(ring.cell(a + b) for a, b in zip(ra, rb))
                      for ra, rb in zip(self.rows, other.rows))
         return Matrix._make(ring, self.n, rows)
 
     def __neg__(self):
         ring = self.ring
-        rows = tuple(tuple(ring.reduce(-a) for a in row) for row in self.rows)
+        rows = tuple(tuple(ring.cell(-a) for a in row) for row in self.rows)
         return Matrix._make(ring, self.n, rows)
 
     def __sub__(self, other):
@@ -79,7 +79,7 @@ class Matrix(FrozenValue):
     def scale(self, scalar) -> "Matrix":
         ring = self.ring
         c = ring.cell(scalar)
-        rows = tuple(tuple(ring.reduce(c * a) for a in row)
+        rows = tuple(tuple(ring.cell(c * a) for a in row)
                      for row in self.rows)
         return Matrix._make(ring, self.n, rows)
 
@@ -87,7 +87,7 @@ class Matrix(FrozenValue):
         return Matrix.identity(self.ring, self.n)
 
     def trace(self):
-        return _kernels(self.ring, self.n)[1](self.rows)
+        return self.ring.cell(_kernels(self.ring, self.n)[1](self.rows))
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -127,10 +127,10 @@ def _kernels(ring: Ring, n: int):
     matrices over ``ring``, compiled on first use of each (ring, size).
 
     ``product(x, y)`` gives the rows of the product, each cell the one
-    ``ring.dot`` gives, in value and in type; ``trace(x)`` gives
-    ``ring.reduce`` of the diagonal sum.  Neither checks its arguments.  A
-    mod-m cell is reduced by an inline ``% m``; the other rings' ``reduce``
-    is the identity, so their cells are left as computed.
+    ``ring.dot`` gives, in value and in type; ``trace(x)`` gives the
+    diagonal sum.  Neither checks its arguments.  A mod-m cell is reduced
+    by an inline ``% m``; other cells are left as computed, so an integral
+    rational cell may be a ``Fraction``, not ``ring.cell``'s ``int``.
     """
     pair = _KERNELS.get((ring, n))
     if pair is None:
@@ -287,19 +287,19 @@ class GroupAlgebraElement(FrozenValue):
                     continue
                 out[row[j]] += a * b
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.reduce(v) for v in out))
+            self.group, ring, tuple(ring.cell(v) for v in out))
 
     def __add__(self, other):
         self._check_peer(other)
-        red = self.ring.reduce
+        cell = self.ring.cell
         return GroupAlgebraElement._make(
             self.group, self.ring,
-            tuple(red(a + b) for a, b in zip(self.coeffs, other.coeffs)))
+            tuple(cell(a + b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         ring = self.ring
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.reduce(-a) for a in self.coeffs))
+            self.group, ring, tuple(ring.cell(-a) for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -308,7 +308,7 @@ class GroupAlgebraElement(FrozenValue):
         ring = self.ring
         c = ring.cell(scalar)
         return GroupAlgebraElement._make(
-            self.group, ring, tuple(ring.reduce(c * a) for a in self.coeffs))
+            self.group, ring, tuple(ring.cell(c * a) for a in self.coeffs))
 
     def one(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement.basis(self.group, self.ring, 0)

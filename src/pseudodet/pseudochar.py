@@ -38,29 +38,27 @@ REC_CAP = 8
 ORACLE_CAP = 7
 
 
-class CentralFunction:
+class CentralFunction(FrozenValue):
     """A central function f: R -> A with a declared dimension.
 
     ``evaluate`` must be pure.  When ``pseudocharacter=True`` the constructor
     eagerly checks that (dim!)^-1 exists in the scalar ring, which is part of
     the definition of a dimension-d pseudocharacter (and fails, for example,
-    for dimension 3 over Z/6Z).
+    for dimension 3 over Z/6Z).  ``_matrix`` is the (ring, size) of
+    ``matrix_trace``'s f, else None.
     """
 
-    __slots__ = ("_evaluate", "dim", "ring", "domain", "name", "_matrix")
+    __slots__ = _fields = ("_evaluate", "dim", "ring", "domain", "name",
+                           "_matrix")
 
-    def __init__(self, evaluate, dim: int, ring: Ring, *, domain: str = "R",
-                 name: str = "f", pseudocharacter: bool = False):
+    def __new__(cls, evaluate, dim: int, ring: Ring, *, domain: str = "R",
+                name: str = "f", pseudocharacter: bool = False,
+                _matrix=None):
         if dim < 1:
             raise ValueError("dimension must be a positive integer")
         if pseudocharacter:
             ring.inverse_of_factorial(dim)
-        self._evaluate = evaluate
-        self.dim = dim
-        self.ring = ring
-        self.domain = domain
-        self.name = name
-        self._matrix = None  # (ring, size) for matrix_trace's f
+        return cls._make(evaluate, dim, ring, domain, name, _matrix)
 
     def __call__(self, x):
         return self._evaluate(x)
@@ -74,12 +72,10 @@ def matrix_trace(ring: Ring, size: int, dim: int | None = None, *,
                  pseudocharacter: bool = True) -> CentralFunction:
     """The trace on size x size matrices, declared with dimension ``dim``
     (defaults to the matrix size, the honest choice)."""
-    f = CentralFunction(
+    return CentralFunction(
         lambda m: m.trace(), dim if dim is not None else size, ring,
         domain=f"M{size}({ring.describe()})", name="trace",
-        pseudocharacter=pseudocharacter)
-    f._matrix = (ring, size)
-    return f
+        pseudocharacter=pseudocharacter, _matrix=(ring, size))
 
 
 def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
@@ -87,7 +83,7 @@ def regular_trace(group: GroupTable, ring: Ring) -> CentralFunction:
     the coefficient of the identity.  A pseudocharacter of dimension n."""
     n = group.order
     return CentralFunction(
-        lambda a: ring.reduce(n * a.coefficient(0)), n, ring,
+        lambda a: ring.cell(n * a.coefficient(0)), n, ring,
         domain=f"Q[G], |G|={n}", name="regular-trace")
 
 
@@ -100,10 +96,10 @@ class _FormEvaluator:
     interned element is evaluated, and ``evaluate`` is pure) and enters
     once through ``f.ring.cell`` into ``f_cells``.  The recursion works on
     plain cells: form_1 is read from ``f_cells``, form_2 is written out as
-    f(a)·f(b) − f(a·b), and from n = 3 on each value is reduced once into
-    the memo, keyed on id tuples in the element order, so a key stands for
-    the sorted argument multiset and the largest element is the one
-    peeled.  ``products`` caches pair products on id pairs.  Fresh per
+    f(a)·f(b) − f(a·b), and from n = 3 on each value is made canonical
+    once into the memo, keyed on id tuples in the element order, so a key
+    stands for the sorted argument multiset and the largest element is the
+    one peeled.  ``products`` caches pair products on id pairs.  Fresh per
     top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
@@ -155,7 +151,7 @@ class _FormEvaluator:
         """form_n of the arguments, in any order, as a scalar."""
         keys = sorted(map(self.arg, args))
         _check_arity(len(keys))
-        return self.ring.reduce(self.value(tuple(map(self.intern, keys))))
+        return self.ring.cell(self.value(tuple(map(self.intern, keys))))
 
     def on_sum(self, s: FormalSum):
         """``form_on_sum`` of ``s``, through this evaluator's caches: each
@@ -172,11 +168,11 @@ class _FormEvaluator:
                 continue
             _check_arity(len(ranks))
             total += coeff * self.value(tuple(map(ids.__getitem__, ranks)))
-        return ring.reduce(total)
+        return ring.cell(total)
 
     def value(self, key: tuple):
         """The cell of form_n on the multiset with memo key ``key``
-        (n = len(key) >= 1); memoized and reduced from n = 3 on."""
+        (n = len(key) >= 1); memoized and canonical from n = 3 on."""
         fc = self.f_cells
         product = self.product
         n = len(key)
@@ -210,7 +206,7 @@ class _FormEvaluator:
                 del rest[i]
                 insort(rest, product(e, last), key=order)
                 result -= value(tuple(rest))
-        result = memo[key] = self.ring.reduce(result)
+        result = memo[key] = self.ring.cell(result)
         return result
 
 
@@ -238,7 +234,7 @@ def literal_form(f: CentralFunction, args):
     for i in range(len(head)):
         merged = head[:i] + (head[i] * last,) + head[i + 1:]
         total = total - literal_form(f, merged)
-    return f.ring.reduce(total)
+    return f.ring.cell(total)
 
 
 def recursive_form(f: CentralFunction, args):
@@ -315,7 +311,7 @@ def cycle_sum_form(f: CentralFunction, args):
             fv = f.ring.cell(f(prod))
             term = fv if term is None else term * fv
         total = total + sign * term
-    return f.ring.reduce(total)
+    return f.ring.cell(total)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +368,11 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
     entries.append(CheckEntry(
         "central", f"f(xy) = f(yx) on {len(pairs)} sample pairs", central_ok))
 
-    additive_ok = all(f(x + y) == ring.reduce(f(x) + f(y)) for x, y in pairs)
+    additive_ok = all(f(x + y) == ring.cell(f(x) + f(y)) for x, y in pairs)
     entries.append(CheckEntry(
         "additive", f"f(x+y) = f(x)+f(y) on {len(pairs)} sample pairs",
         additive_ok))
-    homog_ok = all(f(x.scale(2)) == ring.reduce(2 * f(x)) for x in samples)
+    homog_ok = all(f(x.scale(2)) == ring.cell(2 * f(x)) for x in samples)
     entries.append(CheckEntry(
         "homogeneous", "f(2x) = 2 f(x) on all samples", homog_ok))
 
@@ -402,7 +398,7 @@ def product_formula_check(f: CentralFunction, x: Multiset, y: Multiset,
     ev = _FormEvaluator(f)
     sx, sy = FormalSum.of(x), FormalSum.of(y)
     lhs = ev.on_sum(formal_product(sx, sy, budget))
-    rhs = f.ring.reduce(ev.on_sum(sx) * ev.on_sum(sy))
+    rhs = f.ring.cell(ev.on_sum(sx) * ev.on_sum(sy))
     return lhs, rhs, lhs == rhs
 
 
@@ -418,12 +414,12 @@ def degree_product_check(f: CentralFunction, xs, ys):
         raise CapExceededError(
             f"dimension {d} exceeds the permutation cap of {ORACLE_CAP}")
     ev = _FormEvaluator(f)
-    lhs = f.ring.reduce(ev.form(xs) * ev.form(ys))
+    lhs = f.ring.cell(ev.form(xs) * ev.form(ys))
     rhs = f.ring.zero()
     for perm in permutations(range(d)):
         mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
         rhs = rhs + ev.form(mixed)
-    rhs = f.ring.reduce(rhs)
+    rhs = f.ring.cell(rhs)
     return lhs, rhs, lhs == rhs
 
 
@@ -433,13 +429,13 @@ def determinant(f: CentralFunction, x):
     d = f.dim
     _check_arity(d)
     inv = f.ring.inverse_of_factorial(d)
-    return f.ring.reduce(inv * recursive_form(f, (x,) * d))
+    return f.ring.cell(inv * recursive_form(f, (x,) * d))
 
 
 def multiplicativity_check(f: CentralFunction, x, y):
     """Compare det(xy) with det(x) * det(y) (exact)."""
     lhs = determinant(f, x * y)
-    rhs = f.ring.reduce(determinant(f, x) * determinant(f, y))
+    rhs = f.ring.cell(determinant(f, x) * determinant(f, y))
     return lhs, rhs, lhs == rhs
 
 
@@ -455,7 +451,7 @@ def identity_padding_check(f: CentralFunction, x, n: int):
     rhs = f(x)
     for i in range(1, n):
         rhs = rhs * (f1 - i)
-    rhs = f.ring.reduce(rhs)
+    rhs = f.ring.cell(rhs)
     return lhs, rhs, lhs == rhs
 
 
@@ -478,7 +474,7 @@ class CharPoly(FrozenValue):
         """-c_{d-1}: the trace read off the characteristic polynomial."""
         if self.degree < 1:
             raise ValueError("degree-0 polynomial has no trace coefficient")
-        return self.ring.reduce(-self.coefficients[-2])
+        return self.ring.cell(-self.coefficients[-2])
 
     def render(self) -> str:
         parts = []
@@ -507,7 +503,7 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     coeffs = []
     for k in range(d + 1):
         value = ev.form((neg,) * (d - k) + (one,) * k)
-        coeffs.append(ring.reduce(inv * (math.comb(d, k) * value)))
+        coeffs.append(ring.cell(inv * (math.comb(d, k) * value)))
     return CharPoly(ring, tuple(coeffs))
 
 
@@ -529,10 +525,10 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     diffs = [determinant(f, identity.scale(t) + neg) for t in range(d + 1)]
     for k in range(d):  # diffs[j] becomes the j-th forward difference at 0
         for j in range(d, k, -1):
-            diffs[j] = ring.reduce(diffs[j] - diffs[j - 1])
+            diffs[j] = ring.cell(diffs[j] - diffs[j - 1])
     poly = []
     for k in range(d, -1, -1):  # poly * (t - k) + diffs[k] / k!
         newton = inv * (math.perm(d, d - k) * diffs[k])
-        poly = [ring.reduce(a - k * b)
+        poly = [ring.cell(a - k * b)
                 for a, b in zip([newton] + poly, poly + [0])]
     return CharPoly(ring, tuple(poly))

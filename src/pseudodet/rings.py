@@ -264,9 +264,9 @@ class Ring(FrozenValue):
     """Descriptor of a scalar backend: an immutable value, and the one
     object of its backend (and modulus), so rings compare by identity.
 
-    A scalar is its own cell: ``cell`` turns a value into the canonical
-    scalar, and ``reduce`` canonicalizes a sum, difference or product of
-    scalars (over mod m, a plain int in [0, m); elsewhere the identity).
+    A scalar is its own cell.  ``cell`` is the one canonicalizer: it turns
+    a value, or a sum or product of scalars, into the canonical scalar (an
+    int in [0, m) mod m, an ``int`` for an integral rational).
     """
 
     __slots__ = ()
@@ -295,11 +295,6 @@ class Ring(FrozenValue):
     def dot(self, row, col):
         return sum(map(mul, row, col))
 
-    def reduce(self, value):
-        """The canonical scalar of a sum, difference or product of
-        scalars."""
-        return value
-
     def render(self, scalar) -> str:
         return str(scalar)
 
@@ -316,8 +311,7 @@ class RationalRing(Ring):
     __slots__ = ()
     kind = "rational"
 
-    def cell(self, value):
-        return _as_rational(value)
+    cell = staticmethod(_as_rational)
 
 
 class ModRing(Ring):
@@ -341,6 +335,8 @@ class ModRing(Ring):
 
     def cell(self, value):
         m = self.modulus
+        if type(value) is int:
+            return value % m
         if isinstance(value, bool):
             raise MismatchError(f"not a mod-{m} scalar: {value!r}")
         if isinstance(value, int):
@@ -354,9 +350,6 @@ class ModRing(Ring):
 
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.modulus
-
-    def reduce(self, value):
-        return value % self.modulus
 
     def render(self, scalar) -> str:
         return f"{self.cell(scalar)} mod {self.modulus}"

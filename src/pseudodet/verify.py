@@ -128,7 +128,7 @@ def leibniz_det(matrix: Matrix):
             prod = prod * rows[i][perm[i]]
         term = prod if sign > 0 else -prod
         acc = term if acc is None else acc + term
-    return ring.reduce(acc)
+    return ring.cell(acc)
 
 
 def char_poly_leibniz(matrix: Matrix) -> tuple:

@@ -100,6 +100,13 @@ class TestEval:
         assert rc == 2
         assert_one_error_line(capsys.readouterr(), "dim")
 
+    def test_zero_n_is_exit_two(self, matrix_file, capsys):
+        rc = main(["eval", "fn", "--matrix", matrix_file, "--n", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "--n must be >= 1")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec", ["mod:1", "foo", "mod:x", ""])
     def test_bad_ring_is_exit_two(self, matrix_file, spec, capsys):
         rc = main(["eval", "det", "--ring", spec, "--matrix", matrix_file])
@@ -246,6 +253,15 @@ class TestMatrixFile:
         bad.write_text(f"{size}\n1\n", encoding="utf-8")
         assert main(["eval", "det", "--matrix", str(bad)]) == 2
         assert_one_error_line(capsys.readouterr(), f"bad size {size!r}")
+
+    def test_two_numbers_on_the_size_line_is_exit_two(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 2\n1 2\n3 4\n")
+        assert main(["eval", "det", "--matrix", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "first line must be the matrix size")
+        assert captured.out == ""
 
     def test_non_utf8_file_is_exit_two(self, tmp_path, capsys):
         """A byte that is not UTF-8 used to escape as a UnicodeDecodeError
@@ -521,6 +537,66 @@ class TestBudgetErrorKeepsTheReport:
         # the suites without an error carry no "error" key and still pass
         assert all(s["pass"] for s in suites if "error" not in s)
         assert sum(1 for s in suites if "error" not in s) > 60
+
+
+#: integers that ``int()`` reads (as 10 and 2) but the ASCII grammar of
+#: the matrix size refuses
+_NOT_ASCII_INTS = pytest.mark.parametrize("text", ["1_0", "\u0662"],
+                                          ids=["underscore", "arabic-indic"])
+
+
+class TestIntegerGrammar:
+    """Every integer the user types follows the matrix size's grammar,
+    ``[+-]?[0-9]+`` in ASCII: ``check det-mult --trials 1_0 --dim \u0662``
+    ran 10 trials at dim 2, and a config line ``seed = \u0663`` ran
+    seed 3."""
+
+    @staticmethod
+    def argv(command, matrix_file):
+        return (["check", "det-mult"] if command == "check"
+                else ["eval", "fn", "--matrix", matrix_file])
+
+    @_NOT_ASCII_INTS
+    @pytest.mark.parametrize("command,flag", [
+        ("check", flag) for flag in ("--dim", "--trials", "--seed",
+                                     "--bound", "--budget")] + [
+        ("eval", "--dim"), ("eval", "--n")])
+    def test_flag_is_exit_two(self, command, flag, text, matrix_file,
+                              tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(command, matrix_file)
+                 + [flag, text, "--json", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert errors == [f"pseudodet {command}: error: argument {flag}: "
+                          f"not an ASCII integer: {text!r}"]
+        assert captured.out == "" and not out.exists()
+
+    @_NOT_ASCII_INTS
+    @pytest.mark.parametrize("command,key", [
+        ("check", key) for key in ("dim", "trials", "seed", "bound",
+                                   "budget")] + [("eval", "dim")])
+    def test_config_key_is_exit_two(self, command, key, text, matrix_file,
+                                    tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "report.json"
+        cfg.write_text(f"# run\n{key} = {text}\n", encoding="utf-8")
+        rc = main(self.argv(command, matrix_file)
+                  + ["--config", str(cfg), "--json", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured,
+                              f"{cfg}:2: bad value {text!r} for {key}")
+        assert captured.out == "" and not out.exists()
+
+    def test_signs_are_accepted(self, tmp_path):
+        args = build_parser().parse_args(
+            ["check", "det-mult", "--seed", "-1", "--trials", "+3"])
+        assert (args.seed, args.trials) == (-1, 3)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\ntrials = +3\n")
+        assert load_config_file(str(cfg)) == {"seed": -1, "trials": 3}
 
 
 class TestConfigFile:

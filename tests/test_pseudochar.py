@@ -273,14 +273,14 @@ class TestFormOnSum:
                 acc = acc + FormalSum.of(ms, rng.randint(-3, 3))
             return acc
 
-        reduce = f.ring.reduce
+        cell = f.ring.cell
         for t in range(15):
             s, u = rand_sum(700 + t), rand_sum(800 + t)
             for left, right in ((s, u), (s, -s), (s, u - s)):
-                assert (form_on_sum(f, left + right) == reduce(
+                assert (form_on_sum(f, left + right) == cell(
                     form_on_sum(f, left) + form_on_sum(f, right)))
             for k in (-2, 0, 1, 3):
-                assert form_on_sum(f, k * s) == reduce(k * form_on_sum(f, s))
+                assert form_on_sum(f, k * s) == cell(k * form_on_sum(f, s))
 
 
 class TestProductFormula:
@@ -347,7 +347,7 @@ def plain_form_on_sum(f, s):
         value = (literal_form(f, ms.entries) if len(ms)
                  else f.ring.one())
         total = total + coeff * value
-    return f.ring.reduce(total)
+    return f.ring.cell(total)
 
 
 RINGS = pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
@@ -377,8 +377,8 @@ class TestFMemo:
         assert ok
         assert_once_per_distinct(seen)
         assert lhs == plain_form_on_sum(f, multiset_product(x, y))
-        assert rhs == ring.reduce(literal_form(f, x.entries)
-                                  * literal_form(f, y.entries))
+        assert rhs == ring.cell(literal_form(f, x.entries)
+                                * literal_form(f, y.entries))
 
     @RINGS
     @pytest.mark.parametrize("d", range(1, 6))
@@ -390,8 +390,8 @@ class TestFMemo:
         inv = ring.inverse_of_factorial(d)
         args = [(-x,) * (d - k) + (x.one(),) * k for k in range(d + 1)]
         assert got.coefficients == tuple(
-            ring.reduce(inv * (math.comb(d, k)
-                               * literal_form(f, args[k])))
+            ring.cell(inv * (math.comb(d, k)
+                             * literal_form(f, args[k])))
             for k in range(d + 1))
 
 
@@ -869,6 +869,21 @@ class TestPseudocharacterReport:
         names = {e.name for e in report.entries if not e.ok}
         assert "unit-value" in names
 
+    def test_factorial_not_invertible_is_a_failing_entry(self):
+        """3! is not invertible mod 3: the entry fails and says so, and
+        the report is still built."""
+        ring = ModRing(3)
+        f = matrix_trace(ring, 3, pseudocharacter=False)
+        report = check_pseudocharacter(f, rand_mats(565, 3, ring=ring,
+                                                    size=3))
+        (entry,) = [e for e in report.entries
+                    if e.name == "factorial-invertible"]
+        assert entry.ok is False
+        assert entry.detail == "3! not invertible mod 3"
+        assert not report.passed
+        assert ("[FAIL] factorial-invertible: 3! not invertible mod 3"
+                in report.render().splitlines())
+
     def test_noncentral_function_detected(self):
         g = CentralFunction(lambda m: m.entry(0, 1), 2, QQ, name="corner")
         report = check_pseudocharacter(g, rand_mats(570, 5))
@@ -966,3 +981,37 @@ def test_mod_m_scalars_are_canonical_ints(m):
         for name, got in results.items():
             for value in got if isinstance(got, tuple) else (got,):
                 assert type(value) is int and 0 <= value < m, (name, value)
+
+
+def test_rational_integral_scalars_are_ints():
+    """Over the rationals an integral scalar is a plain ``int``: every
+    public function returns ``QQ.cell``'s canonical form, never
+    ``Fraction(n, 1)``, also where fractions meet in an integer."""
+    f = matrix_trace(QQ, 2)
+    x, y = Matrix(QQ, [[1, 2], [3, 4]]), Matrix(QQ, [[0, 1], [1, 0]])
+    half = Matrix(QQ, [[Fraction(1, 2), 3], [1, Fraction(3, 2)]])
+    singular = Matrix(QQ, [[Fraction(1, 2), 1], [1, 2]])  # det 0, trace 5/2
+    cp = char_poly(f, x)
+    results = {
+        "determinant": (determinant(f, x), -2),
+        "determinant of fractions": (determinant(f, singular), 0),
+        "char_poly": (cp.coefficients, (-2, -5, 1)),
+        "char_poly_interpolated":
+            (char_poly_interpolated(f, x).coefficients, (-2, -5, 1)),
+        "char_poly of fractions":
+            (char_poly(f, singular).coefficients[0], 0),
+        "CharPoly.trace": (cp.trace(), 5),
+        "leibniz_det": (leibniz_det(x), -2),
+        "Matrix.trace": (half.trace(), 2),
+        "matrix_trace": (f(half), 2),
+        "recursive_form": (recursive_form(f, (singular, singular)), 0),
+        "multiplicativity_check":
+            (multiplicativity_check(f, x, y)[:2], (2, 2)),
+        "degree_product_check": (
+            degree_product_check(f, (x, y), (y, x))[:2], (25, 25)),
+    }
+    for name, (got, want) in results.items():
+        got, want = ((got, want) if isinstance(got, tuple)
+                     else ((got,), (want,)))
+        assert got == want, name
+        assert all(type(v) is int for v in got), (name, got)

@@ -33,6 +33,7 @@ def samples():
         ("CharPoly", CharPoly(QQ, (1, 0, 1)), "coefficients"),
         ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
         ("ModRing", ModRing(7), "modulus"),
+        ("CentralFunction", matrix_trace(QQ, 2), "ring"),
     ]
 
 

@@ -10,8 +10,9 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
                        leibniz_det, random_matrix, random_word, run_suite)
 from pseudodet.errors import CapExceededError
 from pseudodet.rings import ring_from_spec
-from pseudodet.verify import (_SIGNED_PERMS, SUITE_NAMES, SplitMix64,
-                              _signed_perms, substream)
+from pseudodet.verify import (_SIGNED_PERMS, SUITE_NAMES, CheckRecord,
+                              SplitMix64, SuiteReport, _signed_perms,
+                              substream)
 
 
 class TestPrng:
@@ -287,6 +288,28 @@ class TestSuiteRuns:
                                   "ok", "negative_control", "behaved"}
         assert doc["pass"] is True
         assert doc["reproductions"] == []
+
+    def test_misbehaving_record_is_printed_unless_quiet(self):
+        """A failing suite prints each misbehaving record with what
+        reproduces it; a behaving record, or ``quiet``, prints none."""
+        cfg = SuiteConfig("det-mult", ring="mod:7", dim=2, seed=9)
+        records = (
+            CheckRecord("det-of-unit", 0, ("[[1,0],[0,1]]",), "1 mod 7",
+                        "1 mod 7", True, False),
+            CheckRecord("det-vs-leibniz", 3, ("[[1,2],[3,4]]",
+                                              "[[0,1],[1,0]]"),
+                        "5 mod 7", "6 mod 7", False, False))
+        report = SuiteReport(cfg, records, 0.0, None)
+        lines = report.text_lines()
+        assert lines[0] == ("suite det-mult [ring=mod:7 dim=2]: FAIL "
+                            "(1/2 checks, 0 negative controls) in 0.00s")
+        assert lines[1:] == [
+            "  MISBEHAVED det-vs-leibniz (trial 3, seed 9)",
+            "    input: [[1,2],[3,4]]",
+            "    input: [[0,1],[1,0]]",
+            "    lhs: 5 mod 7",
+            "    rhs: 6 mod 7"]
+        assert report.text_lines(quiet=True) == lines[:1]
 
     def test_word_assoc_covers_all_cardinalities(self):
         cfg = SuiteConfig("assoc", ring="words", trials=1, seed=0)
