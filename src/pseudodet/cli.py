@@ -40,8 +40,8 @@ def _integer(text: str) -> int:
 
 
 #: ``check``'s settable values, each with its parser
-_CONFIG_KEYS = {k: _integer if type(v) is int else str
-                for k, v in SuiteConfig("").fields().items() if k != "suite"}
+_CONFIG_KEYS = {k: _integer if type(v) is int else str for k, v in
+                SuiteConfig(SUITE_NAMES[0]).fields().items() if k != "suite"}
 
 
 def _read_text(path: str) -> str:
@@ -105,8 +105,13 @@ def read_matrix_file(path: str, ring):
                           for tok in row] for row in rows])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudodet",
         description="Exact verification of multiset-ring and pseudocharacter "
                     "identities on concrete algebras.")
@@ -180,8 +185,8 @@ def _check_configs(args, options) -> list:
 def _run_check(args) -> int:
     options = _merged_options(args, _CONFIG_KEYS)
     configs = _check_configs(args, options)
-    for cfg in configs:  # all of them, before any suite prints a result
-        cfg.validate()
+    # opened before the first suite runs: a path it cannot open costs no run
+    out = args.json_path and open(args.json_path, "w", encoding="utf-8")
     reports = []
     start = time.perf_counter()
     for cfg in configs:
@@ -194,7 +199,7 @@ def _run_check(args) -> int:
     _say(f"{'PASS' if all_pass else 'FAIL'}: {len(reports)} suite(s) "
          f"in {total:.2f}s")
 
-    if args.json_path:
+    if out:
         document = {
             "command": "check",
             "selection": args.suite,
@@ -203,7 +208,7 @@ def _run_check(args) -> int:
             "suites": [r.to_dict() for r in reports],
             "total_duration_seconds": total,
         }
-        _write_json(args.json_path, document)
+        _write_json(out, document)
     return 0 if all_pass else 1
 
 
@@ -241,7 +246,7 @@ def _run_eval(args) -> int:
         document = {"command": "eval", "what": args.what,
                     "ring": ring_spec, "dim": dim,
                     "matrix": x.render(), "result": rendered}
-        _write_json(args.json_path, document)
+        _write_json(open(args.json_path, "w", encoding="utf-8"), document)
     return 0
 
 
@@ -257,16 +262,15 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
-def _write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(fh, document: dict) -> None:
+    with fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "check":
             return _run_check(args)
         return _run_eval(args)

@@ -17,6 +17,8 @@ threads.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
 from .rings import FrozenValue, ModRing, Ring
 
@@ -328,16 +330,16 @@ class GroupAlgebraElement(FrozenValue):
         return f"GroupAlgebraElement({self.render()})"
 
 
-class LetterHom:
+class LetterHom(FrozenValue):
     """Semigroup homomorphism out of a free semigroup, given on letters.
 
     A word maps to the product of its letters' images, so multiplicativity
-    holds by construction.  Images must all live in one backend.
+    holds by construction.  The images, all of one backend, are read-only.
     """
 
-    __slots__ = ("mapping",)
+    __slots__ = _fields = ("mapping",)
 
-    def __init__(self, mapping: dict):
+    def __new__(cls, mapping: dict):
         mapping = dict(mapping)
         if not mapping:
             raise ValueError("a letter assignment must be nonempty")
@@ -350,7 +352,10 @@ class LetterHom:
                 first._check_peer(img)
         else:
             raise MismatchError(f"unsupported image {first!r}")
-        self.mapping = mapping
+        return cls._make(MappingProxyType(mapping))
+
+    def __hash__(self):
+        return hash(frozenset(self.mapping.items()))
 
     def __call__(self, w: Word):
         mapping = self.mapping

@@ -108,14 +108,6 @@ class FrozenValue:
         return f"{type(self).__name__}({fields})"
 
 
-def _check_modulus(modulus) -> None:
-    """Refuse a modulus that is not a plain ``int`` of at least 2."""
-    if type(modulus) is not int:
-        raise ValueError(f"modulus must be an int, got {modulus!r}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-
-
 def _monomial_mul(a, b):
     exps = dict(a)
     for var, e in b:
@@ -323,7 +315,10 @@ class ModRing(Ring):
 
     def __new__(cls, modulus):
         # checked first: ModRing(7.0) must raise, not find ModRing(7)
-        _check_modulus(modulus)
+        if type(modulus) is not int:
+            raise ValueError(f"modulus must be an int, got {modulus!r}")
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
         return Ring.__new__(cls, modulus)
 
     def inverse_of_factorial(self, d: int):

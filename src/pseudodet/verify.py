@@ -174,45 +174,42 @@ TAYLOR_MAX_N = 4    # taylor-equiv: max argument count
 
 
 class SuiteConfig(FrozenValue):
-    """Parameters of one suite run; validation happens in ``validate``.
-    ``ring`` is rational, mod:<m> or words.  A matrix suite draws ``dim``
-    x ``dim`` matrices with entries in [-bound, bound], whose trace is the
-    pseudocharacter of dimension ``dim``; ``budget`` bounds each formal
-    product's terms."""
+    """Parameters of one suite run, checked on construction: a config
+    that exists can run.  ``ring`` is rational, mod:<m> or words.  A
+    matrix suite draws ``dim`` x ``dim`` matrices with entries in
+    [-bound, bound], whose trace is the pseudocharacter of dimension
+    ``dim``; ``budget`` bounds each formal product's terms."""
 
     __slots__ = _fields = ("suite", "ring", "dim", "trials", "seed", "bound",
                            "budget")
 
     def __new__(cls, suite, ring="rational", dim=2, trials=50, seed=0,
                 bound=5, budget=DEFAULT_BUDGET):
-        return cls._make(suite, ring, dim, trials, seed, bound, budget)
-
-    def validate(self) -> None:
-        if self.suite not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {self.suite!r}; "
+        cfg = cls._make(suite, ring, dim, trials, seed, bound, budget)
+        if cfg.suite not in SUITE_NAMES:
+            raise ConfigError(f"unknown suite {cfg.suite!r}; "
                               f"choose from {', '.join(SUITE_NAMES)}")
         for name in ("trials", "bound", "budget", "dim"):
-            if getattr(self, name) < 1:
+            if getattr(cfg, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         # [-bound, bound] must fit the one 64-bit draw of randint
-        if self.bound > 2**63 - 1:
+        if cfg.bound > 2**63 - 1:
             raise ConfigError("bound must be <= 2**63 - 1")
-        if self.ring == "words":
-            if self.suite != "assoc":
-                raise ConfigError(
-                    f"ring 'words' only supports the assoc suite, "
-                    f"not {self.suite!r}")
-            return
-        ring = ring_from_spec(self.ring)
-        _, (cap, why), pseudo = _SUITES[self.suite]
-        if self.dim > cap:
-            raise ConfigError(f"dim {self.dim} is past the cap of {cap} "
-                              f"for {self.suite}: {why}")
-        if pseudo:
-            try:
-                ring.inverse_of_factorial(self.dim)
-            except NotInvertibleError as exc:
-                raise ConfigError(str(exc)) from None
+        if cfg.ring == "words" and cfg.suite != "assoc":
+            raise ConfigError(f"ring 'words' only supports the assoc suite, "
+                              f"not {cfg.suite!r}")
+        if cfg.ring != "words":
+            ring = ring_from_spec(cfg.ring)
+            _, (cap, why), pseudo = _SUITES[cfg.suite]
+            if cfg.dim > cap:
+                raise ConfigError(f"dim {cfg.dim} is past the cap of {cap} "
+                                  f"for {cfg.suite}: {why}")
+            if pseudo:
+                try:
+                    ring.inverse_of_factorial(cfg.dim)
+                except NotInvertibleError as exc:
+                    raise ConfigError(str(exc)) from None
+        return cfg
 
     def echo(self) -> dict:
         return {**self.fields(), "size": self.dim,
@@ -577,7 +574,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Validate the configuration, run the suite, and assemble its report.
+    """Run the suite of ``cfg`` and assemble its report.
 
     Deterministic given (suite, seed, config): trials draw from per-index
     substreams, so the report body never depends on timing or ordering.
@@ -585,7 +582,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     no records and the exception text as ``error``, and the caller goes
     on with the next suite.
     """
-    cfg.validate()
     start = time.perf_counter()
     try:
         records, error = tuple(_SUITES[cfg.suite][0](cfg)), None

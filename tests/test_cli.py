@@ -148,12 +148,9 @@ class TestEval:
                                       ["--budget", "1"], ["--quiet"]])
     def test_flags_eval_does_not_read_are_refused(self, matrix_file, flag,
                                                   capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "det", "--matrix", matrix_file] + flag)
-        assert exc.value.code == 2
+        assert main(["eval", "det", "--matrix", matrix_file] + flag) == 2
         captured = capsys.readouterr()
-        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-        assert len(errors) == 1 and flag[0] in errors[0]
+        assert_one_error_line(captured, "unrecognized arguments: " + flag[0])
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--n", "--dim"])
@@ -306,11 +303,9 @@ class TestCheck:
     def test_size_is_not_a_check_flag(self, argv, capsys):
         """Every matrix suite runs at size = dim, so --size is a usage
         error, even where it would equal dim."""
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--trials", "1", "--quiet"])
-        assert exc.value.code == 2
+        assert main(argv + ["--trials", "1", "--quiet"]) == 2
         captured = capsys.readouterr()
-        assert "usage" in captured.err and "--size" in captured.err
+        assert_one_error_line(captured, "unrecognized arguments: --size")
         assert captured.out == ""
 
     def test_size_is_not_a_config_key(self, tmp_path, capsys):
@@ -350,10 +345,32 @@ class TestCheck:
             SuiteConfig("det-mult", dim=2).echo()
 
     def test_usage_error_is_exit_two(self, capsys):
+        assert main(["check", "not-a-suite"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(
+            captured, "argument suite: invalid choice: 'not-a-suite'")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "error: the following arguments are required: command"),
+        (["eval", "det"],
+         "error: the following arguments are required: --matrix"),
+        (["check", "det-mult", "--trials"],
+         "error: argument --trials: expected one argument"),
+    ], ids=["no-command", "eval-without-matrix", "flag-without-value"])
+    def test_usage_errors_are_one_line(self, argv, message, capsys):
+        """argparse's refusals print argparse's message as the one
+        ``error:`` line, with no usage block, and exit 2 from ``main``."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_is_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["check", "not-a-suite"])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pseudodet")
 
     def test_json_schema(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -496,10 +513,14 @@ class TestClosedStdout:
 
     def test_json_into_a_missing_directory_is_exit_two(self, tmp_path,
                                                          capsys):
+        """The report file is opened before the first suite runs, so a
+        path that cannot be opened costs no suite."""
         out = tmp_path / "missing" / "report.json"
         assert main(["check", "assoc", "--trials", "1", "--json",
                      str(out)]) == 2
-        assert_one_error_line(capsys.readouterr(), "No such file")
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "No such file")
+        assert captured.out == ""
 
 
 class TestBudgetErrorKeepsTheReport:
@@ -564,14 +585,11 @@ class TestIntegerGrammar:
     def test_flag_is_exit_two(self, command, flag, text, matrix_file,
                               tmp_path, capsys):
         out = tmp_path / "report.json"
-        with pytest.raises(SystemExit) as exc:
-            main(self.argv(command, matrix_file)
-                 + [flag, text, "--json", str(out)])
-        assert exc.value.code == 2
+        assert main(self.argv(command, matrix_file)
+                    + [flag, text, "--json", str(out)]) == 2
         captured = capsys.readouterr()
-        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-        assert errors == [f"pseudodet {command}: error: argument {flag}: "
-                          f"not an ASCII integer: {text!r}"]
+        assert captured.err == (f"error: argument {flag}: not an ASCII "
+                                f"integer: {text!r}\n")
         assert captured.out == "" and not out.exists()
 
     @_NOT_ASCII_INTS

@@ -42,6 +42,11 @@ class TestElementMul:
         with pytest.raises(MismatchError):
             word("a") * Matrix(QQ, [[1]])  # type: ignore[operator]
 
+    def test_matrix_must_be_square(self):
+        with pytest.raises(ValueError,
+                           match="^matrix must be square and nonempty$"):
+            Matrix(QQ, [[1, 2]])
+
 
 class TestMatrixEqualityAcrossRingObjects:
     """Rings are one object per modulus: ``ModRing(7)`` built twice is one
@@ -187,6 +192,15 @@ class TestApplyHom:
         with pytest.raises(UnknownLetterError):
             LetterHom({"x1": Matrix(QQ, [[1]])})(word("x1*zz"))
 
+    def test_empty_assignment_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="^a letter assignment must be nonempty$"):
+            LetterHom({})
+
+    def test_repr_lists_the_letters_in_order(self):
+        hom = LetterHom({"b": word("a"), "a": word("b*c")})
+        assert repr(hom) == "LetterHom(a->Word(b*c), b->Word(a))"
+
     @pytest.mark.parametrize("images,message", [
         ((3,), "unsupported image 3"),
         ((3, 4), "unsupported image 3"),
@@ -291,6 +305,14 @@ class TestGroupTable:
     def test_s3_is_valid(self, s3):
         assert s3.order == 6
 
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 1]], "table must be square and nonempty"),
+        ([[0, 2], [1, 0]], "entry 2 out of range [0,2)"),
+    ], ids=["not-square", "entry-out-of-range"])
+    def test_shape_and_entry_validation(self, table, message):
+        with pytest.raises(GroupTableError, match=f"^{re.escape(message)}$"):
+            GroupTable(table)
+
 
 class TestGroupAlgebra:
     def test_unit_is_neutral(self, s3):
@@ -299,6 +321,24 @@ class TestGroupAlgebra:
         one = GroupAlgebraElement.basis(s3, QQ, 0)
         assert one * a == a and a * one == a
         assert a.one() == one
+
+    def test_coefficient_count_is_the_group_order(self):
+        with pytest.raises(ValueError,
+                           match="^expected 2 coefficients, got 1$"):
+            GroupAlgebraElement(GroupTable.cyclic(2), QQ, [1])
+
+    @pytest.mark.parametrize("other,message", [
+        (Matrix(QQ, [[1]]),
+         "expected a group-algebra element, got Matrix(rational, [[1]])"),
+        (GroupAlgebraElement(GroupTable.cyclic(3), QQ, [1, 0, 0]),
+         "group mismatch"),
+        (GroupAlgebraElement(GroupTable.cyclic(2), ModRing(7), [1, 0]),
+         "ring mismatch: rational vs mod 7"),
+    ], ids=["matrix", "C3", "mod-7"])
+    def test_product_with_another_backend_is_refused(self, other, message):
+        a = GroupAlgebraElement(GroupTable.cyclic(2), QQ, [1, 1])
+        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+            a * other
 
     def test_zero_divisors_exist(self):
         c2 = GroupTable.cyclic(2)

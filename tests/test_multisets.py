@@ -73,6 +73,8 @@ class TestPartialBijections:
             PartialBijection(2, 2, ((2, 1), (1, 2)))  # unsorted
         with pytest.raises(ValueError):
             PartialBijection(1, 1, ((1, 2),))  # out of range
+        with pytest.raises(ValueError, match="^n and m must be >= 0$"):
+            PartialBijection(-1, 0, ())
 
     @pytest.mark.parametrize("n,m", [(-1, 2), (2, -1), (-1, -1)])
     def test_negative_shape_is_refused_before_planning(self, monkeypatch,
@@ -263,6 +265,27 @@ class TestFormalSum:
     def test_coefficients_must_be_integers(self):
         with pytest.raises(TypeError):
             FormalSum({letters("x", 1): 1.5})  # type: ignore[dict-item]
+
+    def test_keys_must_be_multisets(self):
+        with pytest.raises(TypeError,
+                           match=r"^key \(Word\(a\),\) is not a Multiset$"):
+            FormalSum({(word("a"),): 1})  # type: ignore[dict-item]
+
+    @pytest.mark.parametrize("op,message", [
+        (lambda s: s + 1, "+: 'FormalSum' and 'int'"),
+        (lambda s: s - 1, "-: 'FormalSum' and 'int'"),
+        (lambda s: True * s, "*: 'bool' and 'FormalSum'"),
+        (lambda s: s * 1, "*: 'FormalSum' and 'int'"),
+    ], ids=["add", "sub", "bool-times", "times-int"])
+    def test_int_operands_are_refused(self, op, message):
+        """A sum meets an int only as ``int * sum``, bools excluded; the
+        other operators leave it to Python, which refuses."""
+        with pytest.raises(TypeError, match=re.escape(
+                f"unsupported operand type(s) for {message}")):
+            op(FormalSum.unit())
+
+    def test_sum_is_not_equal_to_an_int(self):
+        assert FormalSum.unit() != 1 and not FormalSum.unit() == 1
 
     def test_budget_guard(self):
         x = letters("x", 8)

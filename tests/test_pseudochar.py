@@ -203,6 +203,11 @@ class TestCycleSum:
         with pytest.raises(CapExceededError):
             cycle_sum_form(f, (eye,) * 8)
 
+    def test_empty_arguments_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^cycle sum needs at least one argument$"):
+            cycle_sum_form(matrix_trace(QQ, 2), ())
+
 
 class TestFormOnSum:
     def test_empty_multiset_gives_one(self):
@@ -624,6 +629,14 @@ class TestDegreeProduct:
         with pytest.raises(ValueError):
             degree_product_check(f, (x,), (x, x))
 
+    def test_cap(self):
+        """A declared dimension of 8 sums over 8! permutations: refused."""
+        f = matrix_trace(QQ, 2, 8)
+        xs = (Matrix.identity(QQ, 2),) * 8
+        with pytest.raises(CapExceededError, match="^dimension 8 exceeds "
+                           "the permutation cap of 7$"):
+            degree_product_check(f, xs, xs)
+
 
 class TestDeterminant:
     def test_dimension_one_is_f_itself(self):
@@ -848,6 +861,11 @@ class TestCharPoly:
         cp = char_poly(f, Matrix.identity(QQ, 2))
         assert cp != CharPoly(QQ, (1, 1))  # different degree
 
+    def test_degree_zero_has_no_trace(self):
+        with pytest.raises(ValueError, match="^degree-0 polynomial has no "
+                           "trace coefficient$"):
+            CharPoly(QQ, (1,)).trace()
+
 
 class TestPseudocharacterReport:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -883,6 +901,16 @@ class TestPseudocharacterReport:
         assert not report.passed
         assert ("[FAIL] factorial-invertible: 3! not invertible mod 3"
                 in report.render().splitlines())
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError,
+                           match="^need at least one sample element$"):
+            check_pseudocharacter(matrix_trace(QQ, 2), [])
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError,
+                           match="^dimension must be a positive integer$"):
+            CentralFunction(lambda m: m.trace(), 0, QQ)
 
     def test_noncentral_function_detected(self):
         g = CentralFunction(lambda m: m.entry(0, 1), 2, QQ, name="corner")

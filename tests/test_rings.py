@@ -98,6 +98,13 @@ class TestCanonicalForms:
         assert 0 <= ModRing(12).cell(-100) < 12
         assert type(ModRing(7).cell(Fraction(1, 2))) is int
 
+    def test_int_subclass_residue_is_a_plain_int(self):
+        class Int(int):
+            pass
+
+        cell = ModRing(7).cell(Int(9))
+        assert cell == 2 and type(cell) is int
+
     def test_mod_cell_of_fraction(self):
         assert ModRing(7).cell(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
         with pytest.raises(NotInvertibleError):

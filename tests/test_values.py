@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, Matrix,
-                       ModRing, Multiset, Poly, QPOLY, QQ, RationalRing,
+from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, LetterHom,
+                       Matrix, ModRing, Multiset, Poly, QPOLY, QQ, RationalRing,
                        SuiteConfig, Word, check_pseudocharacter,
                        matrix_trace, ring_from_spec, run_suite, word)
 from pseudodet.multisets import PartialBijection
@@ -34,6 +34,7 @@ def samples():
         ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
         ("ModRing", ModRing(7), "modulus"),
         ("CentralFunction", matrix_trace(QQ, 2), "ring"),
+        ("LetterHom", LetterHom({"a": word("b")}), "mapping"),
     ]
 
 
@@ -95,6 +96,9 @@ def _equal_pairs():
         ("Multiset", Multiset([word("b"), word("a")]),
          Multiset._make((word("a"), word("b")))),
         ("ModRing", ModRing(7), ring_from_spec("mod:7")),
+        ("LetterHom in another order",
+         LetterHom({"a": m * m, "b": m}),
+         LetterHom({"b": Matrix(QQ, [[1, 1], [0, 1]]), "a": m * m})),
     ]
 
 
@@ -147,6 +151,21 @@ class TestFrozenRecord:
 def test_poly_refuses_exponents_below_one():
     with pytest.raises(ValueError, match="exponents must be >= 1"):
         Poly([((("u", 0),), 1)])
+
+
+@pytest.mark.parametrize("image", [word("b"), Matrix(QQ, [[2]])],
+                         ids=["word", "matrix"])
+def test_letter_hom_images_are_read_only(image):
+    """The images a ``LetterHom`` checked are the ones it maps with: its
+    mapping refuses item assignment and deletion."""
+    hom = LetterHom({"a": image})
+    with pytest.raises(TypeError):
+        hom.mapping["a"] = word("z")
+    with pytest.raises(TypeError):
+        del hom.mapping["a"]
+    assert hom(word("a")) == image
+    assert hom == LetterHom({"a": image})
+    assert hash(hom) == hash(LetterHom({"a": image}))
 
 
 class TestRingDescriptors:

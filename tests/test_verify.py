@@ -346,50 +346,58 @@ class TestConfigValidation:
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_factorial_must_be_invertible(self, suite):
         """3! = 6 is not invertible mod 6: exactly the four suites that
-        assume a pseudocharacter refuse the cell."""
-        cfg = SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
+        assume a pseudocharacter refuse to build the cell."""
         if suite in self.FACTORIAL_SUITES:
-            with pytest.raises(ConfigError, match="not invertible"):
-                cfg.validate()
+            with pytest.raises(ConfigError,
+                               match="^3! not invertible mod 6$"):
+                SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
         else:
-            cfg.validate()
+            SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_product_formula_allows_any_modulus(self, suite):
         """The other four assume no pseudocharacter, so they run and pass
-        mod 6 at dim 3; run_suite refuses the four that do."""
-        cfg = SuiteConfig(suite, ring="mod:6", dim=3, trials=1)
+        mod 6 at dim 3; no config of the four that do can be built."""
         if suite in self.FACTORIAL_SUITES:
             with pytest.raises(ConfigError, match="not invertible"):
-                run_suite(cfg)
+                run_suite(SuiteConfig(suite, ring="mod:6", dim=3, trials=1))
         else:
-            assert run_suite(cfg).passed
+            assert run_suite(SuiteConfig(suite, ring="mod:6", dim=3,
+                                         trials=1)).passed
+
+    def test_construction_is_the_one_check(self):
+        """A config is checked when it is built, so no caller checks it
+        again: there is no separate ``validate``."""
+        assert not hasattr(SuiteConfig, "validate")
 
     def test_words_only_for_assoc(self):
         with pytest.raises(ConfigError):
-            SuiteConfig("degree-d", ring="words").validate()
+            SuiteConfig("degree-d", ring="words")
 
     def test_trials_and_bound_positive(self):
         with pytest.raises(ConfigError):
-            SuiteConfig("assoc", trials=0).validate()
+            SuiteConfig("assoc", trials=0)
         with pytest.raises(ConfigError):
-            SuiteConfig("assoc", bound=0).validate()
+            SuiteConfig("assoc", bound=0)
+        with pytest.raises(ConfigError,
+                           match=r"^bound must be <= 2\*\*63 - 1$"):
+            SuiteConfig("assoc", bound=2**63)
 
     def test_unknown_suite_and_ring(self):
         with pytest.raises(ConfigError):
-            SuiteConfig("nope").validate()
+            SuiteConfig("nope")
         with pytest.raises(ConfigError):
-            SuiteConfig("assoc", ring="float").validate()
+            SuiteConfig("assoc", ring="float")
 
     def test_leibniz_size_cap(self):
         with pytest.raises(ConfigError):
-            SuiteConfig("det-mult", ring="rational", dim=7).validate()
+            SuiteConfig("det-mult", ring="rational", dim=7)
 
     def test_caps_come_before_the_factorial(self):
         """A huge dim is refused by its cap before dim! is computed, so
         mod 101 the cap is named, not 100000! being 0 mod 101."""
         with pytest.raises(ConfigError, match="Leibniz oracle is capped"):
-            SuiteConfig("det-mult", ring="mod:101", dim=100_000).validate()
+            SuiteConfig("det-mult", ring="mod:101", dim=100_000)
 
     @pytest.mark.parametrize("suite,dim,cap,largest", [
         ("det-mult", 9, "Leibniz oracle is capped at size 6", 6),
@@ -405,8 +413,8 @@ class TestConfigValidation:
         under the cap of 7; the other suites draw dim x dim matrices in
         each trial, up to 32.  The largest dim under the cap passes."""
         with pytest.raises(ConfigError, match=cap):
-            SuiteConfig(suite, dim=dim).validate()
-        SuiteConfig(suite, dim=largest).validate()
+            SuiteConfig(suite, dim=dim)
+        SuiteConfig(suite, dim=largest)
 
     def test_echo_pins_the_fixed_parameters(self):
         """The report's config bytes: seven fields, size (always dim) and
