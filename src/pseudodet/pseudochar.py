@@ -261,7 +261,7 @@ def form_on_sum(f: CentralFunction, s: FormalSum):
     return _FormEvaluator(f).on_sum(s)
 
 
-def _cycles(perm: tuple) -> list:
+def _cycles(perm: tuple) -> tuple:
     """Cycle decomposition; each cycle starts at its smallest element and
     follows i -> perm[i]."""
     n = len(perm)
@@ -277,8 +277,28 @@ def _cycles(perm: tuple) -> list:
             cycle.append(j)
             seen[j] = True
             j = perm[j]
-        cycles.append(cycle)
-    return cycles
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+_PERM_TABLES = {}
+
+
+def _signed_perms(n: int) -> tuple:
+    """The ``(perm, sign, cycles)`` rows of S_n, perms in lexicographic
+    order, built on first use of each n: the one table of signs and
+    cycles.  Past ``ORACLE_CAP`` it raises ``CapExceededError`` first."""
+    if n > ORACLE_CAP:
+        raise CapExceededError(
+            f"size {n} exceeds the permutation cap of {ORACLE_CAP}")
+    table = _PERM_TABLES.get(n)
+    if table is None:
+        rows = []
+        for perm in permutations(range(n)):
+            cycles = _cycles(perm)
+            rows.append((perm, (-1) ** (n - len(cycles)), cycles))
+        table = _PERM_TABLES[n] = tuple(rows)
+    return table
 
 
 def cycle_sum_form(f: CentralFunction, args):
@@ -292,17 +312,10 @@ def cycle_sum_form(f: CentralFunction, args):
     target, not an assumption.
     """
     seq = tuple(args)
-    n = len(seq)
-    if n == 0:
+    if not seq:
         raise ValueError("cycle sum needs at least one argument")
-    if n > ORACLE_CAP:
-        raise CapExceededError(
-            f"{n} arguments exceed the cycle-sum cap of {ORACLE_CAP} "
-            f"({n}! permutations)")
     total = f.ring.zero()
-    for perm in permutations(range(n)):
-        cycles = _cycles(perm)
-        sign = -1 if (n - len(cycles)) % 2 else 1
+    for _, sign, cycles in _signed_perms(len(seq)):
         term = None
         for cycle in cycles:
             prod = seq[cycle[0]]
@@ -410,13 +423,11 @@ def degree_product_check(f: CentralFunction, xs, ys):
     d = f.dim
     if len(xs) != d or len(ys) != d:
         raise ValueError(f"need two tuples of exactly dim={d} elements")
-    if d > ORACLE_CAP:
-        raise CapExceededError(
-            f"dimension {d} exceeds the permutation cap of {ORACLE_CAP}")
+    table = _signed_perms(d)
     ev = _FormEvaluator(f)
     lhs = f.ring.cell(ev.form(xs) * ev.form(ys))
     rhs = f.ring.zero()
-    for perm in permutations(range(d)):
+    for perm, _, _ in table:
         mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
         rhs = rhs + ev.form(mixed)
     rhs = f.ring.cell(rhs)

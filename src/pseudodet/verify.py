@@ -15,14 +15,12 @@ ordinary check holds and every negative control misbehaves as expected.
 from __future__ import annotations
 
 import time
-from itertools import permutations
 
 from .elements import LetterHom, Matrix, Word
-from .errors import (BudgetExceededError, CapExceededError, ConfigError,
-                     NotInvertibleError)
+from .errors import BudgetExceededError, ConfigError, NotInvertibleError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .pseudochar import (ORACLE_CAP, REC_CAP, CentralFunction, CharPoly,
-                         _cycles, char_poly, char_poly_interpolated,
+                         _signed_perms, char_poly, char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -92,37 +90,15 @@ def random_word(rng: SplitMix64, letters, max_len: int) -> Word:
 # ---------------------------------------------------------------------------
 # independent determinant oracles
 
-#: Largest matrix size the Leibniz oracles accept (6! = 720 terms).
-_LEIBNIZ_CAP = 6
-#: size n -> every permutation of range(n), in lexicographic order, paired
-#: with its sign; filled on first use of each size.
-_SIGNED_PERMS: dict = {}
-
-
-def _signed_perms(n: int) -> tuple:
-    """The cached ``(perm, sign)`` table of size ``n``.  The cap is checked
-    first, so no table larger than 6! entries is ever built."""
-    if n > _LEIBNIZ_CAP:
-        raise CapExceededError(
-            f"Leibniz oracle capped at size {_LEIBNIZ_CAP}, got {n}")
-    table = _SIGNED_PERMS.get(n)
-    if table is None:
-        # the sign is (-1)^(n - number of cycles)
-        table = _SIGNED_PERMS[n] = tuple(
-            (perm, -1 if (n - len(_cycles(perm))) % 2 else 1)
-            for perm in permutations(range(n)))
-    return table
-
-
 def leibniz_det(matrix: Matrix):
-    """Determinant by the Leibniz sum over permutations (size <= 6).
+    """Determinant by the Leibniz sum over S_n (n <= ORACLE_CAP).
 
     This is the independent oracle for pseudocharacter determinants: it
     never touches the recursive forms, only scalar arithmetic.
     """
     n, ring, rows = matrix.n, matrix.ring, matrix.rows
     acc = None
-    for perm, sign in _signed_perms(n):
+    for perm, sign, _ in _signed_perms(n):
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
@@ -145,7 +121,7 @@ def char_poly_leibniz(matrix: Matrix) -> tuple:
     ring, rows = matrix.ring, matrix.rows
     neg = [[-a for a in row] for row in rows]
     acc = [0] * (n + 1)
-    for perm, sign in table:
+    for perm, sign, _ in table:
         scale, fixed = sign, []
         for i, j in enumerate(perm):
             if i == j:
@@ -186,6 +162,11 @@ class SuiteConfig(FrozenValue):
     def __new__(cls, suite, ring="rational", dim=2, trials=50, seed=0,
                 bound=5, budget=DEFAULT_BUDGET):
         cfg = cls._make(suite, ring, dim, trials, seed, bound, budget)
+        for name, value in cfg.fields().items():
+            kind = str if name in ("suite", "ring") else int
+            if type(value) is not kind:  # so a bool is no int here
+                raise ConfigError(f"{name} must be of type {kind.__name__}, "
+                                  f"got {value!r}")
         if cfg.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {cfg.suite!r}; "
                               f"choose from {', '.join(SUITE_NAMES)}")
@@ -553,18 +534,18 @@ def _suite_pseudochar_axioms(cfg: SuiteConfig):
 
 
 _DRAWN = (32, "each trial draws dim x dim matrices")
-_LEIBNIZ = (_LEIBNIZ_CAP,
-            f"the Leibniz oracle is capped at size {_LEIBNIZ_CAP}")
+_PERMS = (ORACLE_CAP, "its oracle sums dim! terms, under the permutation "
+          f"cap of {ORACLE_CAP}")
 #: suite -> (body, (largest dim, why), whether it needs the pseudocharacter
 #: hypothesis and hence an invertible dim! in the scalar ring)
 _SUITES = {
     "assoc": (_suite_assoc, _DRAWN, False),
     "functoriality": (_suite_functoriality, _DRAWN, False),
     "product-formula": (_suite_product_formula, _DRAWN, False),
-    "degree-d": (_suite_degree_d, (ORACLE_CAP, "it sums over dim! "
-                                   "permutations"), True),
-    "det-mult": (_suite_det_mult, _LEIBNIZ, True),
-    "charpoly": (_suite_charpoly, _LEIBNIZ, True),
+    "degree-d": (_suite_degree_d, (6, "each trial evaluates dim! forms of "
+                                   "dim arguments"), True),
+    "det-mult": (_suite_det_mult, _PERMS, True),
+    "charpoly": (_suite_charpoly, _PERMS, True),
     "taylor-equiv": (_suite_taylor_equiv, _DRAWN, False),
     "pseudochar-axioms": (_suite_pseudochar_axioms, (
         REC_CAP - 1, "it takes forms of dim + 1 arguments, under the "

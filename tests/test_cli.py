@@ -416,6 +416,34 @@ class TestCheck:
         got = hashlib.sha256(stripped_json(out).encode()).hexdigest()
         assert got == digest
 
+    @pytest.mark.parametrize("suite,ring,digest", [
+        ("det-mult", "mod:11", "ccae2c7a254f9104e55dd6d3fe84c6b9"
+                               "2bcde1dc816a1130b586a209de6f551c"),
+        ("charpoly", "mod:13", "d897f1da5f74d2efc009401b08575eac"
+                               "5d67b6e4e13d6df7d51728b61e962d89"),
+    ])
+    def test_dim_seven_report_digest(self, suite, ring, digest, tmp_path,
+                                     capsys):
+        """Pinned reports at d = 7 over the primes 7 < p <= 14, where 7! is
+        invertible and 14! is not: the cells that separate d! from (2d)!."""
+        out = tmp_path / "report.json"
+        assert main(["check", suite, "--ring", ring, "--dim", "7",
+                     "--trials", "5", "--quiet", "--json", str(out)]) == 0
+        got = hashlib.sha256(stripped_json(out).encode()).hexdigest()
+        assert got == digest
+
+    @pytest.mark.parametrize("suite,dim,cap", [
+        ("det-mult", 8, "permutation cap of 7"),
+        ("degree-d", 7, "cap of 6 for degree-d"),
+        ("all", 7, "cap of 6 for degree-d"),
+    ])
+    def test_permutation_caps_are_exit_two(self, suite, dim, cap, capsys):
+        """Each cap is named in one line before any suite prints."""
+        assert main(["check", suite, "--dim", str(dim)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, cap)
+        assert captured.out == ""
+
     def test_largest_bound_runs(self, capsys):
         assert main(["check", "det-mult", "--bound", str(2**63 - 1),
                      "--trials", "2", "--quiet"]) == 0

@@ -1,5 +1,6 @@
 """Source hygiene: every name a src module imports is used in that module,
-and every private module-level name is used somewhere in src.
+every private module-level name is used somewhere in src, and signed
+permutations come from one table.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports, and so is ``from __future__ import annotations``."""
@@ -94,3 +95,56 @@ def test_a_dead_private_name_is_found():
               "def g():\n    return _B\n")
     assert dead_private_names([source]) == [(0, 4, "_f")]
     assert dead_private_names([source, "from m import _f\n"]) == []
+
+
+#: (module, function) of each use of ``permutations`` and ``_cycles`` that
+#: src may make: the one signed-permutation table, and the partial
+#: bijections of a multiset product, which carry no sign
+PERMUTATION_USES = {("pseudochar", "_signed_perms", "permutations"),
+                    ("pseudochar", "_signed_perms", "_cycles"),
+                    ("multisets", "_generate_plans", "permutations")}
+
+
+def permutation_uses(source: str) -> set:
+    """``(function, name)`` for each read of ``permutations`` or
+    ``_cycles``, as a name or an attribute, with the innermost ``def``
+    around it (None at module level)."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx,
+                                                          ast.Load):
+                name = child.id
+            else:
+                name = getattr(child, "attr", None)
+            if name in ("permutations", "_cycles"):
+                found.add((func, name))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_permutation_table():
+    """Signs and cycles of permutations are computed only in
+    ``pseudochar._signed_perms``, so every permutation sum reads its
+    table, under its cap."""
+    uses = {(p.stem, func, name) for p in MODULES
+            for func, name in permutation_uses(p.read_text(encoding="utf-8"))}
+    assert uses <= PERMUTATION_USES
+
+
+def test_a_second_permutation_walk_is_found():
+    source = ("import itertools\nfrom itertools import permutations\n"
+              "def _cycles(p):\n    return [p]\n"
+              "def table(n):\n"
+              "    return [_cycles(p) for p in permutations(range(n))]\n"
+              "def other(n):\n    return itertools.permutations(range(n))\n"
+              "ALL = list(map(_cycles, [()]))\n")
+    assert permutation_uses(source) == {
+        ("table", "_cycles"), ("table", "permutations"),
+        ("other", "permutations"), (None, "_cycles")}

@@ -367,6 +367,9 @@ class TestRendering:
         ms = Multiset([word("x2*y1"), word("x1")])
         assert ms.render() == "{x1,x2*y1}"
 
+    def test_repr(self):
+        assert repr(FormalSum.unit()) == "FormalSum(1*{})"
+
 
 def reference_product(x, y, coeff=1):
     """``coeff`` times the sum of ``product_along`` over

@@ -633,8 +633,8 @@ class TestDegreeProduct:
         """A declared dimension of 8 sums over 8! permutations: refused."""
         f = matrix_trace(QQ, 2, 8)
         xs = (Matrix.identity(QQ, 2),) * 8
-        with pytest.raises(CapExceededError, match="^dimension 8 exceeds "
-                           "the permutation cap of 7$"):
+        with pytest.raises(CapExceededError, match="^size 8 exceeds the "
+                           "permutation cap of 7$"):
             degree_product_check(f, xs, xs)
 
 

@@ -124,6 +124,25 @@ class TestErrors:
         with pytest.raises(TypeError):
             QQ.cell(Poly.variable("u"))
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x + "a", lambda x: x - "a", lambda x: "a" - x,
+        lambda x: x * "a", lambda x: x < "a", lambda x: x + True],
+        ids=["add", "sub", "rsub", "mul", "lt", "add-bool"])
+    def test_poly_with_a_non_scalar_operand(self, op):
+        # a str or a bool is no rational scalar: every operator declines
+        with pytest.raises(TypeError):
+            op(Poly.variable("u"))
+
+    def test_poly_compares_and_subtracts_from_scalars_only(self):
+        u = Poly.variable("u")
+        assert (u == "a") is False
+        assert 1 - u == Poly.constant(1) + (-u)
+
+    def test_base_ring_has_no_cell(self):
+        # Ring is the protocol; each backend supplies its own cell
+        with pytest.raises(NotImplementedError):
+            Ring.cell(QQ, 1)
+
     def test_bad_ring_spec(self):
         with pytest.raises(ValueError):
             ring_from_spec("mod:x")

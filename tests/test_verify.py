@@ -6,13 +6,14 @@ from itertools import permutations
 import pytest
 
 from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
-                       SuiteConfig, char_poly_leibniz, default_all_configs,
-                       leibniz_det, random_matrix, random_word, run_suite)
+                       SuiteConfig, char_poly, char_poly_leibniz,
+                       default_all_configs, determinant, leibniz_det,
+                       matrix_trace, random_matrix, random_word, run_suite)
 from pseudodet.errors import CapExceededError
+from pseudodet.pseudochar import _PERM_TABLES, _signed_perms
 from pseudodet.rings import ring_from_spec
-from pseudodet.verify import (_SIGNED_PERMS, SUITE_NAMES, CheckRecord,
-                              SplitMix64, SuiteReport, _signed_perms,
-                              substream)
+from pseudodet.verify import (SUITE_NAMES, CheckRecord, SplitMix64,
+                              SuiteReport, substream)
 
 
 class TestPrng:
@@ -153,8 +154,10 @@ class TestLeibnizDet:
             assert leibniz_det(m) == ring.cell(leibniz_det(lifted))
 
     def test_size_cap(self):
-        with pytest.raises(CapExceededError):
-            leibniz_det(Matrix.identity(QQ, 7))
+        with pytest.raises(CapExceededError, match="^size 8 exceeds the "
+                           "permutation cap of 7$"):
+            leibniz_det(Matrix.identity(QQ, 8))
+        assert 8 not in _PERM_TABLES
 
     def test_independent_of_form_recursion(self, monkeypatch):
         # the oracle must not route through the recursive forms
@@ -165,15 +168,40 @@ class TestLeibnizDet:
 
 class TestSignedPerms:
     def test_signs_are_inversion_parity(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             table = _signed_perms(n)
-            assert [perm for perm, _ in table] == \
+            assert [perm for perm, _, _ in table] == \
                 list(permutations(range(n)))
-            for perm, sign in table:
+            for perm, sign, _ in table:
                 inversions = sum(perm[i] > perm[j] for i in range(n)
                                  for j in range(i + 1, n))
                 assert sign == (-1) ** inversions
             assert _signed_perms(n) is table
+
+    def test_cycles_follow_the_perm(self):
+        """Each row's cycles are tuples that partition range(n), each
+        starting at its smallest element and following i -> perm[i]."""
+        for n in range(1, 8):
+            for perm, _, cycles in _signed_perms(n):
+                assert type(cycles) is tuple
+                assert sorted(i for c in cycles for i in c) == list(range(n))
+                for c in cycles:
+                    assert type(c) is tuple and c[0] == min(c)
+                    assert [perm[i] for i in c] == list(c[1:] + c[:1])
+
+
+class TestSizeSeven:
+    """Size 7 is the largest the oracles take: there they agree with the
+    form recursion over Q, mod 11 (7! invertible, 14! not) and mod 101."""
+
+    @pytest.mark.parametrize("spec", ["rational", "mod:11", "mod:101"])
+    def test_oracles_match_the_forms(self, spec):
+        ring = ring_from_spec(spec)
+        f = matrix_trace(ring, 7)
+        for t in range(3):
+            x = random_matrix(substream(77, t), ring, 7, 5)
+            assert leibniz_det(x) == determinant(f, x)
+            assert char_poly_leibniz(x) == char_poly(f, x).coefficients
 
 
 def symbolic_char_poly(matrix):
@@ -234,9 +262,9 @@ class TestCharPolyLeibniz:
         assert got == (t, -t - 1, 1)
 
     def test_size_cap_builds_no_table(self):
-        with pytest.raises(CapExceededError):
-            char_poly_leibniz(Matrix.identity(QQ, 7))
-        assert 7 not in _SIGNED_PERMS
+        with pytest.raises(CapExceededError, match="permutation cap of 7"):
+            char_poly_leibniz(Matrix.identity(QQ, 8))
+        assert 8 not in _PERM_TABLES
 
     def test_independent_of_form_recursion(self, monkeypatch):
         forbid_form_recursion(monkeypatch)
@@ -390,28 +418,43 @@ class TestConfigValidation:
             SuiteConfig("assoc", ring="float")
 
     def test_leibniz_size_cap(self):
-        with pytest.raises(ConfigError):
-            SuiteConfig("det-mult", ring="rational", dim=7)
+        with pytest.raises(ConfigError, match="permutation cap of 7"):
+            SuiteConfig("det-mult", ring="rational", dim=8)
+        SuiteConfig("det-mult", ring="rational", dim=7)
 
     def test_caps_come_before_the_factorial(self):
         """A huge dim is refused by its cap before dim! is computed, so
         mod 101 the cap is named, not 100000! being 0 mod 101."""
-        with pytest.raises(ConfigError, match="Leibniz oracle is capped"):
+        with pytest.raises(ConfigError, match="permutation cap of 7"):
             SuiteConfig("det-mult", ring="mod:101", dim=100_000)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("dim", {"dim": 2.5}), ("trials", {"trials": 2.0}),
+        ("seed", {"seed": "x"}), ("budget", {"budget": 1.5}),
+        ("trials", {"trials": True}), ("ring", {"ring": 7})])
+    def test_field_of_the_wrong_type(self, field, kwargs):
+        """Each field has one type, int or str, a bool being no int; the
+        refusal names the field and the value."""
+        (value,) = kwargs.values()
+        with pytest.raises(ConfigError, match=f"^{field} must be of type "
+                           f"(int|str), got {value!r}$"):
+            SuiteConfig("assoc", **kwargs)
+
     @pytest.mark.parametrize("suite,dim,cap,largest", [
-        ("det-mult", 9, "Leibniz oracle is capped at size 6", 6),
-        ("degree-d", 8, "cap of 7", 7),
+        ("det-mult", 8, "permutation cap of 7", 7),
+        ("charpoly", 8, "permutation cap of 7", 7),
+        ("degree-d", 7, "cap of 6", 6),
         ("pseudochar-axioms", 8, "recursion cap of 8", 7)] + [
         (suite, 33, "^dim 33 is past the cap of 32 for " + suite, 32)
         for suite in ("assoc", "functoriality", "product-formula",
                       "taylor-equiv")])
     def test_recursion_cap(self, suite, dim, cap, largest):
-        """det takes forms of dim arguments, under the recursion cap of 8,
-        but its Leibniz oracle stops at size 6 first; the vanishing axiom
-        takes dim + 1 arguments; degree-d sums over dim! permutations,
-        under the cap of 7; the other suites draw dim x dim matrices in
-        each trial, up to 32.  The largest dim under the cap passes."""
+        """det and the char poly take forms of dim arguments, under the
+        recursion cap of 8, but their oracles sum over dim! permutations,
+        under the permutation cap of 7; the vanishing axiom takes dim + 1
+        arguments; degree-d evaluates dim! forms of dim arguments in each
+        trial, so it stops at 6; the other suites draw dim x dim matrices
+        in each trial, up to 32.  The largest dim under the cap builds."""
         with pytest.raises(ConfigError, match=cap):
             SuiteConfig(suite, dim=dim)
         SuiteConfig(suite, dim=largest)
