@@ -16,10 +16,9 @@ from .elements import (GroupAlgebraElement, GroupTable, LetterHom, Matrix,
 from .errors import (BudgetExceededError, CapExceededError, ConfigError,
                      GroupTableError, MismatchError, NotInvertibleError,
                      PseudodetError, UnitlessError, UnknownLetterError)
-from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, PartialBijection,
-                        formal_product, multiset_product,
-                        partial_bijection_count, partial_bijections,
-                        product_along)
+from .multisets import (DEFAULT_BUDGET, FormalSum, Multiset, formal_product,
+                        multiset_product, partial_bijection_count,
+                        partial_bijections, product_along)
 from .pseudochar import (CentralFunction, CharPoly, char_poly,
                          char_poly_interpolated, check_pseudocharacter,
                          cycle_sum_form, degree_product_check, determinant,

@@ -43,14 +43,13 @@ class Matrix(FrozenValue):
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         one, zero = ring.cell(1), ring.cell(0)
-        return cls._make(ring, n, tuple(
-            tuple(one if i == j else zero for j in range(n))
-            for i in range(n)))
+        return cls(ring, tuple(tuple(one if i == j else zero
+                                     for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "Matrix":
         z = ring.cell(0)
-        return cls._make(ring, n, tuple((z,) * n for _ in range(n)))
+        return cls(ring, tuple((z,) * n for _ in range(n)))
 
     def _check_peer(self, other):
         if (other.__class__ is not Matrix or other.ring is not self.ring
@@ -263,9 +262,10 @@ class GroupAlgebraElement(FrozenValue):
 
     @classmethod
     def basis(cls, group, ring, index: int) -> "GroupAlgebraElement":
-        coeffs = [ring.cell(0)] * group.order
-        coeffs[index] = ring.cell(1)
-        return cls._make(group, ring, tuple(coeffs))
+        if not 0 <= index < group.order:
+            raise ValueError(f"basis index {index} is not in "
+                             f"0..{group.order - 1}")
+        return cls(group, ring, (int(i == index) for i in range(group.order)))
 
     def _check_peer(self, other):
         if not isinstance(other, GroupAlgebraElement):

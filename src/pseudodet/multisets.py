@@ -79,33 +79,6 @@ class Multiset(FrozenValue):
         return f"Multiset({self.render()})"
 
 
-class PartialBijection(FrozenValue):
-    """A triple (I, J, alpha): I in [1..n], J in [1..m], alpha: I -> J.
-
-    ``pairs`` holds (i, alpha(i)) sorted by i; all i are distinct and all
-    alpha(i) are distinct.
-    """
-
-    __slots__ = _fields = ("n", "m", "pairs")
-
-    def __new__(cls, n, m, pairs):
-        if n < 0 or m < 0:
-            raise ValueError("n and m must be >= 0")
-        seen_i, seen_j = set(), set()
-        prev_i = 0
-        for i, j in pairs:
-            if not (1 <= i <= n and 1 <= j <= m):
-                raise ValueError(f"pair ({i},{j}) out of range")
-            if i in seen_i or j in seen_j:
-                raise ValueError("pairs must define a bijection")
-            if i <= prev_i:
-                raise ValueError("pairs must be sorted by domain index")
-            seen_i.add(i)
-            seen_j.add(j)
-            prev_i = i
-        return cls._make(n, m, pairs)
-
-
 #: Shapes (n, m) with at most this many partial bijections keep their plans
 #: in ``_PLANS``; larger ones are generated afresh on every use, so memory
 #: stays bounded (the (7, 7) plans alone would hold about 20 MB).
@@ -145,40 +118,43 @@ def _generate_plans(n: int, m: int):
 
 def partial_bijections(n: int, m: int) -> tuple:
     """Every partial bijection from [n] to [m], exactly once, in the
-    documented deterministic order."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
+    documented deterministic order, each as its tuple of 1-based
+    ``(i, j)`` pairs sorted by i."""
     nm = n * m
-    return tuple(
-        PartialBijection(n, m, tuple((c // m + 1, c % m + 1)
-                                     for c in plan if c < nm))
-        for plan in _plans(n, m))
+    return tuple(tuple((c // m + 1, c % m + 1) for c in plan if c < nm)
+                 for plan in _plans(n, m))
 
 
 def partial_bijection_count(n: int, m: int) -> int:
     """sum_k C(n,k)*C(m,k)*k!, the number of partial bijections [n]->[m]."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
     return sum(math.comb(n, k) * math.comb(m, k) * math.factorial(k)
                for k in range(min(n, m) + 1))
 
 
-def product_along(x: Multiset, y: Multiset, pb: PartialBijection) -> Multiset:
-    """Merge x and y along one partial bijection.
+def product_along(x: Multiset, y: Multiset, pairs) -> Multiset:
+    """Merge x and y along one partial bijection, given as its ``(i, j)``
+    pairs in any order.
 
-    Index i of the bijection refers to the i-th entry of the canonical
-    sorted order of x (1-based), likewise j for y.  Matched entries are
-    multiplied (x-entry times y-entry), unmatched entries pass through; the
-    result has cardinality |x| + |y| - #matched.
+    Index i refers to the i-th entry of the canonical sorted order of x
+    (1-based), likewise j for y; each i must lie in 1..|x| and each j in
+    1..|y|, none used twice, else ``ValueError``.  Matched entries are
+    multiplied (x-entry times y-entry), unmatched entries pass through;
+    the result has cardinality |x| + |y| - #matched.
     """
     xs, ys = x.entries, y.entries
-    if pb.n != len(xs) or pb.m != len(ys):
-        raise ValueError(
-            f"bijection shape ({pb.n},{pb.m}) does not match multisets "
-            f"({len(xs)},{len(ys)})")
-    used_i = {i for i, _ in pb.pairs}
-    used_j = {j for _, j in pb.pairs}
-    out = [xs[i - 1] * ys[j - 1] for i, j in pb.pairs]
-    out.extend(xs[i] for i in range(len(xs)) if i + 1 not in used_i)
-    out.extend(ys[j] for j in range(len(ys)) if j + 1 not in used_j)
+    free_i, free_j = set(range(1, len(xs) + 1)), set(range(1, len(ys) + 1))
+    out = []
+    for i, j in pairs:
+        if i not in free_i or j not in free_j:
+            raise ValueError(f"pair ({i},{j}) is out of range or repeats an "
+                             f"index of a partial bijection")
+        free_i.remove(i)
+        free_j.remove(j)
+        out.append(xs[i - 1] * ys[j - 1])
+    out.extend(xs[i - 1] for i in free_i)
+    out.extend(ys[j - 1] for j in free_j)
     out.sort()
     return Multiset._make(tuple(out))
 
@@ -345,6 +321,8 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, k: int) -> "FormalSum":
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"scale factor {k!r} is not an integer")
         return FormalSum._make(
             self._elems, {key: k * c for key, c in self._terms.items()})
 

@@ -54,7 +54,7 @@ class CentralFunction(FrozenValue):
     def __new__(cls, evaluate, dim: int, ring: Ring, *, domain: str = "R",
                 name: str = "f", pseudocharacter: bool = False,
                 _matrix=None):
-        if dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError("dimension must be a positive integer")
         if pseudocharacter:
             ring.inverse_of_factorial(dim)
@@ -330,20 +330,16 @@ def cycle_sum_form(f: CentralFunction, args):
 # ---------------------------------------------------------------------------
 # checks
 
-class CheckEntry(FrozenValue):
-    __slots__ = _fields = ("name", "detail", "ok")
-
-
 class CheckReport(FrozenValue):
     __slots__ = _fields = ("entries",)
 
     @property
     def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return all(ok for _, _, ok in self.entries)
 
     def render(self) -> str:
-        lines = [f"[{'ok' if e.ok else 'FAIL'}] {e.name}: {e.detail}"
-                 for e in self.entries]
+        lines = [f"[{'ok' if ok else 'FAIL'}] {name}: {detail}"
+                 for name, detail, ok in self.entries]
         return "\n".join(lines)
 
 
@@ -354,8 +350,8 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
     sample pairs, homogeneity on each sample, and the vanishing of
     form_{dim+1} on sampled (dim+1)-tuples.  The samples are elements of
     a unital algebra with ``+``, as a pseudocharacter's domain is: a word
-    raises ``UnitlessError``.  Failures are report entries, never
-    exceptions.
+    raises ``UnitlessError``.  Each report entry is a ``(name, detail,
+    ok)`` tuple; failures are entries, never exceptions.
     """
     samples = list(samples)
     if not samples:
@@ -364,37 +360,36 @@ def check_pseudocharacter(f: CentralFunction, samples) -> CheckReport:
     entries = []
 
     value = f(samples[0].one())
-    entries.append(CheckEntry(
+    entries.append((
         "unit-value", f"f(1) = {ring.render(value)}, declared dim {d}",
         value == ring.cell(d)))
 
     try:
         inv = ring.inverse_of_factorial(d)
-        entries.append(CheckEntry(
+        entries.append((
             "factorial-invertible", f"({d}!)^-1 = {ring.render(inv)}", True))
     except NotInvertibleError as exc:
-        entries.append(CheckEntry("factorial-invertible", str(exc), False))
+        entries.append(("factorial-invertible", str(exc), False))
 
     pairs = [(samples[i], samples[(i + 1) % len(samples)])
              for i in range(len(samples))]
     central_ok = all(f(x * y) == f(y * x) for x, y in pairs)
-    entries.append(CheckEntry(
+    entries.append((
         "central", f"f(xy) = f(yx) on {len(pairs)} sample pairs", central_ok))
 
     additive_ok = all(f(x + y) == ring.cell(f(x) + f(y)) for x, y in pairs)
-    entries.append(CheckEntry(
+    entries.append((
         "additive", f"f(x+y) = f(x)+f(y) on {len(pairs)} sample pairs",
         additive_ok))
     homog_ok = all(f(x.scale(2)) == ring.cell(2 * f(x)) for x in samples)
-    entries.append(CheckEntry(
-        "homogeneous", "f(2x) = 2 f(x) on all samples", homog_ok))
+    entries.append(("homogeneous", "f(2x) = 2 f(x) on all samples", homog_ok))
 
     zero = ring.zero()
     tuples = [tuple(samples[(i + k) % len(samples)] for k in range(d + 1))
               for i in range(len(samples))]
     tuples.append((samples[0],) * (d + 1))
     vanish_ok = all(recursive_form(f, t) == zero for t in tuples)
-    entries.append(CheckEntry(
+    entries.append((
         "vanishing", f"form_{d + 1} = 0 on {len(tuples)} sampled tuples",
         vanish_ok))
 

@@ -520,9 +520,9 @@ def _suite_pseudochar_axioms(cfg: SuiteConfig):
     samples = _draw(rng, cfg, count)
     report = check_pseudocharacter(f, samples)
     inputs = _renders(*samples)
-    for e in report.entries:
-        yield CheckRecord(f"axiom-{e.name}", 0, inputs, e.detail,
-                          "expected to hold", e.ok, False)
+    for name, detail, ok in report.entries:
+        yield CheckRecord(f"axiom-{name}", 0, inputs, detail,
+                          "expected to hold", ok, False)
 
     # negative control: declared dimension 3 for the 2x2 trace
     g = matrix_trace(QQ, 2, 3, pseudocharacter=False)

@@ -47,6 +47,13 @@ class TestElementMul:
                            match="^matrix must be square and nonempty$"):
             Matrix(QQ, [[1, 2]])
 
+    @pytest.mark.parametrize("build,n", [
+        (Matrix.identity, 0), (Matrix.zero, -2)], ids=["identity", "zero"])
+    def test_class_builders_refuse_an_empty_shape(self, build, n):
+        with pytest.raises(ValueError,
+                           match="^matrix must be square and nonempty$"):
+            build(QQ, n)
+
 
 class TestMatrixEqualityAcrossRingObjects:
     """Rings are one object per modulus: ``ModRing(7)`` built twice is one
@@ -321,6 +328,12 @@ class TestGroupAlgebra:
         one = GroupAlgebraElement.basis(s3, QQ, 0)
         assert one * a == a and a * one == a
         assert a.one() == one
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_basis_index_must_name_a_group_element(self, index):
+        with pytest.raises(ValueError,
+                           match=f"^basis index {index} is not in 0..2$"):
+            GroupAlgebraElement.basis(GroupTable.cyclic(3), QQ, index)
 
     def test_coefficient_count_is_the_group_order(self):
         with pytest.raises(ValueError,

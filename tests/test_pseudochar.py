@@ -884,7 +884,7 @@ class TestPseudocharacterReport:
         f = matrix_trace(QQ, 2, 3, pseudocharacter=False)
         report = check_pseudocharacter(f, rand_mats(560, 4))
         assert not report.passed
-        names = {e.name for e in report.entries if not e.ok}
+        names = {name for name, _, ok in report.entries if not ok}
         assert "unit-value" in names
 
     def test_factorial_not_invertible_is_a_failing_entry(self):
@@ -895,9 +895,9 @@ class TestPseudocharacterReport:
         report = check_pseudocharacter(f, rand_mats(565, 3, ring=ring,
                                                     size=3))
         (entry,) = [e for e in report.entries
-                    if e.name == "factorial-invertible"]
-        assert entry.ok is False
-        assert entry.detail == "3! not invertible mod 3"
+                    if e[0] == "factorial-invertible"]
+        assert entry == ("factorial-invertible", "3! not invertible mod 3",
+                         False)
         assert not report.passed
         assert ("[FAIL] factorial-invertible: 3! not invertible mod 3"
                 in report.render().splitlines())
@@ -912,11 +912,18 @@ class TestPseudocharacterReport:
                            match="^dimension must be a positive integer$"):
             CentralFunction(lambda m: m.trace(), 0, QQ)
 
+    @pytest.mark.parametrize("dim", [2.5, True], ids=["float", "bool"])
+    def test_dimension_must_be_an_int(self, dim):
+        with pytest.raises(ValueError,
+                           match="^dimension must be a positive integer$"):
+            CentralFunction(lambda m: m.trace(), dim, QQ)
+
     def test_noncentral_function_detected(self):
         g = CentralFunction(lambda m: m.entry(0, 1), 2, QQ, name="corner")
         report = check_pseudocharacter(g, rand_mats(570, 5))
         assert not report.passed
-        assert "central" in {e.name for e in report.entries if not e.ok}
+        assert "central" in {name for name, _, ok in report.entries
+                             if not ok}
 
     def test_regular_trace_on_cyclic_groups(self):
         for n in (2, 3):

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from pseudodet import (CharPoly, GroupAlgebraElement, GroupTable, LetterHom,
-                       Matrix, ModRing, Multiset, Poly, QPOLY, QQ, RationalRing,
-                       SuiteConfig, Word, check_pseudocharacter,
-                       matrix_trace, ring_from_spec, run_suite, word)
-from pseudodet.multisets import PartialBijection
+from pseudodet import (CentralFunction, CharPoly, GroupAlgebraElement,
+                       GroupTable, LetterHom, Matrix, ModRing, Multiset, Poly,
+                       QPOLY, QQ, RationalRing, SuiteConfig, Word,
+                       check_pseudocharacter, matrix_trace, ring_from_spec,
+                       run_suite, word)
 from pseudodet.rings import FrozenValue, Ring
 from pseudodet.verify import CheckRecord
 
@@ -31,7 +31,6 @@ def samples():
         ("CheckRecord", CheckRecord("c", 0, ("x",), "1", "1", True, False),
          "ok"),
         ("CharPoly", CharPoly(QQ, (1, 0, 1)), "coefficients"),
-        ("PartialBijection", PartialBijection(2, 2, ((1, 2),)), "pairs"),
         ("ModRing", ModRing(7), "modulus"),
         ("CentralFunction", matrix_trace(QQ, 2), "ring"),
         ("LetterHom", LetterHom({"a": word("b")}), "mapping"),
@@ -144,8 +143,8 @@ class TestFrozenRecord:
         assert a != ("c", 0, (), "1", "1", True, False)
 
     def test_validation_runs_on_construction(self):
-        with pytest.raises(ValueError, match="sorted"):
-            PartialBijection(2, 2, ((2, 1), (1, 2)))
+        with pytest.raises(ValueError, match="positive integer"):
+            CentralFunction(len, 0, QQ)
 
 
 def test_poly_refuses_exponents_below_one():
@@ -196,12 +195,12 @@ class TestEqualityRule:
         """A built value of every class hashes, a ``run_suite`` report
         included."""
         classes = set(_value_classes()) - {Ring}  # Ring: no backend
-        assert {"ModRing", "Matrix", "PartialBijection",
+        assert {"ModRing", "Matrix", "CheckReport",
                 "CharPoly", "SuiteReport"} <= {c.__name__ for c in classes}
         report = check_pseudocharacter(matrix_trace(QQ, 1),
                                        [Matrix(QQ, [[2]])])
         built = [value for _, value, _ in samples()] + [
-            QQ, QPOLY, report, report.entries[0],
+            QQ, QPOLY, report,
             run_suite(SuiteConfig("det-mult", trials=1))]
         assert {type(value) for value in built} == classes
         for value in built:
