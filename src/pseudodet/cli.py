@@ -263,9 +263,24 @@ def _say(line: str) -> None:
 
 
 def _write_json(fh, document: dict) -> None:
+    """Write ``document`` as compact JSON with sorted keys, each item of
+    a top-level list (a ``check`` report's suites) on its own line.  The
+    items are encoded one at a time, so the whole encoded report is never
+    held in memory."""
     with fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("{")
+        for n, key in enumerate(sorted(document)):
+            value = document[key]
+            fh.write((", " if n else "") + json.dumps(key) + ": ")
+            if isinstance(value, list):
+                fh.write("[")
+                for i, item in enumerate(value):
+                    fh.write((",\n" if i else "\n")
+                             + json.dumps(item, sort_keys=True))
+                fh.write("\n]")
+            else:
+                fh.write(json.dumps(value, sort_keys=True))
+        fh.write("}\n")
 
 
 def main(argv=None) -> int:

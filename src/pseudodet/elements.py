@@ -262,7 +262,7 @@ class GroupAlgebraElement(FrozenValue):
 
     @classmethod
     def basis(cls, group, ring, index: int) -> "GroupAlgebraElement":
-        if not 0 <= index < group.order:
+        if type(index) is not int or not 0 <= index < group.order:
             raise ValueError(f"basis index {index} is not in "
                              f"0..{group.order - 1}")
         return cls(group, ring, (int(i == index) for i in range(group.order)))

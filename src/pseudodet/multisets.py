@@ -138,16 +138,17 @@ def product_along(x: Multiset, y: Multiset, pairs) -> Multiset:
     pairs in any order.
 
     Index i refers to the i-th entry of the canonical sorted order of x
-    (1-based), likewise j for y; each i must lie in 1..|x| and each j in
-    1..|y|, none used twice, else ``ValueError``.  Matched entries are
-    multiplied (x-entry times y-entry), unmatched entries pass through;
-    the result has cardinality |x| + |y| - #matched.
+    (1-based), likewise j for y; each i must be a plain ``int`` (not a
+    bool or a float) in 1..|x| and each j one in 1..|y|, none used twice,
+    else ``ValueError``.  Matched entries are multiplied (x-entry times
+    y-entry), unmatched entries pass through; the result has cardinality
+    |x| + |y| - #matched.
     """
     xs, ys = x.entries, y.entries
     free_i, free_j = set(range(1, len(xs) + 1)), set(range(1, len(ys) + 1))
     out = []
     for i, j in pairs:
-        if i not in free_i or j not in free_j:
+        if not (type(i) is type(j) is int and i in free_i and j in free_j):
             raise ValueError(f"pair ({i},{j}) is out of range or repeats an "
                              f"index of a partial bijection")
         free_i.remove(i)
@@ -372,13 +373,19 @@ class FormalSum:
     def render_length_exceeds(self, limit: int) -> bool:
         """Whether ``len(self.render()) > limit``, without building the
         whole string: term lengths are summed until the total passes
-        ``limit``.  Term order does not change the length."""
-        # each table element's rendered length, and a comma
-        size = [len(e.render()) + 1 for e in self._elems]
+        ``limit``.  Term order does not change the length.  A table
+        element is rendered when a term first reaches it, at most once."""
+        elems = self._elems
+        # by rank: the element's rendered length and a comma, 0 until known
+        size = [0] * len(elems)
         total = -len(" + ") if self._terms else len("0")
         for key, coeff in self._terms.items():
-            total += (len(f" + {coeff}*{{}}") - bool(key)
-                      + sum(map(size.__getitem__, key)))
+            total += len(f" + {coeff}*{{}}") - bool(key)
+            for r in key:
+                n = size[r]
+                if not n:
+                    n = size[r] = len(elems[r].render()) + 1
+                total += n
             if total > limit:
                 return True
         return total > limit

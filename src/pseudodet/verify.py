@@ -51,19 +51,27 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        return self.randints(0, _MASK64, 1)[0]
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi] via modulo reduction of one
-        64-bit draw (the bias is irrelevant here; reproducibility is what
-        matters).  A range of more than 2**64 values raises ValueError:
-        one draw cannot reach all of it."""
+    def randints(self, lo: int, hi: int, count: int) -> list:
+        """``count`` uniform-ish integers in [lo, hi], each the modulo
+        reduction of one 64-bit draw (the bias is irrelevant here;
+        reproducibility is what matters).  A range of more than 2**64
+        values raises ValueError: one draw cannot reach all of it."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         if hi - lo > _MASK64:
             raise ValueError("range of more than 2**64 values")
-        return lo + self.next_u64() % (hi - lo + 1)
+        span, state, out = hi - lo + 1, self._state, []
+        for _ in range(count):
+            state = (state + _GOLDEN) & _MASK64
+            out.append(lo + _mix64(state) % span)
+        self._state = state
+        return out
+
+    def randint(self, lo: int, hi: int) -> int:
+        """One integer of ``randints``."""
+        return self.randints(lo, hi, 1)[0]
 
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]
@@ -76,9 +84,11 @@ def substream(seed: int, index: int) -> SplitMix64:
 
 def random_matrix(rng: SplitMix64, ring: Ring, size: int, bound: int) -> Matrix:
     """Matrix with integer entries drawn uniformly from [-bound, bound],
-    interpreted in ``ring`` (rationals stay integers, residues reduce)."""
-    return Matrix(ring, [[rng.randint(-bound, bound) for _ in range(size)]
-                         for _ in range(size)])
+    interpreted in ``ring`` (rationals stay integers, residues reduce),
+    drawn row by row."""
+    cells = rng.randints(-bound, bound, size * size)
+    return Matrix(ring, [cells[i:i + size]
+                         for i in range(0, size * size, size)])
 
 
 def random_word(rng: SplitMix64, letters, max_len: int) -> Word:
@@ -282,10 +292,14 @@ def _fmt_sum(s: FormalSum, ok: bool) -> str:
 def _sum_record(name: str, trial: int, inputs: tuple, lhs: FormalSum,
                 rhs: FormalSum, negative_control=False,
                 rhs_note="") -> CheckRecord:
-    """A record whose two sides are formal sums."""
+    """A record whose two sides are formal sums.  Equal sides (equal rank
+    dicts over tables equal value for value) render alike, so the lhs
+    text serves both."""
     ok = lhs == rhs
-    return CheckRecord(name, trial, inputs, _fmt_sum(lhs, ok),
-                       _fmt_sum(rhs, ok) + rhs_note, ok, negative_control)
+    text = _fmt_sum(lhs, ok)
+    return CheckRecord(name, trial, inputs, text,
+                       (text if ok else _fmt_sum(rhs, ok)) + rhs_note, ok,
+                       negative_control)
 
 
 def _scalar_record(ring: Ring, name: str, trial: int, inputs: tuple,
@@ -353,7 +367,7 @@ def _suite_assoc(cfg: SuiteConfig):
     else:
         cases = []
         for trial, rng in _trials(cfg):
-            cards = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+            cards = tuple(rng.randints(0, 3, 3))
             cases.append((f"assoc-matrix{cards}", trial,
                           [Multiset(_draw(rng, cfg, c)) for c in cards]))
     for name, trial, xyz in cases:
@@ -455,10 +469,11 @@ def _suite_det_mult(cfg: SuiteConfig):
                          determinant(f, identity), ring.one())
     for trial, rng in _trials(cfg):
         x, y = _draw(rng, cfg, 2)
-        yield _scalar_record(ring, "det-vs-leibniz", trial, _renders(x),
+        inputs = _renders(x, y)
+        yield _scalar_record(ring, "det-vs-leibniz", trial, inputs[:1],
                              determinant(f, x), leibniz_det(x))
-        yield _scalar_record(ring, "det-multiplicative", trial,
-                             _renders(x, y), *multiplicativity_check(f, x, y))
+        yield _scalar_record(ring, "det-multiplicative", trial, inputs,
+                             *multiplicativity_check(f, x, y))
 
     # negative control: trace on M2 declared with dimension 1
     yield _scalar_record(
@@ -471,20 +486,22 @@ def _suite_charpoly(cfg: SuiteConfig):
     ring = f.ring
     for trial, rng in _trials(cfg):
         (x,) = _draw(rng, cfg, 1)
+        inputs = _renders(x)
         cp = char_poly(f, x)
+        cp_text = cp.render()
         oracle = char_poly_leibniz(x)
         yield CheckRecord(
-            "charpoly-vs-leibniz", trial, _renders(x), cp.render(),
+            "charpoly-vs-leibniz", trial, inputs, cp_text,
             " , ".join(ring.render(c) for c in oracle) + " (low to high)",
             cp == CharPoly(ring, oracle), False)
         got = cp.trace()
         expected = f(x)
         yield _scalar_record(ring, "charpoly-trace-roundtrip", trial,
-                             _renders(x), got, expected,
+                             inputs, got, expected,
                              cp.is_monic() and got == expected)
         interp = char_poly_interpolated(f, x)
-        yield CheckRecord("charpoly-vs-interpolation", trial, _renders(x),
-                          cp.render(), interp.render(), cp == interp, False)
+        yield CheckRecord("charpoly-vs-interpolation", trial, inputs,
+                          cp_text, interp.render(), cp == interp, False)
 
     # negative control: wrong declared dimension gives the wrong degree
     cp = char_poly(_WRONG_DIM, _X)

@@ -386,6 +386,35 @@ class TestCheck:
         assert set(suite) == {"suite", "config", "checks", "counts", "pass",
                               "reproductions", "duration_seconds"}
 
+    def test_json_one_suite_per_line(self, tmp_path, capsys, monkeypatch):
+        """The report is compact JSON, keys sorted, each suite on its own
+        line, and parses to the document the indented encoder wrote."""
+        written = []
+        write = cli._write_json
+
+        def spy(fh, document):
+            written.append(document)
+            write(fh, document)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        out = tmp_path / "report.json"
+        assert main(["check", "all", "--ring", "mod:7", "--dim", "1",
+                     "--trials", "2", "--quiet", "--json", str(out)]) == 0
+        (document,) = written
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc == json.loads(json.dumps(document, indent=2,
+                                            sort_keys=True))
+        assert list(doc) == sorted(doc)
+        lines = text.split("\n")
+        assert lines[0].endswith('"suites": [')
+        assert lines[-2].startswith("], ") and lines[-1] == ""
+        suites = lines[1:-2]
+        assert len(suites) == len(doc["suites"]) == 8
+        for i, (line, suite) in enumerate(zip(suites, doc["suites"])):
+            comma = "," if i < len(suites) - 1 else ""
+            assert line == json.dumps(suite, sort_keys=True) + comma
+
     def test_seed_reproducibility_end_to_end(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["check", "det-mult", "--trials", "6", "--seed", "31",

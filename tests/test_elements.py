@@ -335,6 +335,12 @@ class TestGroupAlgebra:
                            match=f"^basis index {index} is not in 0..2$"):
             GroupAlgebraElement.basis(GroupTable.cyclic(3), QQ, index)
 
+    @pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+    def test_basis_index_must_be_an_int(self, index):
+        with pytest.raises(ValueError,
+                           match=f"^basis index {index} is not in 0..2$"):
+            GroupAlgebraElement.basis(GroupTable.cyclic(3), QQ, index)
+
     def test_coefficient_count_is_the_group_order(self):
         with pytest.raises(ValueError,
                            match="^expected 2 coefficients, got 1$"):

@@ -119,6 +119,20 @@ class TestProductAlong:
                            "bijection$"):
             product_along(letters("x", 2), letters("y", 2), pairs)
 
+    @pytest.mark.parametrize("pairs,bad", [
+        (((True, 1),), "(True,1)"),
+        (((1.0, 1),), "(1.0,1)"),
+        (((1, True),), "(1,True)"),
+        (((1, 1.0),), "(1,1.0)"),
+    ], ids=["bool-i", "float-i", "bool-j", "float-j"])
+    def test_refuses_an_index_that_is_no_int(self, pairs, bad):
+        """An index is a plain int: a bool is not taken as 0 or 1, and a
+        float gets the same one-line refusal as any other bad pair."""
+        with pytest.raises(ValueError, match=f"^pair {re.escape(bad)} is "
+                           "out of range or repeats an index of a partial "
+                           "bijection$"):
+            product_along(letters("x", 2), letters("y", 2), pairs)
+
     def test_shape_mismatch(self):
         """A bijection is judged against the multisets passed: a pair of
         the 2 x 1 shape does not fit two singletons."""
@@ -890,6 +904,25 @@ class TestTableWork:
         calls.clear()
         assert not s.render_length_exceeds(len(text))
         assert sorted(calls) == [("a",), ("b", "a")]
+
+    def test_length_check_stops_at_the_limit(self, monkeypatch):
+        """Past the limit, only the elements of the terms read so far are
+        rendered, each once, though neighbouring terms share them."""
+        words = [word(f"w{i}*w{i}") for i in range(40)]
+        s = sum((FormalSum.of(Multiset(words[i:i + 2]), i + 1)
+                 for i in range(39)), FormalSum.zero())
+        calls = []
+        render = Word.render
+
+        def counting_render(w):
+            calls.append(w.letters)
+            return render(w)
+
+        monkeypatch.setattr(Word, "render", counting_render)
+        assert s.render_length_exceeds(100)
+        table, _ = s.ranked_terms()
+        assert len(table) == 40 and 0 < len(calls) < len(table)
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("ring", [QQ, ModRing(7)], ids=["QQ", "mod7"])
     def test_equal_products_compare_without_entry_eq(self, ring,

@@ -9,6 +9,7 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
                        SuiteConfig, char_poly, char_poly_leibniz,
                        default_all_configs, determinant, leibniz_det,
                        matrix_trace, random_matrix, random_word, run_suite)
+from pseudodet import Multiset, verify
 from pseudodet.errors import CapExceededError
 from pseudodet.pseudochar import _PERM_TABLES, _signed_perms
 from pseudodet.rings import ring_from_spec
@@ -54,6 +55,42 @@ class TestPrng:
             rng.randint(0, 2**64)
         with pytest.raises(ValueError):
             rng.randint(-2**63, 2**63)
+
+    @staticmethod
+    def reference_outputs(seed):
+        """The 64-bit outputs of SplitMix64(seed), one at a time: the state
+        advances by the golden gamma, each output is its finalizer."""
+        state = seed % 2**64
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            yield verify._mix64(state)
+
+    @pytest.mark.parametrize("bound", [0, 1, 5, 2**63 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_randints_is_count_randint_calls(self, bound, count):
+        """``randints(lo, hi, k)`` gives the values of k one-at-a-time
+        draws, each the next output reduced modulo the range, and leaves
+        the generator where they leave it."""
+        seed = 4242 + bound
+        rng, outputs = SplitMix64(seed), self.reference_outputs(seed)
+        got = rng.randints(-bound, bound, count)
+        assert got == [-bound + next(outputs) % (2 * bound + 1)
+                       for _ in range(count)]
+        assert rng.next_u64() == next(outputs)
+
+    def test_randint_is_one_of_randints(self):
+        a, b = SplitMix64(99), SplitMix64(99)
+        assert [a.randint(-5, 5) for _ in range(20)] == b.randints(-5, 5, 20)
+        assert a.next_u64() == b.next_u64()
+
+    def test_randints_refuses_a_range_wider_than_one_draw(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match="more than 2\\*\\*64 values"):
+            rng.randints(-2**63, 2**63, 4)
+        with pytest.raises(ValueError, match="^empty range"):
+            rng.randints(3, 2, 4)
+        # a refused call draws nothing
+        assert rng.next_u64() == SplitMix64(1).next_u64()
 
     def test_largest_bound_draws_both_signs(self):
         bound = 2**63 - 1
@@ -347,6 +384,60 @@ class TestSuiteRuns:
             for m in range(4):
                 for k in range(4):
                     assert f"assoc-words({n},{m},{k})" in names
+
+
+class TestSumRecords:
+    """A passing sum record renders its lhs once and uses that text for
+    the rhs too; it must equal the rhs rendered on its own."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        """The (record, rhs sum) of every ``_sum_record`` call."""
+        seen = []
+        make = verify._sum_record
+
+        def spy(name, trial, inputs, lhs, rhs, *args, **kwargs):
+            record = make(name, trial, inputs, lhs, rhs, *args, **kwargs)
+            seen.append((record, rhs))
+            return record
+
+        monkeypatch.setattr(verify, "_sum_record", spy)
+        return seen
+
+    def assert_rhs_rendered_alone(self, seen):
+        passing = [(r, rhs) for r, rhs in seen if r.ok]
+        assert passing
+        for record, rhs in passing:
+            assert record.rhs == verify._fmt_sum(rhs, True)
+        return passing
+
+    @pytest.mark.parametrize("suite,ring", [
+        ("assoc", "mod:7"), ("functoriality", "mod:7"), ("assoc", "words")])
+    def test_suite_records(self, suite, ring, monkeypatch):
+        seen = self.capture(monkeypatch)
+        trials = {} if ring == "words" else {"trials": 12, "seed": 5}
+        assert run_suite(SuiteConfig(suite, ring=ring, **trials)).passed
+        self.assert_rhs_rendered_alone(seen)
+
+    def test_fraction_cells(self, monkeypatch):
+        """Over the rationals with ``Fraction`` cells, both short sums and
+        sums past the length limit."""
+        seen = self.capture(monkeypatch)
+        for trial in range(6):
+            rng = substream(23, trial)
+            cards = rng.randints(0, 2, 3)
+            xyz = [Multiset(Matrix(QQ, [[Fraction(v, 2 + (v % 3))
+                                         for v in rng.randints(-4, 4, 2)]
+                                        for _ in range(2)])
+                            for _ in range(card)) for card in cards]
+            verify._sum_record("fractions", trial, (),
+                               *verify._assoc_sides(*xyz))
+        passing = self.assert_rhs_rendered_alone(seen)
+        assert any(isinstance(v, Fraction) and v.denominator > 1
+                   for _, rhs in passing for e in rhs.ranked_terms()[0]
+                   for row in e.rows for v in row)
+        texts = {record.rhs.startswith("<formal sum") for record, _ in passing}
+        assert texts == {True, False}
 
 
 class TestNoncentralControls:
