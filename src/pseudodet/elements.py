@@ -17,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import GroupTableError, MismatchError, UnitlessError, UnknownLetterError
@@ -43,13 +44,21 @@ class Matrix(FrozenValue):
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         one, zero = ring.cell(1), ring.cell(0)
-        return cls(ring, tuple(tuple(one if i == j else zero
-                                     for j in range(n)) for i in range(n)))
+        return cls._square(ring, tuple(
+            (zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "Matrix":
         z = ring.cell(0)
-        return cls(ring, tuple((z,) * n for _ in range(n)))
+        return cls._square(ring, ((z,) * n,) * n)
+
+    @classmethod
+    def _square(cls, ring: Ring, rows: tuple) -> "Matrix":
+        """The matrix of square ``rows`` of canonical cells, which are not
+        checked; only an empty ``rows`` is refused, as ``Matrix`` does."""
+        if not rows:
+            raise ValueError("matrix must be square and nonempty")
+        return cls._make(ring, len(rows), rows)
 
     def _check_peer(self, other):
         if (other.__class__ is not Matrix or other.ring is not self.ring
@@ -124,17 +133,22 @@ _KERNELS = {}
 
 
 def _kernels(ring: Ring, n: int):
-    """The ``(product, trace)`` functions on the row tuples of n x n
-    matrices over ``ring``, compiled on first use of each (ring, size).
+    """The ``(product, trace, pair_trace)`` functions on the row tuples of
+    n x n matrices over ``ring``, compiled on first use of each (ring,
+    size).
 
     ``product(x, y)`` gives the rows of the product, each cell the one
     ``ring.dot`` gives, in value and in type; ``trace(x)`` gives the
-    diagonal sum.  Neither checks its arguments.  A mod-m cell is reduced
-    by an inline ``% m``; other cells are left as computed, so an integral
-    rational cell may be a ``Fraction``, not ``ring.cell``'s ``int``.
+    diagonal sum; ``pair_trace(x, y)`` gives the trace of the product,
+    the sum of every x_ik * y_ki, in n^2 multiplications and without
+    building the product.  None checks its arguments.  A mod-m value is
+    reduced by one inline ``% m`` (over a whole cell, or a whole trace);
+    other values are left as computed, so an integral rational may be a
+    ``Fraction``, not ``ring.cell``'s ``int``.  Past ``_UNROLLED`` the
+    product and the pair trace are ``ring.dot`` calls.
     """
-    pair = _KERNELS.get((ring, n))
-    if pair is None:
+    kernels = _KERNELS.get((ring, n))
+    if kernels is None:
         cell = "({}) % m" if isinstance(ring, ModRing) else "{}"
         idx = range(n)
 
@@ -143,20 +157,27 @@ def _kernels(ring: Ring, n: int):
             return "(" + "".join("(" + "".join(
                 cell_of(i, j) + ", " for j in idx) + "), " for i in idx) + ")"
         if n <= _UNROLLED:
-            product = rows(lambda i, j: cell.format(" + ".join(
-                f"x{i}_{k} * y{k}_{j}" for k in idx)))
-            product = (f"    {rows('x{}_{}'.format)} = x\n"
-                       f"    {rows('y{}_{}'.format)} = y\n"
-                       f"    return {product}\n")
+            unpack = (f"    {rows('x{}_{}'.format)} = x\n"
+                      f"    {rows('y{}_{}'.format)} = y\n")
+            product = unpack + "    return " + rows(
+                lambda i, j: cell.format(" + ".join(
+                    f"x{i}_{k} * y{k}_{j}" for k in idx))) + "\n"
+            pair_trace = unpack + "    return " + cell.format(" + ".join(
+                f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx)) + "\n"
         else:
             product = ("    cols = tuple(zip(*y))\n    return tuple(tuple("
                        "dot(row, col) for col in cols) for row in x)\n")
+            pair_trace = ("    return dot(chain.from_iterable(x), "
+                          "chain.from_iterable(zip(*y)))\n")
         trace = cell.format(" + ".join(f"x[{i}][{i}]" for i in idx))
-        names = {"m": getattr(ring, "modulus", None), "dot": ring.dot}
+        names = {"m": getattr(ring, "modulus", None), "dot": ring.dot,
+                 "chain": chain}
         exec(f"def product(x, y):\n{product}def trace(x):\n"
-             f"    return {trace}\n", names)
-        pair = _KERNELS[ring, n] = names["product"], names["trace"]
-    return pair
+             f"    return {trace}\ndef pair_trace(x, y):\n{pair_trace}",
+             names)
+        kernels = _KERNELS[ring, n] = (
+            names["product"], names["trace"], names["pair_trace"])
+    return kernels
 
 
 class Word(FrozenValue):

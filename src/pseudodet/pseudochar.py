@@ -99,33 +99,51 @@ class _FormEvaluator:
     f(a)·f(b) − f(a·b), and from n = 3 on each value is made canonical
     once into the memo, keyed on id tuples in the element order, so a key
     stands for the sorted argument multiset and the largest element is the
-    one peeled.  ``products`` caches pair products on id pairs.  Fresh per
-    top-level call, so evaluations never share mutable state.
+    one peeled.  ``products`` caches pair products on id pairs, and
+    ``f_pair(a, b)`` gives f(a·b) where only that value is needed.  Fresh
+    per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
     are the matrices' row tuples: each argument is checked against f's
     ring and size as it enters, and products and f-cells come from the
     (ring, size) kernels, so no ``Matrix`` or scalar is built or compared.
-    Any other f runs on the elements themselves."""
+    There ``f_pair`` reads ``f_cells`` when the product was already built,
+    and otherwise caches, on the id pair, the pair-trace kernel's tr(a·b),
+    which builds no product.  Any other f runs on the elements themselves,
+    and ``f_pair`` builds and interns the product, so f runs once per
+    distinct element."""
 
     __slots__ = ("ring", "memo", "ids", "elems", "f_cells", "products",
-                 "arg", "mul", "f_cell")
+                 "arg", "mul", "f_cell", "f_pair")
 
     def __init__(self, f: CentralFunction):
         ring = self.ring = f.ring
         self.memo = {}
         self.ids = {}
-        self.elems = []
-        self.f_cells = []
-        self.products = {}
+        elems = self.elems = []
+        f_cells = self.f_cells = []
+        products = self.products = {}
         cell = ring.cell
         if f._matrix is None:
             self.arg, self.mul = (lambda x: x), mul
             self.f_cell = lambda x: cell(f(x))
-        else:
-            self.arg = partial(_matrix_rows, *f._matrix)
-            self.mul, trace = _kernels(*f._matrix)
-            self.f_cell = lambda rows: cell(trace(rows))
+            product = self.product
+            self.f_pair = lambda a, b: f_cells[product(a, b)]
+            return
+        self.arg = partial(_matrix_rows, *f._matrix)
+        self.mul, trace, pair_trace = _kernels(*f._matrix)
+        self.f_cell = lambda rows: cell(trace(rows))
+        pair_cells = {}
+
+        def f_pair(a, b):
+            p = products.get((a, b))
+            if p is not None:
+                return f_cells[p]
+            c = pair_cells.get((a, b))
+            if c is None:
+                c = pair_cells[a, b] = cell(pair_trace(elems[a], elems[b]))
+            return c
+        self.f_pair = f_pair
 
     def intern(self, x) -> int:
         """The id of element ``x``, assigned (and f computed) on first
@@ -174,29 +192,30 @@ class _FormEvaluator:
         """The cell of form_n on the multiset with memo key ``key``
         (n = len(key) >= 1); memoized and canonical from n = 3 on."""
         fc = self.f_cells
-        product = self.product
+        f_pair = self.f_pair
         n = len(key)
         if n <= 2:
             if n == 1:
                 return fc[key[0]]
             a, b = key
-            return fc[a] * fc[b] - fc[product(a, b)]
+            return fc[a] * fc[b] - f_pair(a, b)
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
             return cached
         last = key[-1]
         head = key[:-1]
+        product = self.product
         if n == 3:
             # the three sub-forms of size 2 written out, saving their calls
             a, b = head
             order = self.elems
-            result = fc[last] * (fc[a] * fc[b] - fc[product(a, b)])
+            result = fc[last] * (fc[a] * fc[b] - f_pair(a, b))
             for e, other in ((a, b), (b, a)):
                 merged = product(e, last)
                 pair = ((merged, other) if order[merged] < order[other]
                         else (other, merged))
-                result -= fc[merged] * fc[other] - fc[product(*pair)]
+                result -= fc[merged] * fc[other] - f_pair(*pair)
         else:
             order = self.elems.__getitem__
             value = self.value

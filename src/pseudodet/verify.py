@@ -218,7 +218,10 @@ class CheckRecord(FrozenValue):
         return (not self.ok) if self.negative_control else self.ok
 
     def to_dict(self) -> dict:
-        return {**self.fields(), "inputs": list(self.inputs),
+        return {"name": self.name, "trial": self.trial,
+                "inputs": list(self.inputs), "lhs": self.lhs,
+                "rhs": self.rhs, "ok": self.ok,
+                "negative_control": self.negative_control,
                 "behaved": self.behaved}
 
 

@@ -48,11 +48,28 @@ class TestElementMul:
             Matrix(QQ, [[1, 2]])
 
     @pytest.mark.parametrize("build,n", [
-        (Matrix.identity, 0), (Matrix.zero, -2)], ids=["identity", "zero"])
+        (Matrix.identity, 0), (Matrix.zero, -2), (Matrix.identity, -1),
+        (Matrix.zero, 0)], ids=["identity", "zero", "identity-minus-one",
+                                "zero-zero"])
     def test_class_builders_refuse_an_empty_shape(self, build, n):
         with pytest.raises(ValueError,
                            match="^matrix must be square and nonempty$"):
             build(QQ, n)
+
+    @pytest.mark.parametrize("ring", [QQ, ModRing(7), QPOLY],
+                             ids=["QQ", "mod7", "QPOLY"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_class_builders_equal_the_constructor(self, ring, n):
+        # the builders skip the constructor's per-cell check: their cells
+        # must be the ones it would have made, in value and in type
+        for got, cells in (
+                (Matrix.identity(ring, n),
+                 [[int(i == j) for j in range(n)] for i in range(n)]),
+                (Matrix.zero(ring, n), [[0] * n] * n)):
+            want = Matrix(ring, cells)
+            assert got == want and got.n == n
+            assert ([type(c) for row in got.rows for c in row]
+                    == [type(c) for row in want.rows for c in row])
 
 
 class TestMatrixEqualityAcrossRingObjects:
@@ -127,11 +144,12 @@ def _product_pairs():
 class TestUnrolledProducts:
     """Products and traces run through the kernels of each (ring, size):
     each product cell must equal the ``Ring.dot`` cell in value and in
-    type, and the trace the canonical cell of ``Matrix.trace``."""
+    type, the trace the canonical cell of ``Matrix.trace``, and the
+    canonical pair trace that of the product's trace."""
 
     @pytest.mark.parametrize("a,b", _product_pairs())
     def test_cells_match_ring_dot(self, a, b):
-        product, trace = _kernels(a.ring, a.n)
+        product, trace, pair_trace = _kernels(a.ring, a.n)
         expected = _dot_product(a, b)
         for got in ((a * b).rows, product(a.rows, b.rows)):
             assert got == expected
@@ -139,6 +157,11 @@ class TestUnrolledProducts:
                 [type(c) for row in expected for c in row]
         for m in (a, b, a * b):
             assert trace(m.rows) == m.ring.cell(m.trace())
+        cell = a.ring.cell
+        for x, y in ((a, b), (b, a)):
+            got = cell(pair_trace(x.rows, y.rows))
+            want = cell(trace(product(x.rows, y.rows)))
+            assert got == want and type(got) is type(want)
 
     def test_distinct_equal_rings_share_kernels(self):
         assert _kernels(ModRing(7), 3) is _kernels(ModRing(7), 3)

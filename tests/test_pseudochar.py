@@ -17,6 +17,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        matrix_trace, multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
+from pseudodet.pseudochar import _FormEvaluator
 from pseudodet.rings import RationalRing
 from pseudodet.verify import (_CORNER, char_poly_leibniz, leibniz_det,
                               random_matrix, substream)
@@ -586,6 +587,17 @@ class TestRowPath:
         x = Matrix(ModRing(7), [[1, 2], [3, 4]])
         assert x.ring is f.ring
         assert recursive_form(f, (x, x)) == ModRing(7).cell(25 - 29)
+
+    @pytest.mark.parametrize("spec", ["rational", "mod:101"])
+    def test_form_2_builds_no_product(self, spec):
+        # f(a*b) comes from the pair-trace kernel, not from a built a*b
+        ring = ring_from_spec(spec)
+        a, b = rand_mats(790, 2, ring=ring)
+        assert a != b
+        ev = _FormEvaluator(matrix_trace(ring, 2))
+        got = ev.form((a, b))
+        assert sorted(ev.elems) == sorted((a.rows, b.rows))
+        assert got == literal_form(matrix_trace(ring, 2), (a, b))
 
 
 class TestDegreeProduct:

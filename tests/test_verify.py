@@ -354,6 +354,17 @@ class TestSuiteRuns:
         assert doc["pass"] is True
         assert doc["reproductions"] == []
 
+    @pytest.mark.parametrize("ok,control", [(True, False), (False, False),
+                                            (True, True), (False, True)])
+    def test_record_dict_is_its_fields_in_order(self, ok, control):
+        record = CheckRecord("det-mult", 3, ("[[1]]", "[[2]]"), "2", "2", ok,
+                             control)
+        doc = record.to_dict()
+        assert list(doc) == ["name", "trial", "inputs", "lhs", "rhs", "ok",
+                             "negative_control", "behaved"]
+        assert doc == {**record.fields(), "inputs": ["[[1]]", "[[2]]"],
+                       "behaved": ok != control}
+
     def test_misbehaving_record_is_printed_unless_quiet(self):
         """A failing suite prints each misbehaving record with what
         reproduces it; a behaving record, or ``quiet``, prints none."""
