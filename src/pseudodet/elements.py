@@ -43,22 +43,16 @@ class Matrix(FrozenValue):
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
+        _check_size(n)
         one, zero = ring.cell(1), ring.cell(0)
-        return cls._square(ring, tuple(
+        return cls._make(ring, n, tuple(
             (zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "Matrix":
+        _check_size(n)
         z = ring.cell(0)
-        return cls._square(ring, ((z,) * n,) * n)
-
-    @classmethod
-    def _square(cls, ring: Ring, rows: tuple) -> "Matrix":
-        """The matrix of square ``rows`` of canonical cells, which are not
-        checked; only an empty ``rows`` is refused, as ``Matrix`` does."""
-        if not rows:
-            raise ValueError("matrix must be square and nonempty")
-        return cls._make(ring, len(rows), rows)
+        return cls._make(ring, n, ((z,) * n,) * n)
 
     def _check_peer(self, other):
         if (other.__class__ is not Matrix or other.ring is not self.ring
@@ -112,6 +106,15 @@ class Matrix(FrozenValue):
 
     def __repr__(self):
         return f"Matrix({self.ring.describe()}, {self.render()})"
+
+
+def _check_size(n) -> None:
+    """Refuse a matrix size that is not an int (a bool is not one), or
+    is below 1 with ``Matrix``'s message for an empty shape."""
+    if type(n) is not int:
+        raise ValueError(f"matrix size must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
 
 
 def _matrix_rows(ring: Ring, n: int, other):

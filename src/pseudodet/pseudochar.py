@@ -27,7 +27,7 @@ from functools import partial
 from itertools import permutations
 from operator import mul
 
-from .elements import GroupTable, _kernels, _matrix_rows
+from .elements import GroupTable, _check_size, _kernels, _matrix_rows
 from .errors import CapExceededError, NotInvertibleError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .rings import FrozenValue, Ring
@@ -71,7 +71,9 @@ class CentralFunction(FrozenValue):
 def matrix_trace(ring: Ring, size: int, dim: int | None = None, *,
                  pseudocharacter: bool = True) -> CentralFunction:
     """The trace on size x size matrices, declared with dimension ``dim``
-    (defaults to the matrix size, the honest choice)."""
+    (defaults to the matrix size, the honest choice).  ``size`` must be
+    a positive int, as ``Matrix.identity`` requires."""
+    _check_size(size)
     return CentralFunction(
         lambda m: m.trace(), dim if dim is not None else size, ring,
         domain=f"M{size}({ring.describe()})", name="trace",
@@ -93,25 +95,26 @@ class _FormEvaluator:
     Each distinct element is interned once to an int id: ``ids`` maps it
     to the id, ``elems`` maps the id back and, as elements of one backend
     sort by ``<``, gives the element order.  f runs at intern time (every
-    interned element is evaluated, and ``evaluate`` is pure) and enters
-    once through ``f.ring.cell`` into ``f_cells``.  The recursion works on
-    plain cells: form_1 is read from ``f_cells``, form_2 is written out as
-    f(a)·f(b) − f(a·b), and from n = 3 on each value is made canonical
-    once into the memo, keyed on id tuples in the element order, so a key
-    stands for the sorted argument multiset and the largest element is the
-    one peeled.  ``products`` caches pair products on id pairs, and
-    ``f_pair(a, b)`` gives f(a·b) where only that value is needed.  Fresh
-    per top-level call, so evaluations never share mutable state.
+    interned element is evaluated, and ``evaluate`` is pure) into
+    ``f_cells``.  The recursion works on plain scalars: form_1 is read
+    from ``f_cells``, form_2 is written out as f(a)·f(b) − f(a·b), with
+    f(a·b) from ``f_pair(a, b)``, and from n = 3 on each value goes
+    through ``ring.cell`` once into the memo, keyed on id tuples in the
+    element order, so a key stands for the sorted argument multiset and
+    the largest element is the one peeled.  ``products`` caches pair
+    products on id pairs.  ``form`` and ``on_sum`` return a ``ring.cell``.
+    Fresh per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
     are the matrices' row tuples: each argument is checked against f's
-    ring and size as it enters, and products and f-cells come from the
-    (ring, size) kernels, so no ``Matrix`` or scalar is built or compared.
-    There ``f_pair`` reads ``f_cells`` when the product was already built,
-    and otherwise caches, on the id pair, the pair-trace kernel's tr(a·b),
-    which builds no product.  Any other f runs on the elements themselves,
-    and ``f_pair`` builds and interns the product, so f runs once per
-    distinct element."""
+    ring and size as it enters, and products, f-cells and every f(a·b)
+    are the (ring, size) kernels' raw values (f(a·b) is the pair trace,
+    which builds no product), so no ``Matrix`` is built.  A mod-m value
+    is already reduced; a rational may be an integral ``Fraction`` until
+    the memo or the exit makes it canonical.  Any other f runs on the
+    elements themselves: each f value enters once through
+    ``f.ring.cell``, which checks it, and ``f_pair`` builds and interns
+    the product, so f runs once per distinct element."""
 
     __slots__ = ("ring", "memo", "ids", "elems", "f_cells", "products",
                  "arg", "mul", "f_cell", "f_pair")
@@ -122,28 +125,17 @@ class _FormEvaluator:
         self.ids = {}
         elems = self.elems = []
         f_cells = self.f_cells = []
-        products = self.products = {}
-        cell = ring.cell
+        self.products = {}
         if f._matrix is None:
+            cell = ring.cell
             self.arg, self.mul = (lambda x: x), mul
             self.f_cell = lambda x: cell(f(x))
             product = self.product
             self.f_pair = lambda a, b: f_cells[product(a, b)]
             return
         self.arg = partial(_matrix_rows, *f._matrix)
-        self.mul, trace, pair_trace = _kernels(*f._matrix)
-        self.f_cell = lambda rows: cell(trace(rows))
-        pair_cells = {}
-
-        def f_pair(a, b):
-            p = products.get((a, b))
-            if p is not None:
-                return f_cells[p]
-            c = pair_cells.get((a, b))
-            if c is None:
-                c = pair_cells[a, b] = cell(pair_trace(elems[a], elems[b]))
-            return c
-        self.f_pair = f_pair
+        self.mul, self.f_cell, pair_trace = _kernels(*f._matrix)
+        self.f_pair = lambda a, b: pair_trace(elems[a], elems[b])
 
     def intern(self, x) -> int:
         """The id of element ``x``, assigned (and f computed) on first
@@ -241,8 +233,8 @@ def _check_arity(n: int) -> None:
 def literal_form(f: CentralFunction, args):
     """form_n(args) by the defining recursion, run verbatim on the
     sequence as given: no reordering and no cache.  The reference that
-    ``recursive_form`` is tested against; f values enter through
-    ``f.ring.cell`` there as here."""
+    ``recursive_form`` is tested against; each f value enters through
+    ``f.ring.cell``."""
     seq = tuple(args)
     _check_arity(len(seq))
     if len(seq) == 1:
@@ -264,8 +256,9 @@ def recursive_form(f: CentralFunction, args):
     or more arguments cached per call; this is valid for central f, whose
     forms are symmetric, and is what makes evaluations with repeated
     arguments (determinants) cheap.  Every f value must be a scalar of
-    ``f.ring``: it enters through ``f.ring.cell``, which raises
-    ``MismatchError`` for another ring's.  Zero arguments raise
+    ``f.ring``: unless f is ``matrix_trace``'s, whose values come from
+    the ring's own kernels, it enters through ``f.ring.cell``, which
+    raises ``MismatchError`` for another ring's.  Zero arguments raise
     ``ValueError``, more than ``REC_CAP`` ``CapExceededError``.
     """
     return _FormEvaluator(f).form(args)

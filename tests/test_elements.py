@@ -56,6 +56,15 @@ class TestElementMul:
                            match="^matrix must be square and nonempty$"):
             build(QQ, n)
 
+    @pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("build", [Matrix.identity, Matrix.zero],
+                             ids=["identity", "zero"])
+    def test_class_builders_refuse_a_size_that_is_not_an_int(self, build,
+                                                              n):
+        with pytest.raises(ValueError,
+                           match=f"^matrix size must be an int, got {n}$"):
+            build(QQ, n)
+
     @pytest.mark.parametrize("ring", [QQ, ModRing(7), QPOLY],
                              ids=["QQ", "mod7", "QPOLY"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7])

@@ -65,6 +65,17 @@ MUTANTS = [
         "    return ring.cell(acc)\n",
         "    return acc\n",
         id="leibniz_det-skips-reduce"),
+    # every f(a*b) of the recursion is one pair-trace call
+    pytest.param(
+        "pseudochar.py",
+        "return fc[a] * fc[b] - f_pair(a, b)",
+        "return fc[a] * fc[b] + f_pair(a, b)",
+        id="form_2-adds-the-pair-term"),
+    pytest.param(
+        "elements.py",
+        'f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx',
+        'f"x{i}_{k} * y{i}_{k}" for i in idx for k in idx',
+        id="pair_trace-reads-y-untransposed"),
 ]
 
 

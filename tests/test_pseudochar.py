@@ -17,6 +17,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        matrix_trace, multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
+from pseudodet import elements
 from pseudodet.pseudochar import _FormEvaluator
 from pseudodet.rings import RationalRing
 from pseudodet.verify import (_CORNER, char_poly_leibniz, leibniz_det,
@@ -929,6 +930,24 @@ class TestPseudocharacterReport:
         with pytest.raises(ValueError,
                            match="^dimension must be a positive integer$"):
             CentralFunction(lambda m: m.trace(), dim, QQ)
+
+    def test_matrix_trace_refuses_a_negative_size(self):
+        with pytest.raises(ValueError,
+                           match="^matrix must be square and nonempty$"):
+            matrix_trace(QQ, -2, 1)
+
+    def test_matrix_trace_refuses_a_float_size(self, monkeypatch):
+        # (QQ, 2.0) and (QQ, 2) are equal kernel keys: the size is refused
+        # before any kernel is looked up, whether the 2 x 2 ones exist or not
+        monkeypatch.setattr(elements, "_KERNELS", {})
+        x = Matrix(QQ, [[1, 2], [3, 4]])
+        message = r"^matrix size must be an int, got 2\.0$"
+        with pytest.raises(ValueError, match=message):
+            recursive_form(matrix_trace(QQ, 2.0, 2), (x, x))
+        assert x * x == Matrix(QQ, [[7, 10], [15, 22]])
+        assert (QQ, 2) in elements._KERNELS
+        with pytest.raises(ValueError, match=message):
+            recursive_form(matrix_trace(QQ, 2.0, 2), (x, x))
 
     def test_noncentral_function_detected(self):
         g = CentralFunction(lambda m: m.entry(0, 1), 2, QQ, name="corner")
