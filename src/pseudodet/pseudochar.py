@@ -101,8 +101,11 @@ class _FormEvaluator:
     f(a·b) from ``f_pair(a, b)``, and from n = 3 on each value goes
     through ``ring.cell`` once into the memo, keyed on id tuples in the
     element order, so a key stands for the sorted argument multiset and
-    the largest element is the one peeled.  ``products`` caches pair
-    products on id pairs.  ``form`` and ``on_sum`` return a ``ring.cell``.
+    the largest element is the one peeled.  Equal ids sit side by side
+    in a key and removing either of two gives the same sub-key, so each
+    distinct argument is peeled once and its sub-form subtracted once per
+    copy.  ``products`` caches pair products on id pairs.  ``form`` and
+    ``on_sum`` return a ``ring.cell``.
     Fresh per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
@@ -203,20 +206,29 @@ class _FormEvaluator:
             a, b = head
             order = self.elems
             result = fc[last] * (fc[a] * fc[b] - f_pair(a, b))
-            for e, other in ((a, b), (b, a)):
+            for e, other in ((a, b),) if a == b else ((a, b), (b, a)):
                 merged = product(e, last)
                 pair = ((merged, other) if order[merged] < order[other]
                         else (other, merged))
-                result -= fc[merged] * fc[other] - f_pair(*pair)
+                sub = fc[merged] * fc[other] - f_pair(*pair)
+                result -= sub
+            if a == b:  # the two merged terms are one term
+                result -= sub
         else:
             order = self.elems.__getitem__
             value = self.value
             result = fc[last] * value(head)
+            prev = None
             for i, e in enumerate(head):
+                if e == prev:  # equal ids are adjacent: the same sub-key
+                    result -= sub
+                    continue
+                prev = e
                 rest = list(head)
                 del rest[i]
                 insort(rest, product(e, last), key=order)
-                result -= value(tuple(rest))
+                sub = value(tuple(rest))
+                result -= sub
         result = memo[key] = self.ring.cell(result)
         return result
 

@@ -14,7 +14,9 @@ ordinary check holds and every negative control misbehaves as expected.
 
 from __future__ import annotations
 
+import math
 import time
+from functools import partial
 
 from .elements import LetterHom, Matrix, Word
 from .errors import BudgetExceededError, ConfigError, NotInvertibleError
@@ -56,8 +58,16 @@ class SplitMix64:
     def randints(self, lo: int, hi: int, count: int) -> list:
         """``count`` uniform-ish integers in [lo, hi], each the modulo
         reduction of one 64-bit draw (the bias is irrelevant here;
-        reproducibility is what matters).  A range of more than 2**64
-        values raises ValueError: one draw cannot reach all of it."""
+        reproducibility is what matters).  A ``lo``, ``hi`` or ``count``
+        that is not an int (a bool is not one), a negative count, and a
+        range of more than 2**64 values, which one draw cannot reach,
+        raise ValueError."""
+        if not (type(lo) is type(hi) is type(count) is int):
+            for name, value in (("lo", lo), ("hi", hi), ("count", count)):
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {value!r}")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         if hi - lo > _MASK64:
@@ -117,37 +127,62 @@ def leibniz_det(matrix: Matrix):
     return ring.cell(acc)
 
 
+_FIXED_GROUPS = {}
+
+
+def _fixed_groups(n: int) -> tuple:
+    """``_signed_perms(n)`` grouped by fixed-point set, built on first use
+    of each n: one ``(fixed, plus, minus)`` row per set that some
+    permutation fixes exactly.  ``fixed`` holds the flat indices i*n + i
+    of its diagonal cells; ``plus`` and ``minus`` hold, for each of its
+    permutations s of sign +1 and -1, the flat indices i*n + s(i) of the
+    moved rows.  The table raises past ``ORACLE_CAP`` before any row is
+    built."""
+    table = _signed_perms(n)
+    groups = _FIXED_GROUPS.get(n)
+    if groups is None:
+        buckets = {}
+        for perm, sign, cycles in table:
+            fixed = tuple(c[0] * (n + 1) for c in cycles if len(c) == 1)
+            moved = tuple(i * n + perm[i] for c in cycles if len(c) > 1
+                          for i in c)
+            buckets.setdefault(fixed, ([], []))[sign < 0].append(moved)
+        groups = _FIXED_GROUPS[n] = tuple(
+            (fixed, tuple(plus), tuple(minus))
+            for fixed, (plus, minus) in buckets.items())
+    return groups
+
+
 def char_poly_leibniz(matrix: Matrix) -> tuple:
     """Coefficients c_0..c_n of det(t*I - x), lowest degree first, by the
-    Leibniz sum with each permutation's term held as a coefficient list
-    in t: a fixed point i multiplies it by (t - x_ii), any other row
-    scales it by -x_i,s(i).  No variable is introduced, so the
-    coefficients are scalars of the matrix's own ring (polynomial cells
-    give polynomial coefficients).  The modular backend's cells are
-    integers in [0, m): the sum is expanded over the integers and reduced
-    once at the end (reduction mod m is a ring homomorphism)."""
+    Leibniz sum: a permutation s contributes sign(s) times
+    prod -x_i,s(i) over its moved rows times prod (t - x_ii) over its
+    fixed points.  The permutations of one fixed-point set share the
+    second factor, so their scalar parts are summed first and that
+    polynomial is expanded once per set, as a coefficient list in t.  No
+    variable is introduced, so the coefficients are scalars of the
+    matrix's own ring (polynomial cells give polynomial coefficients).
+    The modular backend's cells are integers in [0, m): the sum is
+    expanded over the integers and reduced once at the end (reduction mod
+    m is a ring homomorphism)."""
     n = matrix.n
-    table = _signed_perms(n)
-    ring, rows = matrix.ring, matrix.rows
-    neg = [[-a for a in row] for row in rows]
+    groups = _fixed_groups(n)
+    neg = [-a for row in matrix.rows for a in row]
+    take = partial(map, neg.__getitem__)
     acc = [0] * (n + 1)
-    for perm, sign, _ in table:
-        scale, fixed = sign, []
-        for i, j in enumerate(perm):
-            if i == j:
-                fixed.append(neg[i][i])
-            else:
-                scale = scale * neg[i][j]
+    for fixed, plus, minus in groups:
+        scale = (sum(map(math.prod, map(take, plus)))
+                 - sum(map(math.prod, map(take, minus))))
         if scale == 0:
             continue
         coeffs = [scale]
-        for a in fixed:  # times (t + a), where a = -x_ii
+        for a in take(fixed):  # times (t + a), where a = -x_ii
             coeffs = ([a * coeffs[0]]
                       + [lo + a * hi for lo, hi in zip(coeffs, coeffs[1:])]
                       + [coeffs[-1]])
         for k, c in enumerate(coeffs):
             acc[k] = acc[k] + c
-    return tuple(map(ring.cell, acc))
+    return tuple(map(matrix.ring.cell, acc))
 
 
 # ---------------------------------------------------------------------------

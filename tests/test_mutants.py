@@ -71,6 +71,17 @@ MUTANTS = [
         "return fc[a] * fc[b] - f_pair(a, b)",
         "return fc[a] * fc[b] + f_pair(a, b)",
         id="form_2-adds-the-pair-term"),
+    # a repeated argument's sub-form is subtracted once per copy
+    pytest.param(
+        "pseudochar.py",
+        "                    result -= sub\n                    continue\n",
+        "                    continue\n",
+        id="peel-skips-the-repeated-sub-form"),
+    pytest.param(
+        "verify.py",
+        "- sum(map(math.prod, map(take, minus)))",
+        "+ sum(map(math.prod, map(take, minus)))",
+        id="charpoly_leibniz-adds-the-odd-permutations"),
     pytest.param(
         "elements.py",
         'f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx',

@@ -535,6 +535,65 @@ class TestCellEvaluator:
             recursive_form(matrix_trace(QQ, 2), (x7, x7))
 
 
+def _peel_case(case, s3):
+    """(f, three distinct elements) for one backend of ``TestPeel``."""
+    if case == "s3":
+        rng = substream(800, 0)
+        return regular_trace(s3, QQ), [
+            GroupAlgebraElement(s3, QQ, [rng.randint(-2, 2) for _ in range(6)])
+            for _ in range(3)]
+    if case == "corner":
+        return _CORNER, rand_mats(801, 3, bound=3)
+    if case == "fractions":
+        return matrix_trace(QQ, 2), [m.scale(Fraction(1, 2))
+                                     for m in rand_mats(802, 3)]
+    ring = ring_from_spec(case)
+    return matrix_trace(ring, 2), rand_mats(803, 3, ring=ring)
+
+
+class TestPeel:
+    """Equal arguments sit side by side in a memo key, so the evaluator
+    peels each distinct argument once and subtracts its sub-form once per
+    copy.  On runs of equal arguments every value equals the literal
+    recursion's, in value and in type, and ``determinant`` makes a pinned,
+    small number of ``value`` calls."""
+
+    @pytest.mark.parametrize("case", ["rational", "fractions", "mod:7",
+                                      "mod:101", "corner", "s3"])
+    def test_runs_equal_the_literal_recursion(self, case, s3):
+        f, (x, y, z) = _peel_case(case, s3)
+        assert len({x, y, z}) == 3
+        runs = [(x,) * n for n in range(3, 8)]
+        if case != "corner":  # see test_corner_values_are_pinned
+            runs += [(x, x, y, y, z), (x, y, y, y)]
+        for args in runs:
+            got, want = recursive_form(f, args), literal_form(f, args)
+            assert got == want and type(got) is type(want), (case, args)
+
+    def test_corner_values_are_pinned(self):
+        # the non-central corner's literal value depends on the order, so
+        # these pin the values of the recursion without the peel
+        x, y, z = rand_mats(801, 3, bound=3)
+        assert recursive_form(_CORNER, (x, x, y, y, z)) == -1606
+        assert recursive_form(_CORNER, (x, y, y, y)) == -312
+        assert recursive_form(_CORNER, (z, y, z, x, z)) == 8835
+
+    @pytest.mark.parametrize("d,calls", [(4, 3), (5, 7), (6, 14), (7, 21)])
+    def test_determinant_value_calls(self, monkeypatch, d, calls):
+        # without the peel these are 5, 14, 29 and 51
+        x = random_matrix(substream(5, d), QQ, d, 5)
+        count = []
+        value = _FormEvaluator.value
+
+        def counted(self, key):
+            count.append(key)
+            return value(self, key)
+
+        monkeypatch.setattr(_FormEvaluator, "value", counted)
+        assert determinant(matrix_trace(QQ, d), x) == leibniz_det(x)
+        assert len(count) == calls
+
+
 class TestRowPath:
     """For ``matrix_trace`` the evaluator works on row tuples through the
     (ring, size) kernels.  Its values equal, in value and in type, the

@@ -13,8 +13,9 @@ from pseudodet import Multiset, verify
 from pseudodet.errors import CapExceededError
 from pseudodet.pseudochar import _PERM_TABLES, _signed_perms
 from pseudodet.rings import ring_from_spec
-from pseudodet.verify import (SUITE_NAMES, CheckRecord, SplitMix64,
-                              SuiteReport, substream)
+from pseudodet.verify import (_FIXED_GROUPS, SUITE_NAMES, CheckRecord,
+                              SplitMix64, SuiteReport, _fixed_groups,
+                              substream)
 
 
 class TestPrng:
@@ -91,6 +92,38 @@ class TestPrng:
             rng.randints(3, 2, 4)
         # a refused call draws nothing
         assert rng.next_u64() == SplitMix64(1).next_u64()
+
+    @staticmethod
+    def assert_refused_without_a_draw(call, message):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(rng)
+        assert rng.next_u64() == SplitMix64(1).next_u64()
+
+    def test_randints_refuses_a_negative_count(self):
+        self.assert_refused_without_a_draw(
+            lambda rng: rng.randints(0, 5, -1), "count must be >= 0, got -1")
+
+    def test_randints_refuses_a_bool_count(self):
+        self.assert_refused_without_a_draw(
+            lambda rng: rng.randints(0, 5, True),
+            "count must be an int, got True")
+
+    def test_randints_refuses_a_float_count(self):
+        self.assert_refused_without_a_draw(
+            lambda rng: rng.randints(0, 5, 2.0),
+            "count must be an int, got 2.0")
+
+    @pytest.mark.parametrize("lo,hi,name,value", [
+        (0, 5.5, "hi", "5.5"), (0, 5.0, "hi", "5.0"), (0.0, 5, "lo", "0.0"),
+        (False, 5, "lo", "False")])
+    def test_randints_refuses_a_bound_that_is_not_an_int(self, lo, hi, name,
+                                                         value):
+        message = f"{name} must be an int, got {value}"
+        self.assert_refused_without_a_draw(
+            lambda rng: rng.randints(lo, hi, 2), message)
+        self.assert_refused_without_a_draw(
+            lambda rng: rng.randint(lo, hi), message)
 
     def test_largest_bound_draws_both_signs(self):
         bound = 2**63 - 1
@@ -307,6 +340,45 @@ class TestCharPolyLeibniz:
         forbid_form_recursion(monkeypatch)
         m = Matrix(QQ, [[1, 2], [3, 4]])
         assert char_poly_leibniz(m) == (-2, -5, 1)
+
+
+class TestFixedGroups:
+    """``char_poly_leibniz`` expands one polynomial per fixed-point set:
+    ``_fixed_groups`` regroups the one permutation table, each of its
+    permutations exactly once."""
+
+    def test_every_permutation_once(self):
+        for n in range(1, 8):
+            groups = _fixed_groups(n)
+            assert len(groups) == 2**n - n  # no set misses one point only
+            seen = []
+            for fixed, plus, minus in groups:
+                points = [k // (n + 1) for k in fixed]
+                assert list(fixed) == [i * (n + 1) for i in points]
+                for sign, perms in ((1, plus), (-1, minus)):
+                    for moved in perms:
+                        perm = list(range(n))
+                        for k in moved:
+                            perm[k // n] = k % n
+                        assert sorted(k // n for k in moved) == sorted(
+                            set(range(n)) - set(points))
+                        assert all(perm[k // n] != k // n for k in moved)
+                        seen.append((tuple(perm), sign))
+            want = [(perm, sign) for perm, sign, _ in _signed_perms(n)]
+            assert sorted(seen) == sorted(want) and len(seen) == len(want)
+            assert _fixed_groups(n) is groups
+
+    def test_size_cap_builds_no_group(self):
+        with pytest.raises(CapExceededError, match="permutation cap of 7"):
+            char_poly_leibniz(Matrix.identity(QQ, 8))
+        assert 8 not in _PERM_TABLES and 8 not in _FIXED_GROUPS
+
+    def test_size_seven_mod_13(self):
+        ring = ModRing(13)
+        f = matrix_trace(ring, 7)
+        for t in range(3):
+            x = random_matrix(substream(713, t), ring, 7, 6)
+            assert char_poly_leibniz(x) == char_poly(f, x).coefficients
 
 
 class TestSuiteRuns:
