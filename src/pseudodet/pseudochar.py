@@ -305,6 +305,13 @@ def _cycles(perm: tuple) -> tuple:
     return tuple(cycles)
 
 
+def _check_perm_cap(n: int) -> None:
+    """Refuse a permutation sum over S_n past ``ORACLE_CAP``."""
+    if n > ORACLE_CAP:
+        raise CapExceededError(
+            f"size {n} exceeds the permutation cap of {ORACLE_CAP}")
+
+
 _PERM_TABLES = {}
 
 
@@ -312,9 +319,7 @@ def _signed_perms(n: int) -> tuple:
     """The ``(perm, sign, cycles)`` rows of S_n, perms in lexicographic
     order, built on first use of each n: the one table of signs and
     cycles.  Past ``ORACLE_CAP`` it raises ``CapExceededError`` first."""
-    if n > ORACLE_CAP:
-        raise CapExceededError(
-            f"size {n} exceeds the permutation cap of {ORACLE_CAP}")
+    _check_perm_cap(n)
     table = _PERM_TABLES.get(n)
     if table is None:
         rows = []
@@ -550,9 +555,11 @@ def char_poly_interpolated(f: CentralFunction, x) -> CharPoly:
     ring = f.ring
     _check_arity(d)
     inv = ring.inverse_of_factorial(d)
-    identity = x.one()
-    neg = -x
-    diffs = [determinant(f, identity.scale(t) + neg) for t in range(d + 1)]
+    one = x.one()
+    pencils = [-x]  # t - x at t = 0..d, each the last one plus 1
+    for _ in range(d):
+        pencils.append(pencils[-1] + one)
+    diffs = [determinant(f, pencil) for pencil in pencils]
     for k in range(d):  # diffs[j] becomes the j-th forward difference at 0
         for j in range(d, k, -1):
             diffs[j] = ring.cell(diffs[j] - diffs[j - 1])

@@ -14,15 +14,14 @@ ordinary check holds and every negative control misbehaves as expected.
 
 from __future__ import annotations
 
-import math
 import time
-from functools import partial
+from operator import add, sub
 
 from .elements import LetterHom, Matrix, Word
 from .errors import BudgetExceededError, ConfigError, NotInvertibleError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .pseudochar import (ORACLE_CAP, REC_CAP, CentralFunction, CharPoly,
-                         _signed_perms, char_poly, char_poly_interpolated,
+                         _check_perm_cap, char_poly, char_poly_interpolated,
                          check_pseudocharacter, cycle_sum_form,
                          degree_product_check, determinant, matrix_trace,
                          multiplicativity_check, product_formula_check,
@@ -110,79 +109,69 @@ def random_word(rng: SplitMix64, letters, max_len: int) -> Word:
 # ---------------------------------------------------------------------------
 # independent determinant oracles
 
+_STEP_TABLES = {}
+
+
+def _column_steps(n: int) -> tuple:
+    """The steps of the Leibniz sum over column sets, built on first use
+    of each n: row i's tuple holds a ``(mask, j, to, odd)`` step for each
+    set ``mask`` of i columns and each column j outside it, where ``to``
+    is ``mask`` with j added and ``odd`` the parity of the columns in
+    ``mask`` greater than j.  Each permutation s is the one path of steps
+    j = s(0), s(1), .., and the parities along it add up to its
+    inversions.  Past ``ORACLE_CAP`` it raises before it builds a step."""
+    _check_perm_cap(n)
+    steps = _STEP_TABLES.get(n)
+    if steps is None:
+        steps = _STEP_TABLES[n] = tuple(
+            tuple((mask, j, mask | 1 << j, (mask >> j).bit_count() & 1)
+                  for mask in range(1 << n) if mask.bit_count() == i
+                  for j in range(n) if not mask >> j & 1)
+            for i in range(n))
+    return steps
+
+
 def leibniz_det(matrix: Matrix):
-    """Determinant by the Leibniz sum over S_n (n <= ORACLE_CAP).
+    """Determinant by the Leibniz sum over S_n (n <= ORACLE_CAP), summed
+    row by row over the set of columns the rows above have used: after i
+    rows, the partial sum of an i-element set is the signed sum of the
+    products along the bijections of rows 0..i-1 onto it, which every
+    permutation that continues them shares (2^(n-1) n steps in place of
+    n! products of n cells).
 
     This is the independent oracle for pseudocharacter determinants: it
-    never touches the recursive forms, only scalar arithmetic.
+    never touches the recursive forms, only scalar arithmetic.  The sum
+    is reduced once at the end.
     """
-    n, ring, rows = matrix.n, matrix.ring, matrix.rows
-    acc = None
-    for perm, sign, _ in _signed_perms(n):
-        prod = rows[0][perm[0]]
-        for i in range(1, n):
-            prod = prod * rows[i][perm[i]]
-        term = prod if sign > 0 else -prod
-        acc = term if acc is None else acc + term
-    return ring.cell(acc)
-
-
-_FIXED_GROUPS = {}
-
-
-def _fixed_groups(n: int) -> tuple:
-    """``_signed_perms(n)`` grouped by fixed-point set, built on first use
-    of each n: one ``(fixed, plus, minus)`` row per set that some
-    permutation fixes exactly.  ``fixed`` holds the flat indices i*n + i
-    of its diagonal cells; ``plus`` and ``minus`` hold, for each of its
-    permutations s of sign +1 and -1, the flat indices i*n + s(i) of the
-    moved rows.  The table raises past ``ORACLE_CAP`` before any row is
-    built."""
-    table = _signed_perms(n)
-    groups = _FIXED_GROUPS.get(n)
-    if groups is None:
-        buckets = {}
-        for perm, sign, cycles in table:
-            fixed = tuple(c[0] * (n + 1) for c in cycles if len(c) == 1)
-            moved = tuple(i * n + perm[i] for c in cycles if len(c) > 1
-                          for i in c)
-            buckets.setdefault(fixed, ([], []))[sign < 0].append(moved)
-        groups = _FIXED_GROUPS[n] = tuple(
-            (fixed, tuple(plus), tuple(minus))
-            for fixed, (plus, minus) in buckets.items())
-    return groups
+    sums = [1] + [0] * ((1 << matrix.n) - 1)
+    for row, steps in zip(matrix.rows, _column_steps(matrix.n)):
+        for mask, j, to, odd in steps:
+            term = sums[mask] * row[j]
+            sums[to] = sums[to] - term if odd else sums[to] + term
+    return matrix.ring.cell(sums[-1])
 
 
 def char_poly_leibniz(matrix: Matrix) -> tuple:
     """Coefficients c_0..c_n of det(t*I - x), lowest degree first, by the
-    Leibniz sum: a permutation s contributes sign(s) times
-    prod -x_i,s(i) over its moved rows times prod (t - x_ii) over its
-    fixed points.  The permutations of one fixed-point set share the
-    second factor, so their scalar parts are summed first and that
-    polynomial is expanded once per set, as a coefficient list in t.  No
-    variable is introduced, so the coefficients are scalars of the
-    matrix's own ring (polynomial cells give polynomial coefficients).
-    The modular backend's cells are integers in [0, m): the sum is
-    expanded over the integers and reduced once at the end (reduction mod
-    m is a ring homomorphism)."""
+    Leibniz sum of ``leibniz_det`` over column sets, with each partial sum
+    a coefficient list in t: a step times the cell -x_ij, or (t - x_ii)
+    on the diagonal.  No variable is introduced, so the coefficients are
+    scalars of the matrix's own ring (polynomial cells give polynomial
+    coefficients).  The modular backend's cells are integers in [0, m):
+    the sum is expanded over the integers and reduced once at the end
+    (reduction mod m is a ring homomorphism)."""
     n = matrix.n
-    groups = _fixed_groups(n)
-    neg = [-a for row in matrix.rows for a in row]
-    take = partial(map, neg.__getitem__)
-    acc = [0] * (n + 1)
-    for fixed, plus, minus in groups:
-        scale = (sum(map(math.prod, map(take, plus)))
-                 - sum(map(math.prod, map(take, minus))))
-        if scale == 0:
-            continue
-        coeffs = [scale]
-        for a in take(fixed):  # times (t + a), where a = -x_ii
-            coeffs = ([a * coeffs[0]]
-                      + [lo + a * hi for lo, hi in zip(coeffs, coeffs[1:])]
-                      + [coeffs[-1]])
-        for k, c in enumerate(coeffs):
-            acc[k] = acc[k] + c
-    return tuple(map(matrix.ring.cell, acc))
+    sums = [[1]] + [None] * ((1 << n) - 1)
+    for i, (row, steps) in enumerate(zip(matrix.rows, _column_steps(n))):
+        for mask, j, to, odd in steps:
+            low = sums[mask]
+            a = row[j] if odd else -row[j]  # the sign times -x_ij
+            term = [a * c for c in low] + [0]
+            if j == i:  # and the sign times t
+                term[1:] = map(sub if odd else add, term[1:], low)
+            acc = sums[to]
+            sums[to] = term if acc is None else list(map(add, acc, term))
+    return tuple(map(matrix.ring.cell, sums[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,18 @@ class TestCheck:
         assert "1 suite(s)" in capsys.readouterr().out
 
 
+def test_python_dash_m_runs_the_command(tmp_path):
+    """``python -m pseudodet`` is the ``pseudodet`` command."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudodet", "check", "det-mult", "--trials",
+         "1", "--quiet"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("suite det-mult"), proc.stdout
+
+
 class TestClosedStdout:
     """A reader that quits early (``check all ... | head -1``) must not
     cost the report: the run goes on, writes its JSON and exits with the

@@ -62,9 +62,15 @@ MUTANTS = [
         id="char_poly-skips-reduce"),
     pytest.param(
         "verify.py",
-        "    return ring.cell(acc)\n",
-        "    return acc\n",
+        "    return matrix.ring.cell(sums[-1])\n",
+        "    return sums[-1]\n",
         id="leibniz_det-skips-reduce"),
+    # a step whose used columns above j are odd in number is subtracted
+    pytest.param(
+        "verify.py",
+        "sums[to] = sums[to] - term if odd else sums[to] + term",
+        "sums[to] = sums[to] + term",
+        id="leibniz_det-adds-the-odd-steps"),
     # every f(a*b) of the recursion is one pair-trace call
     pytest.param(
         "pseudochar.py",
@@ -79,8 +85,14 @@ MUTANTS = [
         id="peel-skips-the-repeated-sub-form"),
     pytest.param(
         "verify.py",
-        "- sum(map(math.prod, map(take, minus)))",
-        "+ sum(map(math.prod, map(take, minus)))",
+        "            a = row[j] if odd else -row[j]  # the sign times -x_ij\n"
+        "            term = [a * c for c in low] + [0]\n"
+        "            if j == i:  # and the sign times t\n"
+        "                term[1:] = map(sub if odd else add, term[1:], low)\n",
+        "            a = -row[j]\n"
+        "            term = [a * c for c in low] + [0]\n"
+        "            if j == i:\n"
+        "                term[1:] = map(add, term[1:], low)\n",
         id="charpoly_leibniz-adds-the-odd-permutations"),
     pytest.param(
         "elements.py",

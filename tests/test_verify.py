@@ -1,7 +1,8 @@
 """PRNG determinism, oracles, suite runs, and report structure."""
 
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import pytest
 
@@ -13,8 +14,8 @@ from pseudodet import Multiset, verify
 from pseudodet.errors import CapExceededError
 from pseudodet.pseudochar import _PERM_TABLES, _signed_perms
 from pseudodet.rings import ring_from_spec
-from pseudodet.verify import (_FIXED_GROUPS, SUITE_NAMES, CheckRecord,
-                              SplitMix64, SuiteReport, _fixed_groups,
+from pseudodet.verify import (_STEP_TABLES, SUITE_NAMES, CheckRecord,
+                              SplitMix64, SuiteReport, _column_steps,
                               substream)
 
 
@@ -183,6 +184,78 @@ def cofactor_det(matrix):
     return det(rows)
 
 
+def inversions(perm):
+    return sum(perm[i] > perm[j] for i in range(len(perm))
+               for j in range(i + 1, len(perm)))
+
+
+def literal_leibniz(cells):
+    """Reference for both oracles, sharing no code with them: the n!-term
+    Leibniz sum written out, one term per permutation of
+    ``itertools.permutations``, its sign the parity of its inversions.
+    Unreduced."""
+    n = len(cells)
+    total = None
+    for perm in permutations(range(n)):
+        term = cells[0][perm[0]]
+        for i in range(1, n):
+            term = term * cells[i][perm[i]]
+        if inversions(perm) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+class InT(tuple):
+    """A polynomial in t as its tuple of coefficients, lowest degree
+    first, with the ``+``, unary ``-`` and ``*`` of ``literal_leibniz``."""
+
+    def __add__(self, other):
+        return InT(a + b for a, b in zip_longest(self, other, fillvalue=0))
+
+    def __neg__(self):
+        return InT(-a for a in self)
+
+    def __mul__(self, other):
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] = out[i + j] + a * b
+        return InT(out)
+
+
+def literal_char_poly(matrix):
+    """Reference: ``literal_leibniz`` of t*I - x, each cell in ``InT``,
+    its coefficients reduced by the matrix's ring."""
+    n, rows = matrix.n, matrix.rows
+    cells = [[InT((-rows[i][j], 1) if i == j else (-rows[i][j],))
+              for j in range(n)] for i in range(n)]
+    return tuple(map(matrix.ring.cell, literal_leibniz(cells)))
+
+
+def _fraction_matrix(rng, size):
+    return Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(size)] for _ in range(size)])
+
+
+def draw_matrix(spec, size, index):
+    """A seeded ``size`` x ``size`` matrix: integer cells in [-5, 5] over
+    ``spec``'s ring, or ``Fraction`` cells for "fractions"."""
+    rng = substream(11, index)
+    if spec == "fractions":
+        return _fraction_matrix(rng, size)
+    return random_matrix(rng, ring_from_spec(spec), size, 5)
+
+
+def generic_matrix(size):
+    """The ``size`` x ``size`` matrix of independent variables x_ij."""
+    return Matrix(QPOLY, [[Poly.variable(f"x{i}{j}") for j in range(size)]
+                          for i in range(size)])
+
+
+ORACLE_SPECS = ["rational", "fractions", "mod:7", "mod:101"]
+
+
 def forbid_form_recursion(monkeypatch):
     """Make every route into the recursive forms raise: ``form``, the
     memoized evaluator's only entry point, and the literal recursion,
@@ -222,6 +295,20 @@ class TestLeibnizDet:
             m = random_matrix(substream(7, t), ring, 3, 10)
             lifted = Matrix(QQ, [list(row) for row in m.rows])
             assert leibniz_det(m) == ring.cell(leibniz_det(lifted))
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_matches_literal_sum(self, spec):
+        """Same value and same type as the n!-term sum, n = 1..6."""
+        for n in range(1, 7):
+            for t in range(3):
+                m = draw_matrix(spec, n, 10 * n + t)
+                got = leibniz_det(m)
+                want = m.ring.cell(literal_leibniz(m.rows))
+                assert got == want and type(got) is type(want)
+
+    def test_generic_three_by_three(self):
+        x = generic_matrix(3)
+        assert leibniz_det(x) == literal_leibniz(x.rows)
 
     def test_size_cap(self):
         with pytest.raises(CapExceededError, match="^size 8 exceeds the "
@@ -273,23 +360,12 @@ class TestSizeSeven:
             assert leibniz_det(x) == determinant(f, x)
             assert char_poly_leibniz(x) == char_poly(f, x).coefficients
 
-
-def symbolic_char_poly(matrix):
-    """Reference: leibniz_det of T*I - x over QPOLY, read back coefficient
-    by coefficient.  T is a variable no test cell uses."""
-    T = Poly.variable("T_ref")
-    n, rows = matrix.n, matrix.rows
-    cells = [[(T if i == j else Poly.constant(0)) - rows[i][j]
-              for j in range(n)] for i in range(n)]
-    coeffs = [0] * (n + 1)
-    for mono, coeff in leibniz_det(Matrix(QPOLY, cells)).terms:
-        coeffs[mono[0][1] if mono else 0] = coeff
-    return tuple(map(matrix.ring.cell, coeffs))
-
-
-def _fraction_matrix(rng, size):
-    return Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                        for _ in range(size)] for _ in range(size)])
+    def test_char_poly_mod_13(self):
+        ring = ModRing(13)
+        f = matrix_trace(ring, 7)
+        for t in range(3):
+            x = random_matrix(substream(713, t), ring, 7, 6)
+            assert char_poly_leibniz(x) == char_poly(f, x).coefficients
 
 
 class TestCharPolyLeibniz:
@@ -303,19 +379,15 @@ class TestCharPolyLeibniz:
         got = char_poly_leibniz(m)
         assert got == (5, 2, 1) == tuple(map(ring.cell, (-2, -5, 1)))
 
-    @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
-                                      "mod:101"])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_matches_symbolic_reference(self, spec):
         """Same value and same type (int or Fraction) in every
-        coefficient as the symbolic expansion, for d = 1..6."""
+        coefficient as the n!-term sum over coefficient lists in t, for
+        d = 1..6."""
         for d in range(1, 7):
             for t in range(3):
-                rng = substream(11, 10 * d + t)
-                if spec == "fractions":
-                    m = _fraction_matrix(rng, d)
-                else:
-                    m = random_matrix(rng, ring_from_spec(spec), d, 5)
-                got, want = char_poly_leibniz(m), symbolic_char_poly(m)
+                m = draw_matrix(spec, d, 10 * d + t)
+                got, want = char_poly_leibniz(m), literal_char_poly(m)
                 assert got == want
                 assert [type(c) for c in got] == [type(c) for c in want]
 
@@ -323,6 +395,12 @@ class TestCharPolyLeibniz:
         a, b, c, d = (Poly.variable(v) for v in "abcd")
         got = char_poly_leibniz(Matrix(QPOLY, [[a, b], [c, d]]))
         assert got == (a * d - b * c, -a - d, 1)
+        assert all(isinstance(coeff, Poly) for coeff in got)
+
+    def test_generic_three_by_three(self):
+        x = generic_matrix(3)
+        got = char_poly_leibniz(x)
+        assert got == literal_char_poly(x)
         assert all(isinstance(coeff, Poly) for coeff in got)
 
     def test_cell_variable_named_t(self):
@@ -342,43 +420,39 @@ class TestCharPolyLeibniz:
         assert char_poly_leibniz(m) == (-2, -5, 1)
 
 
-class TestFixedGroups:
-    """``char_poly_leibniz`` expands one polynomial per fixed-point set:
-    ``_fixed_groups`` regroups the one permutation table, each of its
-    permutations exactly once."""
+class TestColumnSteps:
+    """Both oracles walk ``_column_steps``: each permutation of S_n is
+    exactly one path through its steps, and the parities along the path
+    add up to the permutation's inversion parity."""
 
-    def test_every_permutation_once(self):
+    def test_every_permutation_one_path(self):
         for n in range(1, 8):
-            groups = _fixed_groups(n)
-            assert len(groups) == 2**n - n  # no set misses one point only
-            seen = []
-            for fixed, plus, minus in groups:
-                points = [k // (n + 1) for k in fixed]
-                assert list(fixed) == [i * (n + 1) for i in points]
-                for sign, perms in ((1, plus), (-1, minus)):
-                    for moved in perms:
-                        perm = list(range(n))
-                        for k in moved:
-                            perm[k // n] = k % n
-                        assert sorted(k // n for k in moved) == sorted(
-                            set(range(n)) - set(points))
-                        assert all(perm[k // n] != k // n for k in moved)
-                        seen.append((tuple(perm), sign))
-            want = [(perm, sign) for perm, sign, _ in _signed_perms(n)]
-            assert sorted(seen) == sorted(want) and len(seen) == len(want)
-            assert _fixed_groups(n) is groups
+            table = _column_steps(n)
+            assert len(table) == n
+            lookup, paths = [], [1] + [0] * ((1 << n) - 1)
+            for i, steps in enumerate(table):
+                assert all(mask.bit_count() == i for mask, _, _, _ in steps)
+                lookup.append({(mask, j): (to, odd)
+                               for mask, j, to, odd in steps})
+                assert len(lookup[i]) == len(steps)
+                for mask, _, to, _ in steps:
+                    paths[to] += paths[mask]
+            assert paths[-1] == math.factorial(n)
+            for perm in permutations(range(n)):
+                mask, parity = 0, 0
+                for i, j in enumerate(perm):
+                    to, odd = lookup[i][mask, j]
+                    assert to == mask | 1 << j
+                    mask, parity = to, parity ^ odd
+                assert parity == inversions(perm) % 2
+            assert _column_steps(n) is table
 
-    def test_size_cap_builds_no_group(self):
-        with pytest.raises(CapExceededError, match="permutation cap of 7"):
-            char_poly_leibniz(Matrix.identity(QQ, 8))
-        assert 8 not in _PERM_TABLES and 8 not in _FIXED_GROUPS
-
-    def test_size_seven_mod_13(self):
-        ring = ModRing(13)
-        f = matrix_trace(ring, 7)
-        for t in range(3):
-            x = random_matrix(substream(713, t), ring, 7, 6)
-            assert char_poly_leibniz(x) == char_poly(f, x).coefficients
+    def test_size_cap_builds_no_step(self):
+        for oracle in (leibniz_det, char_poly_leibniz):
+            with pytest.raises(CapExceededError, match="^size 8 exceeds the "
+                               "permutation cap of 7$"):
+                oracle(Matrix.identity(QQ, 8))
+        assert 8 not in _PERM_TABLES and 8 not in _STEP_TABLES
 
 
 class TestSuiteRuns:

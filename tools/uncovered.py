@@ -13,11 +13,12 @@ object's ``co_lines()``) and that never ran is printed as
 
 Only this process is traced.  Code that runs in a child process (the CLI
 runs of ``tests/test_mutants.py``, the piped ``check all`` of
-``TestClosedStdout``) is not seen, so for example ``cli._say``'s
-broken-pipe branch and the ``sys.exit(main())`` line under
-``__main__`` are listed as unrun although a child ran them.  Standard
-library only, besides the pytest that tier-1 needs; tracing makes the
-suite several times slower.
+``TestClosedStdout``, the ``python -m pseudodet`` run of
+``tests/test_cli.py``) is not seen, so for example ``cli._say``'s
+broken-pipe branch, the ``sys.exit(main())`` line under ``__main__`` and
+the lines of ``__main__.py`` are listed as unrun although a child ran
+them.  Standard library only, besides the pytest that tier-1 needs;
+tracing makes the suite several times slower.
 """
 
 from __future__ import annotations
