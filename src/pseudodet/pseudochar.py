@@ -523,22 +523,27 @@ class CharPoly(FrozenValue):
 def char_poly(f: CentralFunction, x) -> CharPoly:
     """Characteristic polynomial det(t - x) of a pseudocharacter.
 
-    By symmetry and multilinearity of the forms, the coefficient of t^k
-    collapses to (1/d!) * C(d,k) * form_d(-x, .., -x, 1, .., 1) with d-k
-    copies of -x and k copies of the unit; no symbolic computation in the
-    algebra is needed.  The result is monic with trace coefficient -f(x).
+    By symmetry and multilinearity, the t^k coefficient is (1/d!) *
+    C(d,k) * form_d(-x, .., -x, 1, .., 1) with k units.  Peeling each
+    unit (form_n(z, 1) = (f(1) - (n-1)) * form_{n-1}(z)) leaves the
+    padding product prod_{i=d-k..d-1} (f(1) - i) times form_{d-k}(-x,
+    .., -x), form_0 = 1, so one recursion of form_d on d copies of -x
+    memoizes the whole chain.  f(1) is f on the unit, not the declared
+    d: a trace declared with another dimension gets a polynomial that
+    is not monic; a pseudocharacter's is monic, trace coefficient -f(x).
     """
-    d = f.dim
-    ring = f.ring
+    d, ring = f.dim, f.ring
     _check_arity(d)
     inv = ring.inverse_of_factorial(d)
     one = x.one()
-    neg = -x
     ev = _FormEvaluator(f)
-    coeffs = []
-    for k in range(d + 1):
-        value = ev.form((neg,) * (d - k) + (one,) * k)
-        coeffs.append(ring.cell(inv * (math.comb(d, k) * value)))
+    key = (ev.intern(ev.arg(-x)),)
+    chain = [ev.value(key * (d - k)) for k in range(d)] + [1]
+    f1 = ev.f_cells[ev.intern(ev.arg(one))]
+    coeffs, pad = [], 1
+    for k in range(d + 1):  # chain[k] is form_{d-k}(-x, .., -x)
+        coeffs.append(ring.cell(inv * (math.comb(d, k) * pad * chain[k])))
+        pad = pad * (f1 - (d - 1 - k))
     return CharPoly(ring, tuple(coeffs))
 
 

@@ -59,6 +59,23 @@ class TestEval:
         assert main(["eval", "charpoly", "--matrix", matrix_file]) == 0
         assert capsys.readouterr().out.strip() == "(1)*t^2 + (-5)*t + (-2)"
 
+    @pytest.mark.parametrize("entries,dim,want", [
+        ("1 2\n3 4", "1", "(2)*t + (-5)"),
+        ("1 2\n3 4", "3", "(0)*t^3 + (0)*t^2 + (0)*t + (0)"),
+        ("1/2 -3\n2/3 5", "1", "(2)*t + (-11/2)"),
+        ("1/2 -3\n2/3 5", "3", "(0)*t^3 + (0)*t^2 + (0)*t + (0)"),
+    ], ids=["int-dim1", "int-dim3", "fraction-dim1", "fraction-dim3"])
+    def test_charpoly_with_another_dim(self, tmp_path, capsys, entries, dim,
+                                       want):
+        """With --dim D the unit's trace f(1) = 2 is not D: the padding
+        uses f(1), so --dim 1 is 2t - tr(x), not monic, and --dim 3 is
+        zero, as form_3 and the factor f(1) - 2 vanish on 2 x 2."""
+        path = tmp_path / "m.txt"
+        path.write_text(f"2\n{entries}\n")
+        assert main(["eval", "charpoly", "--matrix", str(path),
+                     "--dim", dim]) == 0
+        assert capsys.readouterr().out.strip() == want
+
     def test_fn_defaults_to_dim(self, matrix_file, capsys):
         assert main(["eval", "fn", "--matrix", matrix_file]) == 0
         # form_2(x, x) = f(x)^2 - f(x^2) = 25 - 29

@@ -31,9 +31,15 @@ MUTANTS = [
         id="degree_product-squares-the-left-form"),
     pytest.param(
         "pseudochar.py",
-        "value = ev.form((neg,) * (d - k) + (one,) * k)",
-        "value = ev.form((neg,) * k + (one,) * (d - k))",
+        "math.comb(d, k) * pad * chain[k])",
+        "math.comb(d, k) * pad * chain[d - k])",
         id="char_poly-swaps-the-powers"),
+    # the padding product of coefficient k is prod_{i=d-k..d-1} (f(1) - i)
+    pytest.param(
+        "pseudochar.py",
+        "pad = pad * (f1 - (d - 1 - k))",
+        "pad = pad * (f1 - (d - k))",
+        id="char_poly-shifts-the-padding-factor"),
     pytest.param(
         "pseudochar.py",
         "diffs[j] = ring.cell(diffs[j] - diffs[j - 1])",
@@ -57,8 +63,8 @@ MUTANTS = [
         id="charpoly_trace-skips-reduce"),
     pytest.param(
         "pseudochar.py",
-        "coeffs.append(ring.cell(inv * (math.comb(d, k) * value)))",
-        "coeffs.append(inv * (math.comb(d, k) * value))",
+        "coeffs.append(ring.cell(inv * (math.comb(d, k) * pad * chain[k])))",
+        "coeffs.append(inv * (math.comb(d, k) * pad * chain[k]))",
         id="char_poly-skips-reduce"),
     pytest.param(
         "verify.py",

@@ -17,7 +17,7 @@ from pseudodet import (CapExceededError, CentralFunction, CharPoly,
                        matrix_trace, multiset_product, multiplicativity_check,
                        product_formula_check, recursive_form, regular_trace,
                        ring_from_spec, word)
-from pseudodet import elements
+from pseudodet import elements, pseudochar
 from pseudodet.pseudochar import _FormEvaluator
 from pseudodet.rings import RationalRing
 from pseudodet.verify import (_CORNER, char_poly_leibniz, leibniz_det,
@@ -915,6 +915,73 @@ class TestCharPoly:
             for dim in (1, 3):
                 for x in rand_mats(600 + dim, 3, ring=ring):
                     agree(matrix_trace(ring, 2, dim), x)
+
+    def test_equals_its_literal_definition(self):
+        """Coefficient k is (d!)^-1 * C(d,k) * form_d(-x, .., -x, 1, .., 1)
+        with k units, each form by ``literal_form``, in value and type:
+        on 2 x 2 traces declared with dimension 1..4 (f(1) = 2 differs
+        from d but at d = 2), on honest traces up to d = 4, over Q, mod 7
+        and mod 5, on a ``Fraction`` matrix, and on the regular trace of
+        C_3 (the evaluator's element path)."""
+        def literal(f, x):
+            d, ring = f.dim, f.ring
+            inv, one = ring.inverse_of_factorial(d), x.one()
+            return tuple(ring.cell(inv * (math.comb(d, k) * literal_form(
+                f, (-x,) * (d - k) + (one,) * k))) for k in range(d + 1))
+
+        def agree(f, x):
+            got, want = char_poly(f, x).coefficients, literal(f, x)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+        for ring in (QQ, ModRing(7), ModRing(5)):
+            for dim in (1, 2, 3, 4):
+                for x in rand_mats(640 + dim, 3, ring=ring):
+                    agree(matrix_trace(ring, 2, dim), x)
+            for d in (1, 3, 4):
+                x = rand_mats(650 + d, 1, ring=ring, size=d)[0]
+                agree(matrix_trace(ring, d), x)
+        agree(matrix_trace(QQ, 2), Matrix(QQ, [[Fraction(1, 2), -3],
+                                               [Fraction(2, 3), 5]]))
+        c3 = GroupTable.cyclic(3)
+        rng = substream(660, 0)
+        for ring in (QQ, ModRing(7)):
+            for _ in range(3):
+                agree(regular_trace(c3, ring), GroupAlgebraElement(
+                    c3, ring, [rng.randint(-2, 2) for _ in range(3)]))
+
+    @pytest.mark.parametrize("case", ["rational", "mod:101", "C6"])
+    def test_makes_the_products_of_one_determinant(self, monkeypatch, case):
+        """At d = 6, ``char_poly(f, x)`` multiplies exactly the element
+        pairs that ``determinant(f, -x)`` multiplies, counted at the
+        product kernel (matrices) or at ``*`` (group algebra)."""
+        made = []
+
+        def counted(mul):
+            def spy(a, b):
+                made.append((a, b))
+                return mul(a, b)
+            return spy
+
+        if case == "C6":
+            c6 = GroupTable.cyclic(6)
+            f = regular_trace(c6, QQ)
+            x = GroupAlgebraElement(c6, QQ, [1, -2, 0, 3, 1, -1])
+            monkeypatch.setattr(pseudochar, "mul", counted(pseudochar.mul))
+        else:
+            ring = ring_from_spec(case)
+            f = matrix_trace(ring, 6)
+            x = rand_mats(670, 1, ring=ring, size=6)[0]
+            kernels = pseudochar._kernels
+
+            def spied_kernels(ring, size):
+                mul, f_cell, pair_trace = kernels(ring, size)
+                return counted(mul), f_cell, pair_trace
+            monkeypatch.setattr(pseudochar, "_kernels", spied_kernels)
+        determinant(f, -x)
+        det_products = sorted(made)
+        made.clear()
+        char_poly(f, x)
+        assert det_products and sorted(made) == det_products
 
     def test_trace_roundtrip_report(self):
         f = matrix_trace(QQ, 3)
