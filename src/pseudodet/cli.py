@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _run_check(args)
         return _run_eval(args)
-    except (ConfigError, PseudodetError, OSError) as exc:
+    except (PseudodetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from types import MappingProxyType
 
@@ -132,9 +133,9 @@ def _matrix_rows(ring: Ring, n: int, other):
 
 #: the largest size whose product cells are written out, not ring.dot's
 _UNROLLED = 6
-_KERNELS = {}
 
 
+@cache
 def _kernels(ring: Ring, n: int):
     """The ``(product, trace, pair_trace)`` functions on the row tuples of
     n x n matrices over ``ring``, compiled on first use of each (ring,
@@ -150,37 +151,33 @@ def _kernels(ring: Ring, n: int):
     ``Fraction``, not ``ring.cell``'s ``int``.  Past ``_UNROLLED`` the
     product and the pair trace are ``ring.dot`` calls.
     """
-    kernels = _KERNELS.get((ring, n))
-    if kernels is None:
-        cell = "({}) % m" if isinstance(ring, ModRing) else "{}"
-        idx = range(n)
+    cell = "({}) % m" if isinstance(ring, ModRing) else "{}"
+    idx = range(n)
 
-        def rows(cell_of):
-            """Source of the row tuples whose (i, j) cell is cell_of(i, j)."""
-            return "(" + "".join("(" + "".join(
-                cell_of(i, j) + ", " for j in idx) + "), " for i in idx) + ")"
-        if n <= _UNROLLED:
-            unpack = (f"    {rows('x{}_{}'.format)} = x\n"
-                      f"    {rows('y{}_{}'.format)} = y\n")
-            product = unpack + "    return " + rows(
-                lambda i, j: cell.format(" + ".join(
-                    f"x{i}_{k} * y{k}_{j}" for k in idx))) + "\n"
-            pair_trace = unpack + "    return " + cell.format(" + ".join(
-                f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx)) + "\n"
-        else:
-            product = ("    cols = tuple(zip(*y))\n    return tuple(tuple("
-                       "dot(row, col) for col in cols) for row in x)\n")
-            pair_trace = ("    return dot(chain.from_iterable(x), "
-                          "chain.from_iterable(zip(*y)))\n")
-        trace = cell.format(" + ".join(f"x[{i}][{i}]" for i in idx))
-        names = {"m": getattr(ring, "modulus", None), "dot": ring.dot,
-                 "chain": chain}
-        exec(f"def product(x, y):\n{product}def trace(x):\n"
-             f"    return {trace}\ndef pair_trace(x, y):\n{pair_trace}",
-             names)
-        kernels = _KERNELS[ring, n] = (
-            names["product"], names["trace"], names["pair_trace"])
-    return kernels
+    def rows(cell_of):
+        """Source of the row tuples whose (i, j) cell is cell_of(i, j)."""
+        return "(" + "".join("(" + "".join(
+            cell_of(i, j) + ", " for j in idx) + "), " for i in idx) + ")"
+    if n <= _UNROLLED:
+        unpack = (f"    {rows('x{}_{}'.format)} = x\n"
+                  f"    {rows('y{}_{}'.format)} = y\n")
+        product = unpack + "    return " + rows(
+            lambda i, j: cell.format(" + ".join(
+                f"x{i}_{k} * y{k}_{j}" for k in idx))) + "\n"
+        pair_trace = unpack + "    return " + cell.format(" + ".join(
+            f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx)) + "\n"
+    else:
+        product = ("    cols = tuple(zip(*y))\n    return tuple(tuple("
+                   "dot(row, col) for col in cols) for row in x)\n")
+        pair_trace = ("    return dot(chain.from_iterable(x), "
+                      "chain.from_iterable(zip(*y)))\n")
+    trace = cell.format(" + ".join(f"x[{i}][{i}]" for i in idx))
+    names = {"m": getattr(ring, "modulus", None), "dot": ring.dot,
+             "chain": chain}
+    exec(f"def product(x, y):\n{product}def trace(x):\n"
+         f"    return {trace}\ndef pair_trace(x, y):\n{pair_trace}",
+         names)
+    return names["product"], names["trace"], names["pair_trace"]
 
 
 class Word(FrozenValue):

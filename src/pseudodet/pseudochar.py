@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
 from operator import mul
 
@@ -98,14 +98,15 @@ class _FormEvaluator:
     interned element is evaluated, and ``evaluate`` is pure) into
     ``f_cells``.  The recursion works on plain scalars: form_1 is read
     from ``f_cells``, form_2 is written out as f(a)·f(b) − f(a·b), with
-    f(a·b) from ``f_pair(a, b)``, and from n = 3 on each value goes
-    through ``ring.cell`` once into the memo, keyed on id tuples in the
-    element order, so a key stands for the sorted argument multiset and
-    the largest element is the one peeled.  Equal ids sit side by side
-    in a key and removing either of two gives the same sub-key, so each
-    distinct argument is peeled once and its sub-form subtracted once per
-    copy.  ``products`` caches pair products on id pairs.  ``form`` and
-    ``on_sum`` return a ``ring.cell``.
+    f(a·b) from ``f_pair(self, a, b)`` (the evaluator is passed in, so no
+    evaluator refers to itself and each is freed when its call returns),
+    and from n = 3 on each value goes through ``ring.cell`` once into the
+    memo, keyed on id tuples in the element order, so a key stands for
+    the sorted argument multiset and the largest element is the one
+    peeled.  Equal ids sit side by side in a key and removing either of
+    two gives the same sub-key, so each distinct argument is peeled once
+    and its sub-form subtracted once per copy.  ``products`` caches pair
+    products on id pairs.  ``form`` and ``on_sum`` return a ``ring.cell``.
     Fresh per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
@@ -133,12 +134,11 @@ class _FormEvaluator:
             cell = ring.cell
             self.arg, self.mul = (lambda x: x), mul
             self.f_cell = lambda x: cell(f(x))
-            product = self.product
-            self.f_pair = lambda a, b: f_cells[product(a, b)]
+            self.f_pair = lambda ev, a, b: f_cells[ev.product(a, b)]
             return
         self.arg = partial(_matrix_rows, *f._matrix)
         self.mul, self.f_cell, pair_trace = _kernels(*f._matrix)
-        self.f_pair = lambda a, b: pair_trace(elems[a], elems[b])
+        self.f_pair = lambda ev, a, b: pair_trace(elems[a], elems[b])
 
     def intern(self, x) -> int:
         """The id of element ``x``, assigned (and f computed) on first
@@ -193,7 +193,7 @@ class _FormEvaluator:
             if n == 1:
                 return fc[key[0]]
             a, b = key
-            return fc[a] * fc[b] - f_pair(a, b)
+            return fc[a] * fc[b] - f_pair(self, a, b)
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
@@ -205,12 +205,12 @@ class _FormEvaluator:
             # the three sub-forms of size 2 written out, saving their calls
             a, b = head
             order = self.elems
-            result = fc[last] * (fc[a] * fc[b] - f_pair(a, b))
+            result = fc[last] * (fc[a] * fc[b] - f_pair(self, a, b))
             for e, other in ((a, b),) if a == b else ((a, b), (b, a)):
                 merged = product(e, last)
-                pair = ((merged, other) if order[merged] < order[other]
-                        else (other, merged))
-                sub = fc[merged] * fc[other] - f_pair(*pair)
+                lo, hi = ((merged, other) if order[merged] < order[other]
+                          else (other, merged))
+                sub = fc[merged] * fc[other] - f_pair(self, lo, hi)
                 result -= sub
             if a == b:  # the two merged terms are one term
                 result -= sub
@@ -312,22 +312,17 @@ def _check_perm_cap(n: int) -> None:
             f"size {n} exceeds the permutation cap of {ORACLE_CAP}")
 
 
-_PERM_TABLES = {}
-
-
+@cache
 def _signed_perms(n: int) -> tuple:
     """The ``(perm, sign, cycles)`` rows of S_n, perms in lexicographic
     order, built on first use of each n: the one table of signs and
     cycles.  Past ``ORACLE_CAP`` it raises ``CapExceededError`` first."""
     _check_perm_cap(n)
-    table = _PERM_TABLES.get(n)
-    if table is None:
-        rows = []
-        for perm in permutations(range(n)):
-            cycles = _cycles(perm)
-            rows.append((perm, (-1) ** (n - len(cycles)), cycles))
-        table = _PERM_TABLES[n] = tuple(rows)
-    return table
+    rows = []
+    for perm in permutations(range(n)):
+        cycles = _cycles(perm)
+        rows.append((perm, (-1) ** (n - len(cycles)), cycles))
+    return tuple(rows)
 
 
 def cycle_sum_form(f: CentralFunction, args):

@@ -15,6 +15,7 @@ ordinary check holds and every negative control misbehaves as expected.
 from __future__ import annotations
 
 import time
+from functools import cache
 from operator import add, sub
 
 from .elements import LetterHom, Matrix, Word
@@ -109,9 +110,7 @@ def random_word(rng: SplitMix64, letters, max_len: int) -> Word:
 # ---------------------------------------------------------------------------
 # independent determinant oracles
 
-_STEP_TABLES = {}
-
-
+@cache
 def _column_steps(n: int) -> tuple:
     """The steps of the Leibniz sum over column sets, built on first use
     of each n: row i's tuple holds a ``(mask, j, to, odd)`` step for each
@@ -121,14 +120,11 @@ def _column_steps(n: int) -> tuple:
     j = s(0), s(1), .., and the parities along it add up to its
     inversions.  Past ``ORACLE_CAP`` it raises before it builds a step."""
     _check_perm_cap(n)
-    steps = _STEP_TABLES.get(n)
-    if steps is None:
-        steps = _STEP_TABLES[n] = tuple(
-            tuple((mask, j, mask | 1 << j, (mask >> j).bit_count() & 1)
-                  for mask in range(1 << n) if mask.bit_count() == i
-                  for j in range(n) if not mask >> j & 1)
-            for i in range(n))
-    return steps
+    return tuple(
+        tuple((mask, j, mask | 1 << j, (mask >> j).bit_count() & 1)
+              for mask in range(1 << n) if mask.bit_count() == i
+              for j in range(n) if not mask >> j & 1)
+        for i in range(n))
 
 
 def leibniz_det(matrix: Matrix):

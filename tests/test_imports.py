@@ -1,6 +1,7 @@
 """Source hygiene: every name a src module imports is used in that module,
-every private module-level name is used somewhere in src, and signed
-permutations come from one table.
+every private module-level name is used somewhere in src, signed
+permutations come from one table, and a table built once per argument is
+a ``functools.cache`` function, not a hand-rolled module-level dict.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports, and so is ``from __future__ import annotations``."""
@@ -148,3 +149,52 @@ def test_a_second_permutation_walk_is_found():
     assert permutation_uses(source) == {
         ("table", "_cycles"), ("table", "permutations"),
         ("other", "permutations"), (None, "_cycles")}
+
+
+#: (module, name) of each module-level dict that src may fill on first
+#: use: the plan cache, bounded by ``PLAN_CACHE_MAX``, and the registry
+#: that keeps one object per ring.  Any other table built once per
+#: argument is a ``functools.cache`` function.
+FIRST_USE_TABLES = {("multisets", "_PLANS"), ("rings", "_RINGS")}
+
+
+def _is_empty_dict(node) -> bool:
+    """Whether an expression is ``{}`` or ``dict()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and not node.args
+            and not node.keywords)
+
+
+def first_use_tables(source: str) -> list:
+    """``(line, name)`` of each module-level name bound to an empty dict,
+    with or without an annotation."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if stmt.value is not None and _is_empty_dict(stmt.value):
+            found.extend((stmt.lineno, node.id) for t in targets
+                         for node in ast.walk(t)
+                         if isinstance(node, ast.Name))
+    return sorted(found)
+
+
+def test_first_use_tables_are_the_named_ones():
+    found = {(p.stem, name) for p in MODULES
+             for _, name in first_use_tables(p.read_text(encoding="utf-8"))}
+    assert found - FIRST_USE_TABLES == set()
+
+
+def test_a_first_use_table_is_found():
+    source = ("_T = {}\n_U: dict = dict()\n_V = {1: 2}\n_W = dict(a=1)\n"
+              "_S: dict\n"
+              "def f():\n    table = {}\n    return table\n"
+              "_X = _Y = {}\n")
+    assert first_use_tables(source) == [
+        (1, "_T"), (2, "_U"), (9, "_X"), (9, "_Y")]

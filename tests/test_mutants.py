@@ -80,8 +80,8 @@ MUTANTS = [
     # every f(a*b) of the recursion is one pair-trace call
     pytest.param(
         "pseudochar.py",
-        "return fc[a] * fc[b] - f_pair(a, b)",
-        "return fc[a] * fc[b] + f_pair(a, b)",
+        "return fc[a] * fc[b] - f_pair(self, a, b)",
+        "return fc[a] * fc[b] + f_pair(self, a, b)",
         id="form_2-adds-the-pair-term"),
     # a repeated argument's sub-form is subtracted once per copy
     pytest.param(

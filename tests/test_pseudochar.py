@@ -1,5 +1,6 @@
 """Recursive forms, the cycle-sum oracle, determinants, char polys."""
 
+import gc
 import math
 import re
 from fractions import Fraction
@@ -983,6 +984,26 @@ class TestCharPoly:
         char_poly(f, x)
         assert det_products and sorted(made) == det_products
 
+    @pytest.mark.parametrize("case", ["C3", "rational"])
+    def test_leaves_no_reference_cycle(self, case):
+        # the evaluator is freed by reference counting when the call
+        # returns: nothing it builds refers back to it
+        if case == "C3":
+            c3 = GroupTable.cyclic(3)
+            f = regular_trace(c3, QQ)
+            x = GroupAlgebraElement(c3, QQ, [1, -2, 3])
+        else:
+            f, x = matrix_trace(QQ, 2), Matrix(QQ, [[1, 2], [3, 4]])
+        want = char_poly(f, x)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert char_poly(f, x) == want
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_trace_roundtrip_report(self):
         f = matrix_trace(QQ, 3)
         samples = rand_mats(530, 6, size=3) + [
@@ -1062,16 +1083,20 @@ class TestPseudocharacterReport:
                            match="^matrix must be square and nonempty$"):
             matrix_trace(QQ, -2, 1)
 
-    def test_matrix_trace_refuses_a_float_size(self, monkeypatch):
-        # (QQ, 2.0) and (QQ, 2) are equal kernel keys: the size is refused
-        # before any kernel is looked up, whether the 2 x 2 ones exist or not
-        monkeypatch.setattr(elements, "_KERNELS", {})
+    def test_matrix_trace_refuses_a_float_size(self):
+        # (QQ, 2.0) and (QQ, 2) are equal cache keys of the kernels: the
+        # size is refused before any kernel is looked up, whether the
+        # 2 x 2 ones exist or not
+        elements._kernels.cache_clear()
         x = Matrix(QQ, [[1, 2], [3, 4]])
         message = r"^matrix size must be an int, got 2\.0$"
         with pytest.raises(ValueError, match=message):
             recursive_form(matrix_trace(QQ, 2.0, 2), (x, x))
+        assert elements._kernels.cache_info().currsize == 0
         assert x * x == Matrix(QQ, [[7, 10], [15, 22]])
-        assert (QQ, 2) in elements._KERNELS
+        assert elements._kernels.cache_info().currsize == 1
+        assert elements._kernels(QQ, 2.0) is elements._kernels(QQ, 2)
+        assert elements._kernels.cache_info().currsize == 1
         with pytest.raises(ValueError, match=message):
             recursive_form(matrix_trace(QQ, 2.0, 2), (x, x))
 

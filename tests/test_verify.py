@@ -12,11 +12,19 @@ from pseudodet import (ConfigError, Matrix, ModRing, Poly, QPOLY, QQ,
                        matrix_trace, random_matrix, random_word, run_suite)
 from pseudodet import Multiset, verify
 from pseudodet.errors import CapExceededError
-from pseudodet.pseudochar import _PERM_TABLES, _signed_perms
+from pseudodet.pseudochar import _signed_perms
 from pseudodet.rings import ring_from_spec
-from pseudodet.verify import (_STEP_TABLES, SUITE_NAMES, CheckRecord,
-                              SplitMix64, SuiteReport, _column_steps,
-                              substream)
+from pseudodet.verify import (SUITE_NAMES, CheckRecord, SplitMix64,
+                              SuiteReport, _column_steps, substream)
+
+
+def table_sizes() -> list:
+    """How many sizes the permutation and column-step tables hold.  A
+    refused size raises before either table builds anything, and
+    ``functools.cache`` stores no exception, so a refusal leaves both
+    counts as they were."""
+    return [table.cache_info().currsize
+            for table in (_signed_perms, _column_steps)]
 
 
 class TestPrng:
@@ -311,10 +319,11 @@ class TestLeibnizDet:
         assert leibniz_det(x) == literal_leibniz(x.rows)
 
     def test_size_cap(self):
+        before = table_sizes()
         with pytest.raises(CapExceededError, match="^size 8 exceeds the "
                            "permutation cap of 7$"):
             leibniz_det(Matrix.identity(QQ, 8))
-        assert 8 not in _PERM_TABLES
+        assert table_sizes() == before
 
     def test_independent_of_form_recursion(self, monkeypatch):
         # the oracle must not route through the recursive forms
@@ -410,9 +419,10 @@ class TestCharPolyLeibniz:
         assert got == (t, -t - 1, 1)
 
     def test_size_cap_builds_no_table(self):
+        before = table_sizes()
         with pytest.raises(CapExceededError, match="permutation cap of 7"):
             char_poly_leibniz(Matrix.identity(QQ, 8))
-        assert 8 not in _PERM_TABLES
+        assert table_sizes() == before
 
     def test_independent_of_form_recursion(self, monkeypatch):
         forbid_form_recursion(monkeypatch)
@@ -448,11 +458,15 @@ class TestColumnSteps:
             assert _column_steps(n) is table
 
     def test_size_cap_builds_no_step(self):
+        before = table_sizes()
         for oracle in (leibniz_det, char_poly_leibniz):
             with pytest.raises(CapExceededError, match="^size 8 exceeds the "
                                "permutation cap of 7$"):
                 oracle(Matrix.identity(QQ, 8))
-        assert 8 not in _PERM_TABLES and 8 not in _STEP_TABLES
+        for table in (_signed_perms, _column_steps):
+            with pytest.raises(CapExceededError):
+                table(8)
+        assert table_sizes() == before
 
 
 class TestSuiteRuns:
