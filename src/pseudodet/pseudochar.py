@@ -105,8 +105,12 @@ class _FormEvaluator:
     the sorted argument multiset and the largest element is the one
     peeled.  Equal ids sit side by side in a key and removing either of
     two gives the same sub-key, so each distinct argument is peeled once
-    and its sub-form subtracted once per copy.  ``products`` caches pair
-    products on id pairs.  ``form`` and ``on_sum`` return a ``ring.cell``.
+    and its sub-form subtracted once per copy.  A key of n >= 4 equal ids
+    (form_n(x, .., x)) is not peeled but summed by Newton's identities
+    from the sub-keys of n - 1 .. 1 copies, f of the cached powers x ..
+    x^(n-1) and one ``f_pair`` for f(x^n).  ``products`` caches pair
+    products on id pairs.  ``form`` and ``on_sum`` return a
+    ``ring.cell``.
     Fresh per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
@@ -214,6 +218,18 @@ class _FormEvaluator:
                 result -= sub
             if a == b:  # the two merged terms are one term
                 result -= sub
+        elif key[0] == last:
+            # one argument x, n times: on its powers, which commute, the
+            # recursion unrolls to Newton's identities for every f,
+            # form_n = sum_i (-1)^(i-1) (n-1)!/(n-i)! f(x^i) form_{n-i}
+            value = self.value
+            power, coeff, result = last, 1, 0
+            for i in range(1, n):  # f(x^i) times form_{n-i}(x, .., x)
+                result += coeff * fc[power] * value(key[i:])
+                coeff *= i - n
+                if i < n - 1:
+                    power = product(power, last)
+            result += coeff * f_pair(self, power, last)
         else:
             order = self.elems.__getitem__
             value = self.value
@@ -437,25 +453,42 @@ def product_formula_check(f: CentralFunction, x: Multiset, y: Multiset,
 def degree_product_check(f: CentralFunction, xs, ys):
     """For a dimension-d pseudocharacter and d-tuples xs, ys, compare
     form_d(xs) * form_d(ys) with the sum over all permutations s of
-    form_d(x_1 y_s(1), .., x_d y_s(d))."""
+    form_d(x_1 y_s(1), .., x_d y_s(d)).
+
+    From d = 4 on, where 2^d - 1 < d!, the permutation sum is taken by
+    inclusion-exclusion (Ryser's formula, for the multilinear form of a
+    linear f): the sum over nonempty S of (-1)^(d-|S|) form_d(x_1 Y_S,
+    .., x_d Y_S), with Y_S the sum of y_j over j in S.  Both sums keep
+    the permutation cap."""
     xs, ys = tuple(xs), tuple(ys)
     d = f.dim
     if len(xs) != d or len(ys) != d:
         raise ValueError(f"need two tuples of exactly dim={d} elements")
-    table = _signed_perms(d)
+    _check_perm_cap(d)
     ev = _FormEvaluator(f)
     lhs = f.ring.cell(ev.form(xs) * ev.form(ys))
     rhs = f.ring.zero()
-    for perm, _, _ in table:
-        mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
-        rhs = rhs + ev.form(mixed)
+    if d <= 3:
+        for perm, _, _ in _signed_perms(d):
+            mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
+            rhs = rhs + ev.form(mixed)
+    else:
+        sums = [None]  # sums[S] is Y_S, S a bit set of the j
+        for s in range(1, 1 << d):
+            low = s & -s
+            y = ys[low.bit_length() - 1]
+            sums.append(y if s == low else sums[s ^ low] + y)
+            sign = (-1) ** (d - s.bit_count())
+            rhs = rhs + sign * ev.form(tuple(x * sums[s] for x in xs))
     rhs = f.ring.cell(rhs)
     return lhs, rhs, lhs == rhs
 
 
 def determinant(f: CentralFunction, x):
     """(1/dim!) * form_dim(x, .., x): the multiplicative determinant
-    attached to a pseudocharacter."""
+    attached to a pseudocharacter.  From dim = 4 on the form is summed
+    by Newton's identities, on f(x) .. f(x^dim), with integer
+    coefficients, so (dim!)^-1 stays the only division."""
     d = f.dim
     _check_arity(d)
     inv = f.ring.inverse_of_factorial(d)
@@ -522,10 +555,11 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     C(d,k) * form_d(-x, .., -x, 1, .., 1) with k units.  Peeling each
     unit (form_n(z, 1) = (f(1) - (n-1)) * form_{n-1}(z)) leaves the
     padding product prod_{i=d-k..d-1} (f(1) - i) times form_{d-k}(-x,
-    .., -x), form_0 = 1, so one recursion of form_d on d copies of -x
-    memoizes the whole chain.  f(1) is f on the unit, not the declared
-    d: a trace declared with another dimension gets a polynomial that
-    is not monic; a pseudocharacter's is monic, trace coefficient -f(x).
+    .., -x), form_0 = 1, so one evaluation of form_d on d copies of -x
+    (Newton's identities from d = 4 on) memoizes the whole chain.  f(1)
+    is f on the unit, not the declared d: a trace declared with another
+    dimension gets a polynomial that is not monic; a pseudocharacter's
+    is monic, trace coefficient -f(x).
     """
     d, ring = f.dim, f.ring
     _check_arity(d)

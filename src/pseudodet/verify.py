@@ -582,8 +582,8 @@ _SUITES = {
     "assoc": (_suite_assoc, _DRAWN, False),
     "functoriality": (_suite_functoriality, _DRAWN, False),
     "product-formula": (_suite_product_formula, _DRAWN, False),
-    "degree-d": (_suite_degree_d, (6, "each trial evaluates dim! forms of "
-                                   "dim arguments"), True),
+    "degree-d": (_suite_degree_d, (6, "each trial evaluates 2^dim - 1 "
+                                   "forms of dim arguments"), True),
     "det-mult": (_suite_det_mult, _PERMS, True),
     "charpoly": (_suite_charpoly, _PERMS, True),
     "taylor-equiv": (_suite_taylor_equiv, _DRAWN, False),

@@ -89,6 +89,13 @@ MUTANTS = [
         "                    result -= sub\n                    continue\n",
         "                    continue\n",
         id="peel-skips-the-repeated-sub-form"),
+    # Newton's coefficient of f(x^i) in form_n(x, .., x) is
+    # (-1)^(i-1) (n-1)!/(n-i)!: each step multiplies by -(n-i)
+    pytest.param(
+        "pseudochar.py",
+        "coeff *= i - n",
+        "coeff *= i - n + 1",
+        id="newton-shifts-the-coefficient-step"),
     pytest.param(
         "verify.py",
         "            a = row[j] if odd else -row[j]  # the sign times -x_ij\n"

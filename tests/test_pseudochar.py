@@ -579,20 +579,75 @@ class TestPeel:
         assert recursive_form(_CORNER, (x, y, y, y)) == -312
         assert recursive_form(_CORNER, (z, y, z, x, z)) == 8835
 
-    @pytest.mark.parametrize("d,calls", [(4, 3), (5, 7), (6, 14), (7, 21)])
-    def test_determinant_value_calls(self, monkeypatch, d, calls):
-        # without the peel these are 5, 14, 29 and 51
+    # the ids keep the value calls that the peel of mixed keys made on
+    # these determinants before a key of one argument repeated n >= 4
+    # times took Newton's identities; the peel made 2, 3, 5 and 5 kernel
+    # products and 4, 7, 13 and 10 pair traces
+    @pytest.mark.parametrize("d,calls,traces", [
+        pytest.param(4, 4, 4, id="4-3"), pytest.param(5, 8, 6, id="5-7"),
+        pytest.param(6, 13, 8, id="6-14"), pytest.param(7, 19, 10, id="7-21")])
+    def test_determinant_value_calls(self, monkeypatch, d, calls, traces):
+        # form_k(x, .., x) for k = 4..d is one call that reads the k - 1
+        # sub-forms form_{k-1} .. form_1 (memoized from 3 on), one kernel
+        # product x^(k-1) and one pair trace f(x^k), and one more pair
+        # trace for its form_2; form_3 is the written-out n = 3 branch
         x = random_matrix(substream(5, d), QQ, d, 5)
-        count = []
+        count, made, pairs = [], [], []
         value = _FormEvaluator.value
+        kernels = pseudochar._kernels
 
         def counted(self, key):
             count.append(key)
             return value(self, key)
 
+        def spied_kernels(ring, size):
+            mul, f_cell, pair_trace = kernels(ring, size)
+
+            def spy_mul(a, b):
+                made.append((a, b))
+                return mul(a, b)
+
+            def spy_pair(a, b):
+                pairs.append((a, b))
+                return pair_trace(a, b)
+            return spy_mul, f_cell, spy_pair
+
         monkeypatch.setattr(_FormEvaluator, "value", counted)
+        monkeypatch.setattr(pseudochar, "_kernels", spied_kernels)
         assert determinant(matrix_trace(QQ, d), x) == leibniz_det(x)
         assert len(count) == calls
+        assert len(made) == d - 2 and len(set(made)) == d - 2
+        assert len(pairs) == traces
+        assert {b for _, b in made} == {x.rows}
+
+    @pytest.mark.parametrize("shape", ["x4y", "x3y3", "x4y2"])
+    @pytest.mark.parametrize("case", ["rational", "mod:7", "C6"])
+    def test_mixed_runs_equal_the_oracles(self, case, shape):
+        # two arguments, one repeated 3 or 4 times, in both element
+        # orders: the peel of mixed keys reaches the sub-key of a repeated
+        # argument (``e == prev``) and, under it, the key of x alone.  The
+        # trace on M_6 and the regular trace of C_6 are of dimension 6, so
+        # forms of 5 and 6 arguments are not identically 0
+        if case == "C6":
+            c6 = GroupTable.cyclic(6)
+            f = regular_trace(c6, QQ)
+            rng = substream(820, 0)
+            x, y = (GroupAlgebraElement(
+                c6, QQ, [rng.randint(-2, 2) for _ in range(6)])
+                for _ in range(2))
+        else:
+            ring = ring_from_spec(case)
+            f = matrix_trace(ring, 6)
+            x, y = rand_mats(822, 2, ring=ring, size=6, bound=3)
+        reps = {"x4y": (4, 1), "x3y3": (3, 3), "x4y2": (4, 2)}[shape]
+        seen = []
+        for a, b in ((x, y), (y, x)):
+            args = (a,) * reps[0] + (b,) * reps[1]
+            got = recursive_form(f, args)
+            for want in (literal_form(f, args), cycle_sum_form(f, args)):
+                assert got == want and type(got) is type(want), args
+            seen.append(got)
+        assert all(seen)
 
 
 class TestRowPath:
@@ -667,6 +722,24 @@ class TestDegreeProduct:
         x, y = rand_mats(410, 2, size=1)
         lhs, rhs, ok = degree_product_check(f, (x,), (y,))
         assert ok and lhs == f(x) * f(y) and rhs == f(x * y)
+
+    @pytest.mark.parametrize("spec", ["rational", "mod:7"])
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_subset_sum_is_the_permutation_sum(self, spec, d):
+        # from d = 4 on the rhs is Ryser's sum over 2^d - 1 column sets;
+        # it equals the sum of d! forms over the permutations, in value
+        # and type, and both equal the lhs
+        ring = ring_from_spec(spec)
+        f = matrix_trace(ring, d)
+        mats = rand_mats(890 + d, 2 * d, ring=ring, size=d, bound=3)
+        xs, ys = mats[:d], mats[d:]
+        ev = _FormEvaluator(f)
+        want = ring.cell(sum(
+            ev.form([x * ys[j] for x, j in zip(xs, perm)])
+            for perm in permutations(range(d))))
+        lhs, rhs, ok = degree_product_check(f, xs, ys)
+        assert rhs == want and type(rhs) is type(want)
+        assert ok and rhs != 0
 
     @pytest.mark.parametrize("ring,d", [(QQ, 2), (QQ, 3), (ModRing(7), 3)])
     def test_holds_for_traces(self, ring, d):

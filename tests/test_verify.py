@@ -714,8 +714,8 @@ class TestConfigValidation:
         """det and the char poly take forms of dim arguments, under the
         recursion cap of 8, but their oracles sum over dim! permutations,
         under the permutation cap of 7; the vanishing axiom takes dim + 1
-        arguments; degree-d evaluates dim! forms of dim arguments in each
-        trial, so it stops at 6; the other suites draw dim x dim matrices
+        arguments; degree-d evaluates 2^dim - 1 forms of dim arguments in
+        each trial, so it stops at 6; the other suites draw dim x dim matrices
         in each trial, up to 32.  The largest dim under the cap builds."""
         with pytest.raises(ConfigError, match=cap):
             SuiteConfig(suite, dim=dim)
