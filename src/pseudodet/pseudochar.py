@@ -455,11 +455,13 @@ def degree_product_check(f: CentralFunction, xs, ys):
     form_d(xs) * form_d(ys) with the sum over all permutations s of
     form_d(x_1 y_s(1), .., x_d y_s(d)).
 
-    From d = 4 on, where 2^d - 1 < d!, the permutation sum is taken by
-    inclusion-exclusion (Ryser's formula, for the multilinear form of a
-    linear f): the sum over nonempty S of (-1)^(d-|S|) form_d(x_1 Y_S,
-    .., x_d Y_S), with Y_S the sum of y_j over j in S.  Both sums keep
-    the permutation cap."""
+    For ``matrix_trace``'s f, which is linear on matrices, the form is
+    multilinear, and from d = 4 on, where 2^d - 1 < d!, the permutation
+    sum is taken by inclusion-exclusion (Ryser's formula): the sum over
+    nonempty S of (-1)^(d-|S|) form_d(x_1 Y_S, .., x_d Y_S), with Y_S
+    the sum of y_j over j in S.  Any other f may be neither additive nor
+    defined on sums, and gets the d! forms.  Both sums keep the
+    permutation cap."""
     xs, ys = tuple(xs), tuple(ys)
     d = f.dim
     if len(xs) != d or len(ys) != d:
@@ -468,7 +470,7 @@ def degree_product_check(f: CentralFunction, xs, ys):
     ev = _FormEvaluator(f)
     lhs = f.ring.cell(ev.form(xs) * ev.form(ys))
     rhs = f.ring.zero()
-    if d <= 3:
+    if d <= 3 or f._matrix is None:
         for perm, _, _ in _signed_perms(d):
             mixed = tuple(xs[i] * ys[perm[i]] for i in range(d))
             rhs = rhs + ev.form(mixed)

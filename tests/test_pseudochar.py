@@ -579,10 +579,6 @@ class TestPeel:
         assert recursive_form(_CORNER, (x, y, y, y)) == -312
         assert recursive_form(_CORNER, (z, y, z, x, z)) == 8835
 
-    # the ids keep the value calls that the peel of mixed keys made on
-    # these determinants before a key of one argument repeated n >= 4
-    # times took Newton's identities; the peel made 2, 3, 5 and 5 kernel
-    # products and 4, 7, 13 and 10 pair traces
     @pytest.mark.parametrize("d,calls,traces", [
         pytest.param(4, 4, 4, id="4-3"), pytest.param(5, 8, 6, id="5-7"),
         pytest.param(6, 13, 8, id="6-14"), pytest.param(7, 19, 10, id="7-21")])
@@ -740,6 +736,27 @@ class TestDegreeProduct:
         lhs, rhs, ok = degree_product_check(f, xs, ys)
         assert rhs == want and type(rhs) is type(want)
         assert ok and rhs != 0
+
+    @pytest.mark.parametrize("case", ["necklace", "trace-squared"])
+    def test_any_other_f_sums_the_permutations(self, case):
+        # an f not made by matrix_trace may have elements without + (words)
+        # or be nonlinear (trace squared, whose form is not multilinear):
+        # at d = 4 the rhs is still the sum of 4! forms over permutations
+        d = 4
+        if case == "necklace":
+            f = CentralFunction(necklace_function()._evaluate, d, QPOLY)
+            xs = [word(w) for w in ("a", "b", "a*b", "c")]
+            ys = [word(w) for w in ("b", "a*c", "c", "b*b")]
+        else:
+            f = CentralFunction(lambda m: m.trace() * m.trace(), d, QQ)
+            mats = rand_mats(898, 2 * d, size=2, bound=3)
+            xs, ys = mats[:d], mats[d:]
+        ev = _FormEvaluator(f)
+        want = f.ring.cell(sum(
+            (ev.form([x * ys[j] for x, j in zip(xs, perm)])
+             for perm in permutations(range(d))), f.ring.zero()))
+        _, rhs, _ = degree_product_check(f, xs, ys)
+        assert rhs == want and rhs != 0
 
     @pytest.mark.parametrize("ring,d", [(QQ, 2), (QQ, 3), (ModRing(7), 3)])
     def test_holds_for_traces(self, ring, d):
