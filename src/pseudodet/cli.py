@@ -4,14 +4,16 @@ Subcommands:
   check <suite|all>   run verification suites and report pass/fail
   eval fn|det|charpoly --matrix FILE   one-off evaluations on a matrix
 
-Exit codes: 0 when everything requested passed, 1 when a suite failed,
-2 on usage or configuration errors.
+Exit codes: 0 when everything requested passed, 1 when a suite failed
+(an exception inside a suite fails that suite alone), 2 on usage or
+configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import re
@@ -186,29 +188,29 @@ def _run_check(args) -> int:
     options = _merged_options(args, _CONFIG_KEYS)
     configs = _check_configs(args, options)
     # opened before the first suite runs: a path it cannot open costs no run
-    out = args.json_path and open(args.json_path, "w", encoding="utf-8")
-    reports = []
-    start = time.perf_counter()
-    for cfg in configs:
-        report = run_suite(cfg)
-        reports.append(report)
-        for line in report.text_lines(quiet=args.quiet):
-            _say(line)
-    total = time.perf_counter() - start
-    all_pass = all(r.passed for r in reports)
-    _say(f"{'PASS' if all_pass else 'FAIL'}: {len(reports)} suite(s) "
-         f"in {total:.2f}s")
+    with _report_file(args.json_path) as out:
+        reports = []
+        start = time.perf_counter()
+        for cfg in configs:
+            report = run_suite(cfg)
+            reports.append(report)
+            for line in report.text_lines(quiet=args.quiet):
+                _say(line)
+        total = time.perf_counter() - start
+        all_pass = all(r.passed for r in reports)
+        _say(f"{'PASS' if all_pass else 'FAIL'}: {len(reports)} suite(s) "
+             f"in {total:.2f}s")
 
-    if out:
-        document = {
-            "command": "check",
-            "selection": args.suite,
-            "seed": configs[0].seed,
-            "pass": all_pass,
-            "suites": [r.to_dict() for r in reports],
-            "total_duration_seconds": total,
-        }
-        _write_json(out, document)
+        if out:
+            document = {
+                "command": "check",
+                "selection": args.suite,
+                "seed": configs[0].seed,
+                "pass": all_pass,
+                "suites": [r.to_dict() for r in reports],
+                "total_duration_seconds": total,
+            }
+            _write_json(out, document)
     return 0 if all_pass else 1
 
 
@@ -246,7 +248,8 @@ def _run_eval(args) -> int:
         document = {"command": "eval", "what": args.what,
                     "ring": ring_spec, "dim": dim,
                     "matrix": x.render(), "result": rendered}
-        _write_json(open(args.json_path, "w", encoding="utf-8"), document)
+        with _report_file(args.json_path) as out:
+            _write_json(out, document)
     return 0
 
 
@@ -262,25 +265,49 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
+@contextlib.contextmanager
+def _report_file(path):
+    """The file a ``--json`` report is written to (None without a path):
+    a temporary file beside ``path``, renamed over ``path`` when the
+    block ends, so an interrupted run leaves the old file or none, never
+    a truncated one.  An exception in the block removes it."""
+    if not path:
+        yield None
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(temp, "w", encoding="utf-8")
+    except OSError as exc:  # named by the path the user gave
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _write_json(fh, document: dict) -> None:
     """Write ``document`` as compact JSON with sorted keys, each item of
     a top-level list (a ``check`` report's suites) on its own line.  The
     items are encoded one at a time, so the whole encoded report is never
     held in memory."""
-    with fh:
-        fh.write("{")
-        for n, key in enumerate(sorted(document)):
-            value = document[key]
-            fh.write((", " if n else "") + json.dumps(key) + ": ")
-            if isinstance(value, list):
-                fh.write("[")
-                for i, item in enumerate(value):
-                    fh.write((",\n" if i else "\n")
-                             + json.dumps(item, sort_keys=True))
-                fh.write("\n]")
-            else:
-                fh.write(json.dumps(value, sort_keys=True))
-        fh.write("}\n")
+    fh.write("{")
+    for n, key in enumerate(sorted(document)):
+        value = document[key]
+        fh.write((", " if n else "") + json.dumps(key) + ": ")
+        if isinstance(value, list):
+            fh.write("[")
+            for i, item in enumerate(value):
+                fh.write((",\n" if i else "\n")
+                         + json.dumps(item, sort_keys=True))
+            fh.write("\n]")
+        else:
+            fh.write(json.dumps(value, sort_keys=True))
+    fh.write("}\n")
 
 
 def main(argv=None) -> int:

@@ -137,19 +137,20 @@ _UNROLLED = 6
 
 @cache
 def _kernels(ring: Ring, n: int):
-    """The ``(product, trace, pair_trace)`` functions on the row tuples of
-    n x n matrices over ``ring``, compiled on first use of each (ring,
-    size).
+    """The ``(product, trace, pair_trace, add)`` functions on the row
+    tuples of n x n matrices over ``ring``, compiled on first use of each
+    (ring, size).
 
     ``product(x, y)`` gives the rows of the product, each cell the one
     ``ring.dot`` gives, in value and in type; ``trace(x)`` gives the
     diagonal sum; ``pair_trace(x, y)`` gives the trace of the product,
     the sum of every x_ik * y_ki, in n^2 multiplications and without
-    building the product.  None checks its arguments.  A mod-m value is
-    reduced by one inline ``% m`` (over a whole cell, or a whole trace);
-    other values are left as computed, so an integral rational may be a
-    ``Fraction``, not ``ring.cell``'s ``int``.  Past ``_UNROLLED`` the
-    product and the pair trace are ``ring.dot`` calls.
+    building the product; ``add(x, y)`` gives the rows of the sum.  None
+    checks its arguments.  A mod-m value is reduced by one inline ``% m``
+    (over a whole cell, or a whole trace); other values are left as
+    computed, so an integral rational may be a ``Fraction``, not
+    ``ring.cell``'s ``int``.  Past ``_UNROLLED`` the product and the pair
+    trace are ``ring.dot`` calls, and the sum a loop over the cells.
     """
     cell = "({}) % m" if isinstance(ring, ModRing) else "{}"
     idx = range(n)
@@ -166,18 +167,22 @@ def _kernels(ring: Ring, n: int):
                 f"x{i}_{k} * y{k}_{j}" for k in idx))) + "\n"
         pair_trace = unpack + "    return " + cell.format(" + ".join(
             f"x{i}_{k} * y{k}_{i}" for i in idx for k in idx)) + "\n"
+        add = unpack + "    return " + rows(
+            lambda i, j: cell.format(f"x{i}_{j} + y{i}_{j}")) + "\n"
     else:
         product = ("    cols = tuple(zip(*y))\n    return tuple(tuple("
                    "dot(row, col) for col in cols) for row in x)\n")
         pair_trace = ("    return dot(chain.from_iterable(x), "
                       "chain.from_iterable(zip(*y)))\n")
+        add = ("    return tuple(tuple(" + cell.format("a + b")
+               + " for a, b in zip(r, s)) for r, s in zip(x, y))\n")
     trace = cell.format(" + ".join(f"x[{i}][{i}]" for i in idx))
     names = {"m": getattr(ring, "modulus", None), "dot": ring.dot,
              "chain": chain}
     exec(f"def product(x, y):\n{product}def trace(x):\n"
-         f"    return {trace}\ndef pair_trace(x, y):\n{pair_trace}",
-         names)
-    return names["product"], names["trace"], names["pair_trace"]
+         f"    return {trace}\ndef pair_trace(x, y):\n{pair_trace}"
+         f"def add(x, y):\n{add}", names)
+    return names["product"], names["trace"], names["pair_trace"], names["add"]
 
 
 class Word(FrozenValue):

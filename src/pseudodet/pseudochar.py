@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from functools import cache, partial
-from itertools import permutations
+from itertools import chain, permutations
 from operator import mul
 
 from .elements import GroupTable, _check_size, _kernels, _matrix_rows
@@ -32,8 +32,12 @@ from .errors import CapExceededError, NotInvertibleError
 from .multisets import DEFAULT_BUDGET, FormalSum, Multiset, formal_product
 from .rings import FrozenValue, Ring
 
-#: Largest argument count the recursion accepts (8! leaf terms).
+#: Largest argument count the recursion accepts.
 REC_CAP = 8
+#: Smallest count of pairwise-distinct arguments whose form under
+#: ``matrix_trace``'s f is summed over the blocks of the cycle through
+#: the last argument (``_FormEvaluator.blocks``), not peeled.
+BLOCKS_FROM = 6
 #: Largest argument count the permutation sums accept.
 ORACLE_CAP = 7
 
@@ -108,8 +112,10 @@ class _FormEvaluator:
     and its sub-form subtracted once per copy.  A key of n >= 4 equal ids
     (form_n(x, .., x)) is not peeled but summed by Newton's identities
     from the sub-keys of n - 1 .. 1 copies, f of the cached powers x ..
-    x^(n-1) and one ``f_pair`` for f(x^n).  ``products`` caches pair
-    products on id pairs.  ``form`` and ``on_sum`` return a
+    x^(n-1) and one ``f_pair`` for f(x^n).  Under ``matrix_trace``'s f
+    a key of n >= ``BLOCKS_FROM`` pairwise-distinct ids is not peeled
+    but summed by ``blocks``.  ``products`` caches pair products on id
+    pairs.  ``form`` and ``on_sum`` return a
     ``ring.cell``.
     Fresh per top-level call, so evaluations never share mutable state.
 
@@ -125,7 +131,7 @@ class _FormEvaluator:
     the product, so f runs once per distinct element."""
 
     __slots__ = ("ring", "memo", "ids", "elems", "f_cells", "products",
-                 "arg", "mul", "f_cell", "f_pair")
+                 "arg", "mul", "f_cell", "f_pair", "kernels")
 
     def __init__(self, f: CentralFunction):
         ring = self.ring = f.ring
@@ -134,6 +140,7 @@ class _FormEvaluator:
         elems = self.elems = []
         f_cells = self.f_cells = []
         self.products = {}
+        self.kernels = f._matrix and _kernels(*f._matrix)
         if f._matrix is None:
             cell = ring.cell
             self.arg, self.mul = (lambda x: x), mul
@@ -141,7 +148,7 @@ class _FormEvaluator:
             self.f_pair = lambda ev, a, b: f_cells[ev.product(a, b)]
             return
         self.arg = partial(_matrix_rows, *f._matrix)
-        self.mul, self.f_cell, pair_trace = _kernels(*f._matrix)
+        self.mul, self.f_cell, pair_trace, _ = self.kernels
         self.f_pair = lambda ev, a, b: pair_trace(elems[a], elems[b])
 
     def intern(self, x) -> int:
@@ -230,6 +237,8 @@ class _FormEvaluator:
                 if i < n - 1:
                     power = product(power, last)
             result += coeff * f_pair(self, power, last)
+        elif n >= BLOCKS_FROM and self.kernels and len(set(key)) == n:
+            result = self.blocks(key)
         else:
             order = self.elems.__getitem__
             value = self.value
@@ -247,6 +256,50 @@ class _FormEvaluator:
                 result -= sub
         result = memo[key] = self.ring.cell(result)
         return result
+
+    def blocks(self, key: tuple):
+        """form_n of n pairwise-distinct ids under ``matrix_trace``'s f,
+        unreduced: the signed cycle sum grouped by the cycle B through
+        the last argument m, form(S) = sum over m in B <= S of
+        (-1)^(|B|-1) tr(P(B - m) a_m) form(S - B), with form of none 1
+        and P(T) = sum over t in T of P(T - t) a_t, the sum of T's
+        products in every order (f is linear).  Sets are bit masks over
+        the key's positions, a set's last argument its highest position;
+        the sub-forms, on the sets of the first n - 1 positions, are not
+        memoized and intern no element."""
+        mul, _, pair_trace, add = self.kernels
+        rows = list(map(self.elems.__getitem__, key))
+        n = len(rows)
+        half = 1 << (n - 1)
+        sums = [None] * half  # sums[T] is P(T), T in the first n - 1
+        block = [0] * (2 * half)  # block[B]: B's signed term above
+        for j in range(n):
+            block[1 << j] = self.f_cells[key[j]]
+        for t in range(1, half):
+            top = t.bit_length()
+            if t & (t - 1):
+                p = None
+                for i in range(top):
+                    if t >> i & 1:
+                        q = mul(sums[t ^ 1 << i], rows[i])
+                        p = q if p is None else add(p, q)
+            else:
+                p = rows[top - 1]
+            sums[t] = p
+            odd = t.bit_count() & 1
+            for j in range(top, n):
+                v = pair_trace(p, rows[j])
+                block[t | 1 << j] = -v if odd else v
+        forms = [1]  # forms[S], S in the first n - 1, then the whole key
+        for s in chain(range(1, half), (2 * half - 1,)):
+            top = 1 << (s.bit_length() - 1)
+            rest = sub = s ^ top
+            total = block[top] * forms[rest]
+            while sub:
+                total += block[top | sub] * forms[rest ^ sub]
+                sub = (sub - 1) & rest
+            forms.append(total)
+        return total
 
 
 def _check_arity(n: int) -> None:

@@ -246,8 +246,8 @@ class CheckRecord(FrozenValue):
 
 
 class SuiteReport(FrozenValue):
-    """One suite's records under its ``config``; ``error`` is the text of a
-    budget overrun that stopped the suite (its records are then lost and
+    """One suite's records under its ``config``; ``error`` is the text of
+    the exception that stopped the suite (its records are then lost and
     it fails), else None."""
 
     __slots__ = _fields = ("config", "records", "duration_seconds", "error")
@@ -599,15 +599,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     Deterministic given (suite, seed, config): trials draw from per-index
     substreams, so the report body never depends on timing or ordering.
-    A product over the budget stops the suite: its report then fails with
-    no records and the exception text as ``error``, and the caller goes
-    on with the next suite.
+    An exception stops the suite alone: its report then fails with no
+    records and the exception as ``error`` (a product over the budget as
+    its text, any other as ``"<Type>: <text>"``), and the caller goes on
+    with the next suite.
     """
     start = time.perf_counter()
     try:
         records, error = tuple(_SUITES[cfg.suite][0](cfg)), None
     except BudgetExceededError as exc:
         records, error = (), str(exc)
+    except Exception as exc:
+        records, error = (), f"{type(exc).__name__}: {exc}"
     duration = time.perf_counter() - start
     return SuiteReport(cfg, records, duration, error)
 

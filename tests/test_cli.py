@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from pseudodet import cli
+from pseudodet import cli, verify
 from pseudodet.cli import (_CONFIG_KEYS, build_parser, load_config_file, main,
                            read_matrix_file)
-from pseudodet.errors import ConfigError
+from pseudodet.errors import CapExceededError, ConfigError
 from pseudodet.rings import ModRing, QQ
 from pseudodet.verify import SuiteConfig
 
@@ -644,6 +644,97 @@ class TestBudgetErrorKeepsTheReport:
         # the suites without an error carry no "error" key and still pass
         assert all(s["pass"] for s in suites if "error" not in s)
         assert sum(1 for s in suites if "error" not in s) > 60
+
+
+class TestSuiteErrorKeepsTheReport:
+    """Any exception inside a suite body fails that suite alone, with
+    ``"<Type>: <text>"`` as its ``"error"``: the other suites still run
+    and report, and ``check`` exits 1 with no traceback."""
+
+    @staticmethod
+    def break_suite(monkeypatch, name, exc):
+        def boom(cfg):
+            raise exc
+        body, *rest = verify._SUITES[name]
+        monkeypatch.setitem(verify._SUITES, name, (boom, *rest))
+
+    @pytest.mark.parametrize("exc,text", [
+        (ArithmeticError("boom"), "ArithmeticError: boom"),
+        (CapExceededError("past the cap"), "CapExceededError: past the cap")])
+    def test_single_suite(self, monkeypatch, tmp_path, capsys, exc, text):
+        self.break_suite(monkeypatch, "charpoly", exc)
+        out = tmp_path / "report.json"
+        assert main(["check", "charpoly", "--trials", "1",
+                     "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 3 and lines[1] == f"  ERROR: {text}"
+        assert lines[2].startswith("FAIL: 1 suite(s)")
+        (suite,) = json.loads(out.read_text())["suites"]
+        assert suite["error"] == text and suite["checks"] == []
+        assert suite["pass"] is False
+
+    def test_check_all_runs_every_other_suite(self, monkeypatch, tmp_path,
+                                              capsys):
+        self.break_suite(monkeypatch, "charpoly", ArithmeticError("boom"))
+        out = tmp_path / "report.json"
+        assert main(["check", "all", "--seed", "42", "--trials", "1",
+                     "--quiet", "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and "FAIL: 73 suite(s)" in captured.out
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False and len(doc["suites"]) == 73
+        broken = [s for s in doc["suites"] if s["suite"] == "charpoly"]
+        assert len(broken) == 9
+        assert all(s["error"] == "ArithmeticError: boom" for s in broken)
+        rest = [s for s in doc["suites"] if s["suite"] != "charpoly"]
+        assert all(s["pass"] and "error" not in s for s in rest)
+
+
+class TestReportFileIsWholeOrOld:
+    """``--json`` is written to a temporary file beside the target and
+    renamed over it at the end: an interrupted write leaves the old file
+    or none, and no temporary file."""
+
+    ARGV = ["check", "det-mult", "--trials", "1", "--quiet"]
+
+    @pytest.mark.parametrize("old", [None, "old report\n"],
+                             ids=["absent", "present"])
+    def test_interrupted_write(self, monkeypatch, tmp_path, capsys, old):
+        out = tmp_path / "report.json"
+        if old is not None:
+            out.write_text(old)
+
+        def torn(fh, document):
+            fh.write('{"command": ')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_json", torn)
+        assert main(self.ARGV + ["--json", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), "No space left")
+        assert sorted(os.listdir(tmp_path)) == (
+            [] if old is None else ["report.json"])
+        if old is not None:
+            assert out.read_text() == old
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    def test_whole_report_replaces_the_old(self, tmp_path, capsys, command,
+                                           matrix_file):
+        out = tmp_path / "report.json"
+        out.write_text("old report\n" * 1000)
+        argv = (self.ARGV if command == "check"
+                else ["eval", "det", "--matrix", matrix_file])
+        assert main(argv + ["--json", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == command
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "report.json"]
+
+    def test_directory_target_is_exit_two_before_any_suite(self, tmp_path,
+                                                           capsys):
+        assert main(self.ARGV + ["--json", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, "Is a directory")
+        assert captured.out == "" and os.listdir(tmp_path) == []
 
 
 #: integers that ``int()`` reads (as 10 and 2) but the ASCII grammar of

@@ -153,12 +153,13 @@ def _product_pairs():
 class TestUnrolledProducts:
     """Products and traces run through the kernels of each (ring, size):
     each product cell must equal the ``Ring.dot`` cell in value and in
-    type, the trace the canonical cell of ``Matrix.trace``, and the
-    canonical pair trace that of the product's trace."""
+    type, the trace the canonical cell of ``Matrix.trace``, the
+    canonical pair trace that of the product's trace, and each canonical
+    cell of the sum that of the two cells' sum."""
 
     @pytest.mark.parametrize("a,b", _product_pairs())
     def test_cells_match_ring_dot(self, a, b):
-        product, trace, pair_trace = _kernels(a.ring, a.n)
+        product, trace, pair_trace, add = _kernels(a.ring, a.n)
         expected = _dot_product(a, b)
         for got in ((a * b).rows, product(a.rows, b.rows)):
             assert got == expected
@@ -171,6 +172,10 @@ class TestUnrolledProducts:
             got = cell(pair_trace(x.rows, y.rows))
             want = cell(trace(product(x.rows, y.rows)))
             assert got == want and type(got) is type(want)
+        total = add(a.rows, b.rows)
+        assert [[cell(c) for c in row] for row in total] == [
+            [cell(x + y) for x, y in zip(r, s)]
+            for r, s in zip(a.rows, b.rows)]
 
     def test_distinct_equal_rings_share_kernels(self):
         assert _kernels(ModRing(7), 3) is _kernels(ModRing(7), 3)

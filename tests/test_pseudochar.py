@@ -537,7 +537,11 @@ class TestCellEvaluator:
 
 
 def _peel_case(case, s3):
-    """(f, three distinct elements) for one backend of ``TestPeel``."""
+    """(f, three distinct elements) for one backend of ``TestPeel``.  The
+    traces are on matrices as large as the most arguments a run takes,
+    so that their forms do not vanish: 6 x 6 for ``fractions`` (its
+    literal recursion on 7 arguments takes seconds), else 7 x 7 (not
+    declared pseudocharacters, as 7! is 0 mod 7)."""
     if case == "s3":
         rng = substream(800, 0)
         return regular_trace(s3, QQ), [
@@ -546,10 +550,33 @@ def _peel_case(case, s3):
     if case == "corner":
         return _CORNER, rand_mats(801, 3, bound=3)
     if case == "fractions":
-        return matrix_trace(QQ, 2), [m.scale(Fraction(1, 2))
-                                     for m in rand_mats(802, 3)]
+        return matrix_trace(QQ, 6), [m.scale(Fraction(1, 2)) for m in
+                                     rand_mats(802, 3, size=6, bound=2)]
     ring = ring_from_spec(case)
-    return matrix_trace(ring, 2), rand_mats(803, 3, ring=ring)
+    return (matrix_trace(ring, 7, pseudocharacter=False),
+            rand_mats(803, 3, ring=ring, size=7, bound=2))
+
+
+def _spy_kernels(monkeypatch):
+    """Lists that the evaluator's product and pair-trace kernels append
+    their argument pairs to, from now until the test ends."""
+    made, pairs = [], []
+    kernels = pseudochar._kernels
+
+    def spied_kernels(ring, size):
+        mul, f_cell, pair_trace, add = kernels(ring, size)
+
+        def spy_mul(a, b):
+            made.append((a, b))
+            return mul(a, b)
+
+        def spy_pair(a, b):
+            pairs.append((a, b))
+            return pair_trace(a, b)
+        return spy_mul, f_cell, spy_pair, add
+
+    monkeypatch.setattr(pseudochar, "_kernels", spied_kernels)
+    return made, pairs
 
 
 class TestPeel:
@@ -564,12 +591,16 @@ class TestPeel:
     def test_runs_equal_the_literal_recursion(self, case, s3):
         f, (x, y, z) = _peel_case(case, s3)
         assert len({x, y, z}) == 3
-        runs = [(x,) * n for n in range(3, 8)]
+        top = 6 if case == "fractions" else 7
+        runs = [(x,) * n for n in range(3, top + 1)]
         if case != "corner":  # see test_corner_values_are_pinned
             runs += [(x, x, y, y, z), (x, y, y, y)]
+        seen = []
         for args in runs:
             got, want = recursive_form(f, args), literal_form(f, args)
             assert got == want and type(got) is type(want), (case, args)
+            seen.append(got)
+        assert any(seen), case
 
     def test_corner_values_are_pinned(self):
         # the non-central corner's literal value depends on the order, so
@@ -588,28 +619,15 @@ class TestPeel:
         # product x^(k-1) and one pair trace f(x^k), and one more pair
         # trace for its form_2; form_3 is the written-out n = 3 branch
         x = random_matrix(substream(5, d), QQ, d, 5)
-        count, made, pairs = [], [], []
+        count = []
         value = _FormEvaluator.value
-        kernels = pseudochar._kernels
 
         def counted(self, key):
             count.append(key)
             return value(self, key)
 
-        def spied_kernels(ring, size):
-            mul, f_cell, pair_trace = kernels(ring, size)
-
-            def spy_mul(a, b):
-                made.append((a, b))
-                return mul(a, b)
-
-            def spy_pair(a, b):
-                pairs.append((a, b))
-                return pair_trace(a, b)
-            return spy_mul, f_cell, spy_pair
-
         monkeypatch.setattr(_FormEvaluator, "value", counted)
-        monkeypatch.setattr(pseudochar, "_kernels", spied_kernels)
+        made, pairs = _spy_kernels(monkeypatch)
         assert determinant(matrix_trace(QQ, d), x) == leibniz_det(x)
         assert len(count) == calls
         assert len(made) == d - 2 and len(set(made)) == d - 2
@@ -644,6 +662,91 @@ class TestPeel:
                 assert got == want and type(got) is type(want), args
             seen.append(got)
         assert all(seen)
+
+
+def _distinct_mats(spec, n):
+    """``matrix_trace`` of a ring (not declared a pseudocharacter, as 7!
+    is 0 mod 7) and n distinct n x n matrices, so that their form_n does
+    not vanish."""
+    if spec == "fractions":
+        f, mats = _distinct_mats("rational", n)
+        return f, [m.scale(Fraction(1, 2)) for m in mats]
+    ring = ring_from_spec(spec)
+    mats = rand_mats(830 + n, n, ring=ring, size=n, bound=2)
+    assert len(set(mats)) == n
+    return matrix_trace(ring, n, pseudocharacter=False), mats
+
+
+class TestCycleBlocks:
+    """Under ``matrix_trace``'s f a form of ``BLOCKS_FROM`` or more
+    pairwise-distinct arguments is summed over the blocks of the cycle
+    through its last argument, not peeled.  Its values equal the literal
+    recursion's and the cycle sum's, in value and in type."""
+
+    @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
+                                      "mod:101"])
+    def test_six_equal_the_oracles(self, spec):
+        f, args = _distinct_mats(spec, 6)
+        got = recursive_form(f, args)
+        # the cycle sum's Fraction products take seconds: literal only
+        oracles = (literal_form,) + (
+            () if spec == "fractions" else (cycle_sum_form,))
+        for oracle in oracles:
+            want = oracle(f, args)
+            assert got == want and type(got) is type(want)
+        assert got != 0
+
+    @pytest.mark.parametrize("spec", ["rational", "mod:7", "mod:101"])
+    def test_seven_past_the_unrolled_kernels(self, spec):
+        # 7 x 7 matrices: products and pair traces are ring.dot's, sums
+        # the loop over the cells
+        f, args = _distinct_mats(spec, 7)
+        assert args[0].n > elements._UNROLLED
+        got = recursive_form(f, args)
+        for want in (literal_form(f, args), cycle_sum_form(f, args)):
+            assert got == want and type(got) is type(want)
+        assert got != 0
+
+    def test_eight_equal_the_literal_recursion(self):
+        f, args = _distinct_mats("mod:101", 8)
+        got = recursive_form(f, args)
+        assert got == literal_form(f, args) and got != 0
+
+    def test_six_make_75_products_and_57_pair_traces(self, monkeypatch):
+        # P(T) over the 31 nonempty sets of the first 5 arguments, |T|
+        # products each past |T| = 1: 5 * 16 - 5 = 75; one pair trace per
+        # set of two or more of the 6 positions: 64 - 6 - 1 = 57
+        made, pairs = _spy_kernels(monkeypatch)
+        f, args = _distinct_mats("rational", 6)
+        assert recursive_form(f, args) == cycle_sum_form(f, args)
+        assert len(made) == 75 and len(pairs) == 57
+
+    @pytest.mark.parametrize("shape,calls", [
+        ("distinct-6", 1), ("distinct-5", 0), ("repeated", 0),
+        ("element-path", 0)])
+    def test_runs_only_on_distinct_trace_keys(self, monkeypatch, shape,
+                                              calls):
+        # a repeated argument keeps the peel (or Newton), an f not made
+        # by matrix_trace may not be linear and keeps the element path
+        seen = []
+        blocks = _FormEvaluator.blocks
+
+        def counted(self, key):
+            seen.append(key)
+            return blocks(self, key)
+
+        monkeypatch.setattr(_FormEvaluator, "blocks", counted)
+        f, args = _distinct_mats("mod:101", 6)
+        if shape == "distinct-5":
+            args = args[:5]
+        elif shape == "repeated":
+            args[1] = args[0]
+        elif shape == "element-path":
+            f = CentralFunction(lambda m: m.trace(), 6, f.ring)
+        got = recursive_form(f, args)
+        assert len(seen) == calls
+        assert got == cycle_sum_form(f, args)
+        assert got != 0
 
 
 class TestRowPath:
@@ -1065,8 +1168,8 @@ class TestCharPoly:
             kernels = pseudochar._kernels
 
             def spied_kernels(ring, size):
-                mul, f_cell, pair_trace = kernels(ring, size)
-                return counted(mul), f_cell, pair_trace
+                mul, f_cell, pair_trace, add = kernels(ring, size)
+                return counted(mul), f_cell, pair_trace, add
             monkeypatch.setattr(pseudochar, "_kernels", spied_kernels)
         determinant(f, -x)
         det_products = sorted(made)

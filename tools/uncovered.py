@@ -45,22 +45,27 @@ def main(argv) -> int:
     sources = sorted(os.path.join(PACKAGE, name)
                      for name in os.listdir(PACKAGE) if name.endswith(".py"))
     ran = {path: set() for path in sources}
-    by_name = {}  # co_filename -> its set in ``ran``, or None
+    by_name = {}  # co_filename -> the local tracer of its file, or None
 
-    def call(frame, event, arg):
-        name = frame.f_code.co_filename
-        try:
-            lines = by_name[name]
-        except KeyError:
-            lines = by_name[name] = ran.get(os.path.abspath(name))
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-
+    def tracer(lines):
+        """The one local tracer of a file: it adds each line run to
+        ``lines``.  Built once per file, not per frame, so tracing leaves
+        no per-frame closure for the cyclic collector to find."""
         def local(frame, event, arg):
             if event == "line":
                 lines.add(frame.f_lineno)
             return local
+        return local
+
+    def call(frame, event, arg):
+        name = frame.f_code.co_filename
+        try:
+            local = by_name[name]
+        except KeyError:
+            lines = ran.get(os.path.abspath(name))
+            local = by_name[name] = None if lines is None else tracer(lines)
+        if local is not None:
+            local(frame, "line", arg)  # the line the frame starts on
         return local
 
     import pytest
