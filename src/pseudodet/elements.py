@@ -68,10 +68,9 @@ class Matrix(FrozenValue):
 
     def __add__(self, other):
         self._check_peer(other)
-        ring = self.ring
-        rows = tuple(tuple(ring.cell(a + b) for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.rows, other.rows))
-        return Matrix._make(ring, self.n, rows)
+        ring, n = self.ring, self.n
+        rows = _kernels(ring, n)[3](self.rows, other.rows)
+        return Matrix._make(ring, n, rows)
 
     def __neg__(self):
         ring = self.ring

@@ -34,10 +34,6 @@ from .rings import FrozenValue, Ring
 
 #: Largest argument count the recursion accepts.
 REC_CAP = 8
-#: Smallest count of pairwise-distinct arguments whose form under
-#: ``matrix_trace``'s f is summed over the blocks of the cycle through
-#: the last argument (``_FormEvaluator.blocks``), not peeled.
-BLOCKS_FROM = 6
 #: Largest argument count the permutation sums accept.
 ORACLE_CAP = 7
 
@@ -106,17 +102,16 @@ class _FormEvaluator:
     evaluator refers to itself and each is freed when its call returns),
     and from n = 3 on each value goes through ``ring.cell`` once into the
     memo, keyed on id tuples in the element order, so a key stands for
-    the sorted argument multiset and the largest element is the one
-    peeled.  Equal ids sit side by side in a key and removing either of
-    two gives the same sub-key, so each distinct argument is peeled once
-    and its sub-form subtracted once per copy.  A key of n >= 4 equal ids
-    (form_n(x, .., x)) is not peeled but summed by Newton's identities
-    from the sub-keys of n - 1 .. 1 copies, f of the cached powers x ..
-    x^(n-1) and one ``f_pair`` for f(x^n).  Under ``matrix_trace``'s f
-    a key of n >= ``BLOCKS_FROM`` pairwise-distinct ids is not peeled
-    but summed by ``blocks``.  ``products`` caches pair products on id
-    pairs.  ``form`` and ``on_sum`` return a
-    ``ring.cell``.
+    the sorted argument multiset.  A key of n >= 3 takes one of three
+    routes.  One id n times (form_n(x, .., x)) is summed, for every f,
+    by Newton's identities from the sub-keys of n - 1 .. 1 copies, f of
+    the cached powers x .. x^(n-1) and one ``f_pair`` for f(x^n).  Any
+    other key is summed by ``blocks`` under ``matrix_trace``'s f, and
+    peeled under any other f: the largest element is the one peeled,
+    equal ids sit side by side and removing either of two gives the same
+    sub-key, so each distinct argument is peeled once and its sub-form
+    subtracted once per copy.  ``products`` caches pair products on id
+    pairs.  ``form`` and ``on_sum`` return a ``ring.cell``.
     Fresh per top-level call, so evaluations never share mutable state.
 
     For ``matrix_trace``'s f the elements (and the keys ``form`` sorts)
@@ -210,26 +205,12 @@ class _FormEvaluator:
         if cached is not None:
             return cached
         last = key[-1]
-        head = key[:-1]
+        value = self.value
         product = self.product
-        if n == 3:
-            # the three sub-forms of size 2 written out, saving their calls
-            a, b = head
-            order = self.elems
-            result = fc[last] * (fc[a] * fc[b] - f_pair(self, a, b))
-            for e, other in ((a, b),) if a == b else ((a, b), (b, a)):
-                merged = product(e, last)
-                lo, hi = ((merged, other) if order[merged] < order[other]
-                          else (other, merged))
-                sub = fc[merged] * fc[other] - f_pair(self, lo, hi)
-                result -= sub
-            if a == b:  # the two merged terms are one term
-                result -= sub
-        elif key[0] == last:
+        if key[0] == last:
             # one argument x, n times: on its powers, which commute, the
             # recursion unrolls to Newton's identities for every f,
             # form_n = sum_i (-1)^(i-1) (n-1)!/(n-i)! f(x^i) form_{n-i}
-            value = self.value
             power, coeff, result = last, 1, 0
             for i in range(1, n):  # f(x^i) times form_{n-i}(x, .., x)
                 result += coeff * fc[power] * value(key[i:])
@@ -237,11 +218,11 @@ class _FormEvaluator:
                 if i < n - 1:
                     power = product(power, last)
             result += coeff * f_pair(self, power, last)
-        elif n >= BLOCKS_FROM and self.kernels and len(set(key)) == n:
+        elif self.kernels:
             result = self.blocks(key)
         else:
+            head = key[:-1]
             order = self.elems.__getitem__
-            value = self.value
             result = fc[last] * value(head)
             prev = None
             for i, e in enumerate(head):
@@ -258,14 +239,15 @@ class _FormEvaluator:
         return result
 
     def blocks(self, key: tuple):
-        """form_n of n pairwise-distinct ids under ``matrix_trace``'s f,
+        """form_n of the n ids of ``key`` under ``matrix_trace``'s f,
         unreduced: the signed cycle sum grouped by the cycle B through
         the last argument m, form(S) = sum over m in B <= S of
         (-1)^(|B|-1) tr(P(B - m) a_m) form(S - B), with form of none 1
         and P(T) = sum over t in T of P(T - t) a_t, the sum of T's
         products in every order (f is linear).  Sets are bit masks over
-        the key's positions, a set's last argument its highest position;
-        the sub-forms, on the sets of the first n - 1 positions, are not
+        the key's positions, so an id repeated in the key is one more
+        position; a set's last argument is its highest position.  The
+        sub-forms, on the sets of the first n - 1 positions, are not
         memoized and intern no element."""
         mul, _, pair_trace, add = self.kernels
         rows = list(map(self.elems.__getitem__, key))
@@ -541,7 +523,7 @@ def degree_product_check(f: CentralFunction, xs, ys):
 
 def determinant(f: CentralFunction, x):
     """(1/dim!) * form_dim(x, .., x): the multiplicative determinant
-    attached to a pseudocharacter.  From dim = 4 on the form is summed
+    attached to a pseudocharacter.  From dim = 3 on the form is summed
     by Newton's identities, on f(x) .. f(x^dim), with integer
     coefficients, so (dim!)^-1 stays the only division."""
     d = f.dim
@@ -611,7 +593,7 @@ def char_poly(f: CentralFunction, x) -> CharPoly:
     unit (form_n(z, 1) = (f(1) - (n-1)) * form_{n-1}(z)) leaves the
     padding product prod_{i=d-k..d-1} (f(1) - i) times form_{d-k}(-x,
     .., -x), form_0 = 1, so one evaluation of form_d on d copies of -x
-    (Newton's identities from d = 4 on) memoizes the whole chain.  f(1)
+    (Newton's identities from d = 3 on) memoizes the whole chain.  f(1)
     is f on the unit, not the declared d: a trace declared with another
     dimension gets a polynomial that is not monic; a pseudocharacter's
     is monic, trace coefficient -f(x).

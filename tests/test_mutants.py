@@ -5,7 +5,9 @@ copy runs ``check all --seed 42 --trials 2`` in a child process, one
 mutant at a time, and some suite must FAIL (exit 1).  A mutant that
 changes no value a suite compares (as dropping ``_FormEvaluator.form``'s
 sort, which is equivalent for a central f) does not belong here; the
-tests of the library catch those.
+tests of the library catch those.  A mutant of code that ``check all``
+does not reach names its own killer, a script that exits 1 on a wrong
+value and 0 on the package as it is.
 """
 
 import os
@@ -17,6 +19,23 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pseudodet"
+
+CHECK_ALL = ["-m", "pseudodet.cli", "check", "all", "--seed", "42",
+             "--trials", "2", "--quiet"]
+# the peel runs only under an f not made by matrix_trace, and no form of
+# check all peels a repeated argument there: the trace as any other f, on
+# 6 x 6 matrices so that no value is 0, against the literal recursion
+PEEL_REPEATS = ["-c", """
+import sys
+from pseudodet import QQ, CentralFunction, literal_form, recursive_form
+from pseudodet.verify import random_matrix, substream
+f = CentralFunction(lambda m: m.trace(), 6, QQ)
+x, y, z = (random_matrix(substream(840, t), QQ, 6, 3) for t in range(3))
+for args in ((x, x, y, y), (x, x, x, y, z), (x, y, y, z, z, z)):
+    want = literal_form(f, args)
+    if want == 0 or recursive_form(f, args) != want:
+        sys.exit(1)
+"""]
 
 MUTANTS = [
     pytest.param(
@@ -89,6 +108,13 @@ MUTANTS = [
         "                    result -= sub\n                    continue\n",
         "                    continue\n",
         id="peel-skips-the-repeated-sub-form"),
+    # a block of |B| arguments enters the trace's cycle sum with the sign
+    # (-1)^(|B| - 1)
+    pytest.param(
+        "pseudochar.py",
+        "block[t | 1 << j] = -v if odd else v",
+        "block[t | 1 << j] = v if odd else -v",
+        id="blocks-flips-the-block-sign"),
     # Newton's coefficient of f(x^i) in form_n(x, .., x) is
     # (-1)^(i-1) (n-1)!/(n-i)!: each step multiplies by -(n-i)
     pytest.param(
@@ -115,18 +141,36 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("module,old,new", MUTANTS)
-def test_check_all_kills_the_mutant(tmp_path, module, old, new):
+#: the killer of each mutant that ``check all`` does not reach, by id
+KILLERS = {"peel-skips-the-repeated-sub-form": PEEL_REPEATS}
+
+
+def _run(tmp_path, args, mutant=None):
+    """Run ``python args`` on a copy of the package, after the one text
+    replacement ``(module, old, new)`` when a mutant is given."""
     package = tmp_path / "pseudodet"
     shutil.copytree(SRC, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    path = package / module
-    text = path.read_text(encoding="utf-8")
-    assert text.count(old) == 1, f"{old!r} must occur once in {module}"
-    path.write_text(text.replace(old, new), encoding="utf-8")
+    if mutant is not None:
+        module, old, new = mutant
+        path = package / module
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{old!r} must occur once in {module}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tmp_path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudodet.cli", "check", "all", "--seed",
-         "42", "--trials", "2", "--quiet"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=300)
+
+
+@pytest.mark.parametrize("module,old,new", MUTANTS)
+def test_check_all_kills_the_mutant(tmp_path, request, module, old, new):
+    args = KILLERS.get(request.node.callspec.id, CHECK_ALL)
+    proc = _run(tmp_path, args, (module, old, new))
     assert proc.returncode == 1, (proc.stdout[-2000:], proc.stderr[-2000:])
+
+
+@pytest.mark.parametrize("mutant", KILLERS)
+def test_the_killer_passes_the_package_as_it_is(tmp_path, mutant):
+    proc = _run(tmp_path, KILLERS[mutant])
+    assert proc.returncode == 0, (proc.stdout[-2000:], proc.stderr[-2000:])

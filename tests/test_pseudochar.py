@@ -473,18 +473,20 @@ class TestMemoKeysInElementOrder:
 def _evaluator_case(case, s3):
     """(f, six elements) for one backend of ``TestCellEvaluator``."""
     rng = substream(660, 0)
+    # matrices of size 4, the most arguments a matrix case takes, so that
+    # forms of 3 and 4 arguments are not identically 0
     if case in ("rational", "mod:7", "mod:101"):
         ring = QQ if case == "rational" else ModRing(int(case[4:]))
-        return matrix_trace(ring, 2), rand_mats(661, 6, ring=ring)
+        return matrix_trace(ring, 4), rand_mats(661, 6, ring=ring, size=4)
     if case == "fractions":
-        return matrix_trace(QQ, 2), [
+        return matrix_trace(QQ, 4), [
             Matrix(QQ, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                         for _ in range(2)] for _ in range(2)])
+                         for _ in range(4)] for _ in range(4)])
             for _ in range(6)]
     if case == "poly":
-        return matrix_trace(QPOLY, 2), [
-            Matrix(QPOLY, [[Poly.variable(f"{v}{i}{j}") for j in range(2)]
-                           for i in range(2)]) for v in "abcdef"]
+        return matrix_trace(QPOLY, 4), [
+            Matrix(QPOLY, [[Poly.variable(f"{v}{i}{j}") for j in range(4)]
+                           for i in range(4)]) for v in "abcdef"]
     if case == "s3":
         return regular_trace(s3, QQ), [
             GroupAlgebraElement(s3, QQ, [rng.randint(-2, 2)
@@ -503,15 +505,26 @@ class TestCellEvaluator:
                                       "mod:101", "poly", "s3", "words"])
     def test_memoized_equals_plain(self, case, s3):
         f, pool = _evaluator_case(case, s3)
-        top = 3 if case == "poly" else 4
-        for n in range(1, top + 1):
+        runs = []
+        for n in range(1, 5):
             # distinct, one repeat, all equal, and out of element order
-            for args in (pool[:n], pool[:n - 1] + pool[:1], [pool[1]] * n,
-                         pool[-n:][::-1]):
-                got = recursive_form(f, args)
-                want = literal_form(f, args)
-                assert got == want, (case, n)
-                assert f.ring.render(got) == f.ring.render(want)
+            runs += (pool[:n], pool[:n - 1] + pool[:1], [pool[1]] * n,
+                     pool[-n:][::-1])
+        if case == "words":
+            # on free letters each key shape is the general one, as
+            # polynomials: Newton's identities on x^n, the peel on x^(n-1)
+            # y, x^(n-2) y^2 and x^2 y^2 z^(n-4)
+            x, y, z = map(word, "xyz")
+            for n in range(3, 8):
+                runs += ([x] * n, [x] * (n - 1) + [y],
+                         [x] * (n - 2) + [y] * 2)
+                if n >= 4:
+                    runs.append([x, x, y, y] + [z] * (n - 4))
+        for args in runs:
+            got = recursive_form(f, args)
+            want = literal_form(f, args)
+            assert got == want, (case, args)
+            assert f.ring.render(got) == f.ring.render(want)
 
     def test_mod_values_are_residues(self):
         f = matrix_trace(ModRing(7), 2)
@@ -580,11 +593,13 @@ def _spy_kernels(monkeypatch):
 
 
 class TestPeel:
-    """Equal arguments sit side by side in a memo key, so the evaluator
-    peels each distinct argument once and subtracts its sub-form once per
-    copy.  On runs of equal arguments every value equals the literal
-    recursion's, in value and in type, and ``determinant`` makes a pinned,
-    small number of ``value`` calls."""
+    """Equal arguments sit side by side in a memo key, so under an f not
+    made by ``matrix_trace`` the evaluator peels each distinct argument
+    once and subtracts its sub-form once per copy.  On runs of equal
+    arguments every route (Newton's identities on one argument, the
+    trace's block sum, the peel) equals the literal recursion, in value
+    and in type, and ``determinant`` makes a pinned, small number of
+    ``value`` calls."""
 
     @pytest.mark.parametrize("case", ["rational", "fractions", "mod:7",
                                       "mod:101", "corner", "s3"])
@@ -611,13 +626,14 @@ class TestPeel:
         assert recursive_form(_CORNER, (z, y, z, x, z)) == 8835
 
     @pytest.mark.parametrize("d,calls,traces", [
-        pytest.param(4, 4, 4, id="4-3"), pytest.param(5, 8, 6, id="5-7"),
-        pytest.param(6, 13, 8, id="6-14"), pytest.param(7, 19, 10, id="7-21")])
+        pytest.param(4, 6, 4, id="4-3"), pytest.param(5, 10, 6, id="5-7"),
+        pytest.param(6, 15, 8, id="6-14"), pytest.param(7, 21, 10, id="7-21")])
     def test_determinant_value_calls(self, monkeypatch, d, calls, traces):
-        # form_k(x, .., x) for k = 4..d is one call that reads the k - 1
+        # form_k(x, .., x) for k = 3..d is one call that reads the k - 1
         # sub-forms form_{k-1} .. form_1 (memoized from 3 on), one kernel
         # product x^(k-1) and one pair trace f(x^k), and one more pair
-        # trace for its form_2; form_3 is the written-out n = 3 branch
+        # trace for its form_2: d(d - 1)/2 calls, d - 2 products and
+        # 2(d - 2) pair traces
         x = random_matrix(substream(5, d), QQ, d, 5)
         count = []
         value = _FormEvaluator.value
@@ -638,10 +654,11 @@ class TestPeel:
     @pytest.mark.parametrize("case", ["rational", "mod:7", "C6"])
     def test_mixed_runs_equal_the_oracles(self, case, shape):
         # two arguments, one repeated 3 or 4 times, in both element
-        # orders: the peel of mixed keys reaches the sub-key of a repeated
-        # argument (``e == prev``) and, under it, the key of x alone.  The
-        # trace on M_6 and the regular trace of C_6 are of dimension 6, so
-        # forms of 5 and 6 arguments are not identically 0
+        # orders: under the regular trace the peel of mixed keys reaches
+        # the sub-key of a repeated argument (``e == prev``) and, under
+        # it, the key of x alone; under the trace the block sum takes
+        # them.  The trace on M_6 and the regular trace of C_6 are of
+        # dimension 6, so forms of 5 and 6 arguments are not identically 0
         if case == "C6":
             c6 = GroupTable.cyclic(6)
             f = regular_trace(c6, QQ)
@@ -678,10 +695,30 @@ def _distinct_mats(spec, n):
 
 
 class TestCycleBlocks:
-    """Under ``matrix_trace``'s f a form of ``BLOCKS_FROM`` or more
-    pairwise-distinct arguments is summed over the blocks of the cycle
-    through its last argument, not peeled.  Its values equal the literal
-    recursion's and the cycle sum's, in value and in type."""
+    """Under ``matrix_trace``'s f a form of three or more arguments, not
+    all one, is summed over the blocks of the cycle through its last
+    argument, not peeled.  Its values equal the literal recursion's and
+    the cycle sum's, in value and in type."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
+                                      "mod:101"])
+    def test_three_to_five_equal_the_oracles(self, spec, n):
+        # distinct, one id twice, and (from n = 4) two ids twice: a
+        # repeated id is one more position of the sum
+        f, args = _distinct_mats(spec, n)
+        runs = [args, args[:-1] + args[:1]]
+        if n >= 4:
+            runs.append(args[:n - 2] + args[:2])
+        seen = []
+        for run in runs:
+            got = recursive_form(f, run)
+            for oracle in (literal_form, cycle_sum_form):
+                want = oracle(f, run)
+                assert got == want and type(got) is type(want), (n, run)
+            seen.append(got)
+        # a value mod 7 is 0 one time in seven; no other value is
+        assert any(seen) and (spec == "mod:7" or all(seen))
 
     @pytest.mark.parametrize("spec", ["rational", "fractions", "mod:7",
                                       "mod:101"])
@@ -722,12 +759,16 @@ class TestCycleBlocks:
         assert len(made) == 75 and len(pairs) == 57
 
     @pytest.mark.parametrize("shape,calls", [
-        ("distinct-6", 1), ("distinct-5", 0), ("repeated", 0),
-        ("element-path", 0)])
-    def test_runs_only_on_distinct_trace_keys(self, monkeypatch, shape,
-                                              calls):
-        # a repeated argument keeps the peel (or Newton), an f not made
-        # by matrix_trace may not be linear and keeps the element path
+        pytest.param("distinct-6", 1, id="distinct-6"),
+        pytest.param("distinct-3", 1, id="distinct-3"),
+        pytest.param("repeated", 1, id="repeated"),
+        pytest.param("one-argument", 0, id="one-argument"),
+        pytest.param("element-path", 0, id="element-path")])
+    def test_runs_on_trace_keys_not_of_one_argument(self, monkeypatch,
+                                                    shape, calls):
+        # the top key only: the sum memoizes no sub-form.  One argument
+        # repeated takes Newton's identities, and an f not made by
+        # matrix_trace may not be linear and keeps the element path
         seen = []
         blocks = _FormEvaluator.blocks
 
@@ -737,10 +778,12 @@ class TestCycleBlocks:
 
         monkeypatch.setattr(_FormEvaluator, "blocks", counted)
         f, args = _distinct_mats("mod:101", 6)
-        if shape == "distinct-5":
-            args = args[:5]
+        if shape == "distinct-3":
+            args = args[:3]
         elif shape == "repeated":
             args[1] = args[0]
+        elif shape == "one-argument":
+            args = args[:1] * 6
         elif shape == "element-path":
             f = CentralFunction(lambda m: m.trace(), 6, f.ring)
         got = recursive_form(f, args)
